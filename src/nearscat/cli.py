@@ -2,7 +2,7 @@
 
 A run is described by a single JSON file (schema below, unknown keys
 rejected), or by a named preset mirroring the standard experiment
-configurations; `--config` on top of `--preset` applies overrides.
+configurations; `--config` on top of `--preset` merges in overrides.
 
 Outputs per run: field.csv + field.pgm + manifest.json (reconstruction
 modes; disk modes additionally write the companion indicator), or
@@ -35,7 +35,7 @@ from .geometry import (
 )
 from .linalg import nsharp
 from .music import build_music, music_field
-from .sampling import FilterSpec, fm_field, make_picard_data, mlsm_field
+from .sampling import FilterSpec, fm_field, make_picard_data, mlsm_field, steering_matrix
 
 # ---------------------------------------------------------------------------
 # Presets: the standard experiment configurations at desk scale.
@@ -224,6 +224,14 @@ def _scatterers_of(cfg):
     return specs
 
 
+# Keys each runner reads without a default.
+REQUIRED_KEYS = {
+    "born-music": ("sensors", "scatterers", "grid"),
+    "disk-fm": ("disk_medium", "grid"),
+    "disk-mlsm": ("disk_medium", "grid"),
+    "bayes": ("sensors", "scatterers", "bayes"),
+}
+
 TOP_KEYS = {
     "mode",
     "k",
@@ -248,8 +256,11 @@ def validate_config(cfg):
         raise ConfigError("config must be a JSON object")
     _require_keys(cfg, TOP_KEYS, "config")
     mode = cfg.get("mode")
-    if mode not in ("born-music", "disk-fm", "disk-mlsm", "bayes"):
+    if mode not in REQUIRED_KEYS:
         raise ConfigError(f"unknown mode {mode!r}")
+    missing = [key for key in REQUIRED_KEYS[mode] if key not in cfg]
+    if missing:
+        raise ConfigError(f"mode {mode!r} needs key(s) {missing}")
     if mode in ("disk-fm", "disk-mlsm"):
         m = int(cfg.get("truncation", 20))
         q = int(cfg.get("quad_points", 64))
@@ -297,7 +308,8 @@ def _run_born_music(cfg, out_dir):
     if noise.get("delta", 0.0) > 0.0:
         matrix = add_noise(matrix, float(noise["delta"]), int(noise["seed"]))
     model = build_music(matrix, rank_override=cfg.get("rank_override"))
-    fld = music_field(model, _grid_of(cfg))
+    grid = _grid_of(cfg)
+    fld = music_field(model, steering_matrix(sensors, k, grid.points), grid)
     export_field(fld, out_dir)
     return {"rank": model.rank}
 
@@ -327,8 +339,9 @@ def _run_disk(cfg, out_dir):
             kind=fdict["kind"], eps=float(fdict["eps"]),
             a=float(fdict["a"]) if fdict.get("a") is not None else None,
         )
-    w_field = fm_field(data, sensors, medium.k, grid)
-    p_field = mlsm_field(data, sensors, medium.k, grid, filt)
+    phis = steering_matrix(sensors, medium.k, grid.points)
+    w_field = fm_field(data, phis, grid)
+    p_field = mlsm_field(data, phis, grid, filt)
     primary, companion, stem = (
         (w_field, p_field, "mlsm") if cfg["mode"] == "disk-fm" else (p_field, w_field, "fm")
     )
@@ -387,6 +400,16 @@ def _run_bayes(cfg, out_dir):
     return stats
 
 
+def _merge_into(base, override):
+    """Apply override to base in place: dicts merge key by key, recursively;
+    any other value (lists included) replaces the base value."""
+    for key, val in override.items():
+        if isinstance(val, dict) and isinstance(base.get(key), dict):
+            _merge_into(base[key], val)
+        else:
+            base[key] = val
+
+
 def run(config=None, preset=None, out_dir=None, seed=None):
     """Execute one experiment; returns a result dict.  Raises ConfigError /
     NearscatError on invalid input or numerical failure."""
@@ -395,7 +418,9 @@ def run(config=None, preset=None, out_dir=None, seed=None):
             raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
         cfg = copy.deepcopy(PRESETS[preset])
         if config:
-            cfg.update(copy.deepcopy(config))
+            if not isinstance(config, dict):
+                raise ConfigError("config must be a JSON object")
+            _merge_into(cfg, copy.deepcopy(config))
     elif config is not None:
         cfg = copy.deepcopy(config)
     else:

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResonanceError
-from .specfun import (
-    bessel_j,
-    bessel_j_prime,
-    fundamental_solution_many,
-    hankel1,
-    hankel1_prime,
-)
+from .specfun import bessel_j, bessel_j_prime, hankel1, hankel1_prime
 
 DISK_RADIUS = 1.0
 SENSOR_RADIUS = 2.0
@@ -120,10 +114,3 @@ def circulant_symbol(medium, trunc, quad_points):
             out[f] = 2.0 * np.pi * 0.25j * w[abs(m)]
     return out
 
-
-def rhs_point_source(z, k, sensors):
-    """Vector of Phi(x_i, z) over the sensor points, for z inside the circle."""
-    z = np.asarray(z, dtype=float)
-    if np.hypot(z[0], z[1]) >= sensors.radius:
-        raise DomainError("point source must lie strictly inside the sensor circle")
-    return fundamental_solution_many(k, sensors.points, z[None, :])[:, 0]

@@ -1,7 +1,9 @@
 """MUSIC localization from the multi-static response matrix.
 
 The indicator is the reciprocal squared norm of the noise-subspace
-projection of the steering vector; it blows up at scatterer centers.
+projection of the steering vector; it blows up at scatterer centers.  It is
+the spectral range test of `sampling` with unit weights on the noise
+subspace, evaluated over a steering matrix from `sampling.steering_matrix`.
 """
 
 from dataclasses import dataclass
@@ -10,19 +12,14 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import IndicatorField
-from .geometry import SensorArray
 from .linalg import EigenSystem, hermitian_eig, spectral_gap_rank
-from .specfun import fundamental_solution_many
-
-INDICATOR_CAP = 1e12
+from .sampling import _spectral_indicator
 
 
 @dataclass(frozen=True)
 class MusicModel:
     eig: EigenSystem  # of N N*
     rank: int
-    sensors: SensorArray
-    wavenumber: float
 
 
 def build_music(matrix, rank_override=None):
@@ -46,37 +43,12 @@ def build_music(matrix, rank_override=None):
         r = 0
     else:
         r = spectral_gap_rank(eig)
-    return MusicModel(
-        eig=eig, rank=r, sensors=matrix.sensors, wavenumber=matrix.wavenumber
-    )
+    return MusicModel(eig=eig, rank=r)
 
 
-def steering_vector(z, sensors, k):
-    """phi_z = (Phi(x_1, z), ..., Phi(x_N, z))."""
-    z = np.asarray(z, dtype=float)
-    return fundamental_solution_many(k, sensors.points, z[None, :])[:, 0]
-
-
-def music_indicator(model, z):
-    """I(z) = [sum_{j>r} |(phi_z, w_j)|^2]^{-1}, capped at INDICATOR_CAP."""
-    phi = steering_vector(z, model.sensors, model.wavenumber)
+def music_field(model, phis, grid):
+    """I(z) = [sum_{j>r} |(phi_z, w_j)|^2]^{-1} over a sampling grid, one
+    steering column of phis per grid point (row-major, y outer loop)."""
     noise_vecs = model.eig.eigenvectors[:, model.rank :]
-    proj_sq = float(np.sum(np.abs(noise_vecs.conj().T @ phi) ** 2))
-    if proj_sq <= 1.0 / INDICATOR_CAP:
-        return INDICATOR_CAP
-    return 1.0 / proj_sq
-
-
-def music_field(model, grid):
-    """Indicator field over a sampling grid, row-major (y outer loop)."""
-    phis = fundamental_solution_many(
-        model.wavenumber, model.sensors.points, grid.points
-    )  # (N, npts)
-    noise_vecs = model.eig.eigenvectors[:, model.rank :]
-    proj_sq = np.sum(np.abs(noise_vecs.conj().T @ phis) ** 2, axis=0)
-    values = np.where(
-        proj_sq <= 1.0 / INDICATOR_CAP,
-        INDICATOR_CAP,
-        1.0 / np.maximum(proj_sq, 1e-300),
-    )
+    values = _spectral_indicator(noise_vecs, np.ones(noise_vecs.shape[1]), phis)
     return IndicatorField(grid=grid, values=values, metadata={"mode": "music", "rank": model.rank})

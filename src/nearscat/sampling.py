@@ -1,5 +1,7 @@
-"""Factorization-method indicator via Picard sums and the modified linear
-sampling method (regularized solutions of N_sharp g_z = Phi(., z)).
+"""The steering matrix and one spectral kernel 1 / sum_j w_j |(phi_z, v_j)|^2
+shared by MUSIC and by the factorization-method indicator W(z) (Picard sum,
+w_j = 1/lambda_j) and the modified linear sampling method P(z) (regularized
+solutions of N_sharp g_z = Phi(., z), w_j = lambda_j^3 f(lambda_j^2)^2).
 
 Discrete inner products on the measurement curve carry a uniform
 arc-length weight so sums approximate L2(C) pairings.  Eigenvectors are
@@ -43,17 +45,18 @@ class FilterSpec:
 
 
 def filter_value(f, t):
-    t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"filter argument must be positive, got {t}")
+    """f_eps(t), elementwise over positive t."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
+        raise DomainError(f"filter argument must be positive, got {np.min(t)}")
     if f.kind == "tikhonov":
         return 1.0 / (t + f.eps)
     if f.kind == "cutoff":
-        return 1.0 / t if t > f.eps else 0.0
+        return np.where(t > f.eps, 1.0 / t, 0.0)
     # landweber
     base = 1.0 - f.a * t
-    if base < 0.0:
-        raise DomainError(f"landweber step a = {f.a} too large for t = {t}")
+    if np.any(base < 0.0):
+        raise DomainError(f"landweber step a = {f.a} too large for t = {np.max(t)}")
     return (1.0 - base ** (1.0 / f.eps)) / t
 
 
@@ -93,49 +96,6 @@ def make_picard_data(nsharp_matrix, weight=1.0, clip_rel=CLIP_REL):
         eigenvectors=eig.eigenvectors[:, keep][:, order],
         weight=float(weight),
     )
-
-
-def _coeffs(data, phi_z):
-    """l2 coefficients (phi_z, psi_j) for the retained eigenvectors."""
-    return data.eigenvectors.conj().T @ np.asarray(phi_z, dtype=complex)
-
-
-def picard_sum(data, phi_z):
-    """sum_j |(phi_z, psi_j)|^2 / lambda_j over the retained spectrum."""
-    c = _coeffs(data, phi_z)
-    return float(data.weight * np.sum(np.abs(c) ** 2 / data.eigenvalues))
-
-
-def picard_indicator(data, phi_z):
-    """W(z) = [Picard sum]^{-1}, sentinel-capped."""
-    s = picard_sum(data, phi_z)
-    if s <= 1.0 / SENTINEL_CAP:
-        return SENTINEL_CAP
-    return 1.0 / s
-
-
-def mlsm_solve(data, phi_z, f):
-    """Filtered spectral solution g_z = sum lambda_j f(lambda_j^2) c_j psi_j."""
-    c = _coeffs(data, phi_z)
-    lam = data.eigenvalues
-    fvals = np.array([filter_value(f, t) for t in lam**2])
-    return data.eigenvectors @ (lam * fvals * c)
-
-
-def half_power_norm_sq(data, g):
-    """(N_sharp g, g) = ||N_sharp^{1/2} g||^2 under the curve weight."""
-    c = _coeffs(data, g)
-    return float(data.weight * np.sum(data.eigenvalues * np.abs(c) ** 2))
-
-
-def mlsm_indicators(data, g):
-    """(P, I) = (|(N_sharp g, g)|^{-1}, ||g||^{-1}), sentinel-capped."""
-    g = np.asarray(g, dtype=complex)
-    q = half_power_norm_sq(data, g)
-    p = SENTINEL_CAP if q <= 1.0 / SENTINEL_CAP else 1.0 / q
-    nrm = float(np.sqrt(data.weight) * np.linalg.norm(g))
-    i = SENTINEL_CAP if nrm <= 1.0 / SENTINEL_CAP else 1.0 / nrm
-    return p, i
 
 
 def cutoff_at_rank(data, rel_tol=None):
@@ -184,7 +144,7 @@ def fm_mlsm_equivalence_check(data, phi_z, m_terms, eps_sequence, f_kind="tikhon
     if not 1 <= m_terms <= data.size:
         raise DomainError(f"m_terms must lie in [1, {data.size}], got {m_terms}")
 
-    c = _coeffs(data, phi_z)
+    c = data.eigenvectors.conj().T @ np.asarray(phi_z, dtype=complex)
     lam = data.eigenvalues
     picard_terms = data.weight * np.abs(c) ** 2 / lam
     partial = float(np.sum(picard_terms[:m_terms]))
@@ -192,8 +152,7 @@ def fm_mlsm_equivalence_check(data, phi_z, m_terms, eps_sequence, f_kind="tikhon
 
     values = []
     for e in eps_sequence:
-        f = FilterSpec(kind=f_kind, eps=e, a=a)
-        fvals = np.array([filter_value(f, t) for t in lam**2])
+        fvals = filter_value(FilterSpec(kind=f_kind, eps=e, a=a), lam**2)
         values.append(float(data.weight * np.sum(lam**3 * fvals**2 * np.abs(c) ** 2)))
 
     violations = []
@@ -224,33 +183,37 @@ def fm_mlsm_equivalence_check(data, phi_z, m_terms, eps_sequence, f_kind="tikhon
     )
 
 
-def _steering_matrix(sensors, k, grid):
-    return fundamental_solution_many(k, sensors.points, grid.points)  # (N, npts)
+def steering_matrix(sensors, k, points):
+    """Phi(x_i, z_j) for sensors x_i and points z_j, shape (N, npts): one
+    steering vector phi_z per column, shared by every field on those points."""
+    return fundamental_solution_many(k, sensors.points, points)
 
 
-def fm_field(data, sensors, k, grid):
-    """W(z) over a sampling grid."""
-    phis = _steering_matrix(sensors, k, grid)
-    c = data.eigenvectors.conj().T @ phis  # (retained, npts)
-    sums = data.weight * np.sum(np.abs(c) ** 2 / data.eigenvalues[:, None], axis=0)
-    values = np.where(sums <= 1.0 / SENTINEL_CAP, SENTINEL_CAP, 1.0 / np.maximum(sums, 1e-300))
+def _spectral_indicator(vecs, weights, phis):
+    """1 / sum_j weights_j |(phi_z, vecs_j)|^2 per column phi_z of phis,
+    sentinel-capped."""
+    c = vecs.conj().T @ phis  # (modes, npts)
+    sums = np.sum(weights[:, None] * np.abs(c) ** 2, axis=0)
+    return np.where(sums <= 1.0 / SENTINEL_CAP, SENTINEL_CAP, 1.0 / np.maximum(sums, 1e-300))
+
+
+def fm_field(data, phis, grid):
+    """W(z) = [Picard sum]^{-1} over a grid, one column of phis per point."""
+    values = _spectral_indicator(data.eigenvectors, data.weight / data.eigenvalues, phis)
     return IndicatorField(grid=grid, values=values, metadata={"mode": "fm"})
 
 
-def mlsm_field(data, sensors, k, grid, f=None):
-    """P(z) = |(N_sharp g_z, g_z)|^{-1} over a sampling grid.
+def mlsm_field(data, phis, grid, f=None):
+    """P(z) = |(N_sharp g_z, g_z)|^{-1} over a grid, one column of phis per
+    point, for g_z = sum_j lambda_j f(lambda_j^2) (phi_z, psi_j) psi_j.
 
     Default filter is the spectral cutoff at the numerical rank of N_sharp.
     """
     if f is None:
         f = cutoff_at_rank(data)
-    phis = _steering_matrix(sensors, k, grid)
-    c = data.eigenvectors.conj().T @ phis
     lam = data.eigenvalues
-    fvals = np.array([filter_value(f, t) for t in lam**2])
-    # (N_sharp g, g) = sum lambda^3 f(lambda^2)^2 |c_j|^2
-    quad = data.weight * np.sum((lam**3 * fvals**2)[:, None] * np.abs(c) ** 2, axis=0)
-    values = np.where(quad <= 1.0 / SENTINEL_CAP, SENTINEL_CAP, 1.0 / np.maximum(quad, 1e-300))
+    weights = data.weight * lam**3 * filter_value(f, lam**2) ** 2
+    values = _spectral_indicator(data.eigenvectors, weights, phis)
     return IndicatorField(
         grid=grid, values=values, metadata={"mode": "mlsm", "filter": f.kind}
     )

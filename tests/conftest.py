@@ -14,7 +14,7 @@ from nearscat.geometry import (
     make_sensor_array,
 )
 from nearscat.linalg import nsharp
-from nearscat.sampling import make_picard_data
+from nearscat.sampling import make_picard_data, steering_matrix
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +43,18 @@ def disk_grid101():
 @pytest.fixture(scope="session")
 def disk_sensors64():
     return make_sensor_array(64, SENSOR_RADIUS)
+
+
+@pytest.fixture(scope="session")
+def grid101_phis(unit_sensors32, grid101):
+    """Steering matrix of the MUSIC sensors over grid101 at k = 1."""
+    return steering_matrix(unit_sensors32, 1.0, grid101.points)
+
+
+@pytest.fixture(scope="session")
+def disk_grid101_phis(disk_sensors64, disk_grid101):
+    """Steering matrix of the disk sensors over disk_grid101 at k = 1."""
+    return steering_matrix(disk_sensors64, 1.0, disk_grid101.points)
 
 
 @pytest.fixture(scope="session")

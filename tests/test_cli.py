@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nearscat import bayes, born, sampling, specfun
 from nearscat.cli import PRESETS, main, run, validate_config
 from nearscat.errors import ConfigError
 from nearscat.fields import read_field_csv
@@ -168,3 +169,71 @@ def test_preset_with_seed_override(tmp_path):
     run(preset="figure1", out_dir=tmp_path / "a", seed=9)
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["config"]["noise"]["seed"] == 9
+
+
+def test_steering_matrix_built_once_per_run(tmp_path, monkeypatch):
+    # FM and MLSM sample the same grid, so they must share one steering build
+    original = specfun.fundamental_solution_many
+    grid_sizes = []
+
+    def counting(k, points_x, points_y):
+        grid_sizes.append(len(points_y))
+        return original(k, points_x, points_y)
+
+    for module in (specfun, sampling, born, bayes):
+        monkeypatch.setattr(module, "fundamental_solution_many", counting)
+    run(preset="figure6", out_dir=tmp_path)
+    assert grid_sizes.count(101 * 101) == 1
+
+
+def test_preset_override_merges_nested_objects(tmp_path):
+    override = {"bayes": {"seed": 3, "iterations": 300, "burn_in": 100}, "noise": {"seed": 5}}
+    run(preset="figure4", config=override, out_dir=tmp_path)
+    cfg = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert cfg["bayes"] == {**PRESETS["figure4"]["bayes"], **override["bayes"]}
+    assert cfg["noise"] == {"delta": 0.15, "seed": 5}
+    assert (tmp_path / "summary.json").exists()
+
+
+def test_preset_override_replaces_lists(tmp_path):
+    scatterers = PRESETS["figure1"]["scatterers"][:1]
+    override = {"scatterers": scatterers, "grid": {"nx": 11, "ny": 11}}
+    run(preset="figure1", config=override, out_dir=tmp_path)
+    cfg = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert cfg["scatterers"] == scatterers
+    assert cfg["grid"] == {"bounds": [-0.9, 0.9, -0.9, 0.9], "nx": 11, "ny": 11}
+    assert PRESETS["figure1"]["grid"]["nx"] == 101  # the preset itself is untouched
+
+
+def test_preset_override_must_be_an_object():
+    with pytest.raises(ConfigError):
+        run(preset="figure1", config=["not", "an", "object"])
+
+
+@pytest.mark.parametrize(
+    "preset, mode, key",
+    [
+        ("figure1", "born-music", "sensors"),
+        ("figure1", "born-music", "scatterers"),
+        ("figure1", "born-music", "grid"),
+        ("figure6", "disk-fm", "disk_medium"),
+        ("figure6", "disk-fm", "grid"),
+        ("figure6", "disk-mlsm", "disk_medium"),
+        ("figure6", "disk-mlsm", "grid"),
+        ("figure4", "bayes", "sensors"),
+        ("figure4", "bayes", "scatterers"),
+        ("figure4", "bayes", "bayes"),
+    ],
+)
+def test_main_missing_required_key_exit_2(tmp_path, capsys, preset, mode, key):
+    cfg_dict = {**PRESETS[preset], "mode": mode}
+    del cfg_dict[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "config"
+    assert key in err["message"]

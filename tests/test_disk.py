@@ -12,19 +12,11 @@ from nearscat.disk import (
     circulant_symbol,
     disk_scattered_field,
     kernel_weights,
-    rhs_point_source,
     series_coefficients,
     sigma_m,
 )
 from nearscat.errors import DomainError, ResonanceError
-from nearscat.geometry import make_sensor_array
-from nearscat.specfun import (
-    bessel_j,
-    bessel_j_prime,
-    fundamental_solution,
-    hankel1,
-    hankel1_prime,
-)
+from nearscat.specfun import bessel_j, bessel_j_prime, hankel1, hankel1_prime
 
 
 def sigma_oracle(medium, m):
@@ -149,14 +141,3 @@ def test_symbol_multiplicity_two(fig6_medium):
         assert symbol[64 - m] == pytest.approx(expect)
     assert np.all(symbol[21:44] == 0.0)
 
-
-def test_rhs_point_source():
-    sensors = make_sensor_array(64, 2.0)
-    vec = rhs_point_source((0.0, 0.0), 1.0, sensors)
-    assert np.allclose(vec, vec[0])  # radial symmetry at the origin
-    vec2 = rhs_point_source((0.3, -0.4), 1.0, sensors)
-    assert vec2[5] == pytest.approx(
-        fundamental_solution(1.0, sensors.points[5], (0.3, -0.4)), rel=1e-14
-    )
-    with pytest.raises(DomainError):
-        rhs_point_source((2.5, 0.0), 1.0, sensors)

@@ -7,20 +7,22 @@ import pytest
 from nearscat.born import MultistaticMatrix, add_noise, assemble_multistatic
 from nearscat.errors import DomainError
 from nearscat.fields import local_maxima
-from nearscat.geometry import Ellipse, ScattererSpec, constant_index, make_grid
-from nearscat.music import (
-    INDICATOR_CAP,
-    build_music,
-    music_field,
-    music_indicator,
-    steering_vector,
-)
+from nearscat.geometry import Ellipse, SamplingGrid, ScattererSpec, constant_index
+from nearscat.music import build_music, music_field
+from nearscat.sampling import SENTINEL_CAP, steering_matrix
 from nearscat.specfun import fundamental_solution
+
+
+def music_at(model, sensors, k, points):
+    """MUSIC indicator at arbitrary points, through the field function."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    grid = SamplingGrid(0.0, 1.0, 0.0, 1.0, len(points), 1, points)
+    return music_field(model, steering_matrix(sensors, k, points), grid).values
 
 
 def synthetic_rank_matrix(sensors, k, centers, strengths):
     """Noiseless point-scatterer model N = U S U^T with U of steering vectors."""
-    u = np.column_stack([steering_vector(c, sensors, k) for c in centers])
+    u = steering_matrix(sensors, k, np.asarray(centers, dtype=float))
     s = np.diag(np.asarray(strengths, dtype=complex))
     return MultistaticMatrix(
         data=u @ s @ u.T, sensors=sensors, wavenumber=float(k)
@@ -34,7 +36,7 @@ def test_zero_matrix_rank_zero(unit_sensors32):
     model = build_music(m)
     assert model.rank == 0
     # empty signal subspace: every steering vector sits in the null space
-    assert music_indicator(model, (0.1, 0.2)) < INDICATOR_CAP
+    assert music_at(model, unit_sensors32, 1.0, (0.1, 0.2))[0] < SENTINEL_CAP
 
 
 def test_synthetic_rank_three_detected(unit_sensors32):
@@ -51,43 +53,35 @@ def test_rank_override_and_validation(unit_sensors32):
         build_music(m, rank_override=33)
 
 
-def test_steering_vector_matches_phi(unit_sensors32):
-    z = (0.2, -0.3)
-    vec = steering_vector(z, unit_sensors32, 1.0)
-    for i in (0, 7, 19):
-        assert vec[i] == pytest.approx(
-            fundamental_solution(1.0, unit_sensors32.points[i], z), rel=1e-14
-        )
-
-
 def test_range_test_blows_up_at_centers(unit_sensors32):
     centers = [(-0.5, 0.5), (0.5, -0.5)]
     m = synthetic_rank_matrix(unit_sensors32, 1.0, centers, [1.0, 1.0])
     model = build_music(m)
     rng = np.random.default_rng(20)
-    background = [
-        music_indicator(model, rng.uniform(-0.8, 0.8, 2)) for _ in range(200)
-    ]
-    at_centers = min(music_indicator(model, c) for c in centers)
+    background = music_at(model, unit_sensors32, 1.0, rng.uniform(-0.8, 0.8, (200, 2)))
+    at_centers = music_at(model, unit_sensors32, 1.0, centers).min()
     assert at_centers >= 1e6 * np.median(background)
 
 
 def test_projector_identity(figure1_scatterers, unit_sensors32):
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
     model = build_music(m)
-    z = (0.31, -0.12)
-    phi = steering_vector(z, unit_sensors32, 1.0)
-    w = model.eig.eigenvectors[:, model.rank :]
-    proj = w @ (w.conj().T @ phi)
-    brute = np.linalg.norm(proj) ** 2
-    assert 1.0 / music_indicator(model, z) == pytest.approx(brute, rel=1e-10)
+    zs = [(0.31, -0.12), (0.0, 0.0), (0.7, 0.2), (-0.3, -0.6)]
+    # explicit noise-space projector I - U_s U_s^H from the signal subspace
+    u_s = model.eig.eigenvectors[:, : model.rank]
+    projector = np.eye(32) - u_s @ u_s.conj().T
+    values = music_at(model, unit_sensors32, 1.0, zs)
+    for z, value in zip(zs, values):
+        phi = np.array([fundamental_solution(1.0, x, z) for x in unit_sensors32.points])
+        brute = np.linalg.norm(projector @ phi) ** 2
+        assert 1.0 / value == pytest.approx(brute, rel=1e-10)
 
 
-def test_figure1_localization(figure1_scatterers, unit_sensors32, grid101):
+def test_figure1_localization(figure1_scatterers, unit_sensors32, grid101, grid101_phis):
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
     model = build_music(m)
     assert model.rank == 2
-    fld = music_field(model, grid101)
+    fld = music_field(model, grid101_phis, grid101)
     assert np.all(fld.values >= 0.0)
     pts, _ = local_maxima(fld, top=2)
     cell = 1.8 / 100
@@ -96,10 +90,10 @@ def test_figure1_localization(figure1_scatterers, unit_sensors32, grid101):
         assert err <= cell + 1e-12
 
 
-def test_figure1_noise_robustness(figure1_scatterers, unit_sensors32, grid101):
+def test_figure1_noise_robustness(figure1_scatterers, unit_sensors32, grid101, grid101_phis):
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
-    clean = music_field(build_music(m), grid101)
-    noisy = music_field(build_music(add_noise(m, 0.05, 7)), grid101)
+    clean = music_field(build_music(m), grid101_phis, grid101)
+    noisy = music_field(build_music(add_noise(m, 0.05, 7)), grid101_phis, grid101)
     p_clean, _ = local_maxima(clean, top=2)
     p_noisy, _ = local_maxima(noisy, top=2)
     cell = 1.8 / 100
@@ -108,9 +102,9 @@ def test_figure1_noise_robustness(figure1_scatterers, unit_sensors32, grid101):
         assert err <= 2 * cell + 1e-12
 
 
-def test_figure1_discrimination(figure1_scatterers, unit_sensors32, grid101):
+def test_figure1_discrimination(figure1_scatterers, unit_sensors32, grid101, grid101_phis):
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
-    fld = music_field(build_music(m), grid101)
+    fld = music_field(build_music(m), grid101_phis, grid101)
     centers = np.array([[-0.5, 0.5], [0.5, -0.5]])
     d = np.minimum(
         np.abs(grid101.points - centers[0]).max(axis=1),
@@ -124,12 +118,12 @@ def test_figure1_discrimination(figure1_scatterers, unit_sensors32, grid101):
     assert at_centers >= 100 * np.percentile(far, 95)
 
 
-def test_figure2_argmax(unit_sensors32, grid101):
+def test_figure2_argmax(unit_sensors32, grid101, grid101_phis):
     spec = ScattererSpec(
         Ellipse(center=(0.5, -0.5), a=0.2, b=0.1), constant_index(2.0 + 1.0j)
     )
     m = assemble_multistatic([spec], unit_sensors32, 1.0, 16)
-    fld = music_field(build_music(m), grid101)
+    fld = music_field(build_music(m), grid101_phis, grid101)
     z = fld.argmax_point()
     cell = 1.8 / 100
     assert np.abs(z - np.array([0.5, -0.5])).max() <= cell + 1e-12

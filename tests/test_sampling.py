@@ -1,11 +1,14 @@
-"""Factorization-method / MLSM tests: filters, Picard sums, the equivalence
-bracketing, and the disk-figure classification quality."""
+"""Steering matrix and factorization-method / MLSM tests: filters, the FM
+and MLSM fields against explicit Picard sums and explicit regularized
+solves, the equivalence bracketing, and the disk-figure classification
+quality."""
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from nearscat.errors import DegenerateSpectrumError, DomainError
+from nearscat.geometry import SamplingGrid, make_sensor_array
 from nearscat.linalg import hermitian_eig, sqrt_op_apply
 from nearscat.sampling import (
     SENTINEL_CAP,
@@ -15,15 +18,39 @@ from nearscat.sampling import (
     filter_value,
     fm_field,
     fm_mlsm_equivalence_check,
-    half_power_norm_sq,
     make_picard_data,
     mlsm_field,
-    mlsm_indicators,
-    mlsm_solve,
-    picard_indicator,
-    picard_sum,
+    steering_matrix,
 )
-from nearscat.specfun import fundamental_solution_many
+from nearscat.specfun import fundamental_solution, fundamental_solution_many
+
+
+def point_grid(n):
+    """A grid label for n arbitrary sampling points (fields only carry it)."""
+    return SamplingGrid(0.0, 1.0, 0.0, 1.0, n, 1, np.zeros((n, 2)))
+
+
+def field_at(field_fn, data, phis, *args):
+    """Field values for explicit steering columns phis (one per point)."""
+    return field_fn(data, phis, point_grid(phis.shape[1]), *args).values
+
+
+# ---------------------------------------------------------------------------
+# steering matrix
+
+
+def test_steering_matrix_matches_phi():
+    sensors = make_sensor_array(64, 2.0)
+    zs = np.array([[0.0, 0.0], [0.3, -0.4], [0.2, -0.3], [-1.1, 0.6]])
+    phis = steering_matrix(sensors, 1.0, zs)
+    assert phis.shape == (64, 4)
+    assert np.allclose(phis[:, 0], phis[0, 0])  # radial symmetry at the origin
+    for j, z in enumerate(zs):
+        for i in (0, 5, 19, 63):
+            assert phis[i, j] == pytest.approx(
+                fundamental_solution(1.0, sensors.points[i], z), rel=1e-14
+            )
+
 
 # ---------------------------------------------------------------------------
 # filters
@@ -53,8 +80,7 @@ def test_filter_axiom_t_f_leq_one():
         FilterSpec(kind="cutoff", eps=1e-3),
         FilterSpec(kind="landweber", eps=0.1, a=0.2 / lam1_sq),
     ):
-        for t in ts:
-            assert t * filter_value(f, t) <= 1.0 + 1e-12
+        assert np.all(ts * filter_value(f, ts) <= 1.0 + 1e-12)
 
 
 def test_filter_validation():
@@ -66,6 +92,10 @@ def test_filter_validation():
         FilterSpec(kind="landweber", eps=1.0)
     with pytest.raises(DomainError):
         filter_value(FilterSpec(kind="tikhonov", eps=1.0), 0.0)
+    with pytest.raises(DomainError):
+        filter_value(FilterSpec(kind="tikhonov", eps=1.0), np.array([1.0, -1.0]))
+    with pytest.raises(DomainError):
+        filter_value(FilterSpec(kind="landweber", eps=1.0, a=1.0), np.array([0.5, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +121,35 @@ def test_make_picard_data_rejects_negative_definite():
         make_picard_data(-np.eye(3, dtype=complex))
 
 
+def explicit_nsharp(data):
+    """N_sharp = V diag(lambda) V^H on the retained span."""
+    v = data.eigenvectors
+    return (v * data.eigenvalues) @ v.conj().T
+
+
+def explicit_mlsm_solve(data, phi, f):
+    """g_z = V diag(lambda f(lambda^2)) V^H phi, one scalar filter call per mode."""
+    lam = data.eigenvalues
+    fvals = np.array([float(filter_value(f, t)) for t in lam**2])
+    v = data.eigenvectors
+    return (v * (lam * fvals)) @ (v.conj().T @ phi)
+
+
+def disk_phis(sensors, zs):
+    return fundamental_solution_many(1.0, sensors.points, np.atleast_2d(zs))
+
+
+def moderate_tikhonov(data):
+    """A filter that keeps g_z well scaled, so ambient-space oracles built
+    from g_z stay accurate (the default cutoff keeps modes down to
+    1e-12 lambda_1, where such oracles lose ~5 digits)."""
+    return FilterSpec(kind="tikhonov", eps=1e-6 * data.eigenvalues[0] ** 2)
+
+
 def test_picard_single_mode_gives_lambda():
     data = diag_data([4.0, 2.0])
-    phi = np.array([1.0, 0.0], dtype=complex)
-    assert picard_indicator(data, phi) == pytest.approx(4.0)
+    phi = np.array([[1.0], [0.0]], dtype=complex)
+    assert field_at(fm_field, data, phi)[0] == pytest.approx(4.0)
 
 
 def test_picard_orthogonal_hits_cap():
@@ -102,14 +157,25 @@ def test_picard_orthogonal_hits_cap():
         eigenvalues=np.array([1.0]),
         eigenvectors=np.array([[1.0], [0.0]], dtype=complex),
     )
-    phi = np.array([0.0, 1.0], dtype=complex)
-    assert picard_indicator(data, phi) == SENTINEL_CAP
+    phi = np.array([[0.0], [1.0]], dtype=complex)
+    assert field_at(fm_field, data, phi)[0] == SENTINEL_CAP
+    assert field_at(mlsm_field, data, phi)[0] == SENTINEL_CAP
+
+
+def test_fm_field_matches_explicit_picard_sum(fig6_picard, disk_sensors64):
+    zs = [[0.3, -0.2], [0.0, 0.0], [1.1, -0.4], [1.5, 0.3]]
+    phis = disk_phis(disk_sensors64, zs)
+    values = field_at(fm_field, fig6_picard, phis)
+    for j in range(len(zs)):
+        picard = sum(
+            fig6_picard.weight * abs(np.vdot(psi, phis[:, j])) ** 2 / lam
+            for lam, psi in zip(fig6_picard.eigenvalues, fig6_picard.eigenvectors.T)
+        )
+        assert values[j] == pytest.approx(1.0 / picard, rel=1e-12)
 
 
 def test_picard_phase_invariance(fig6_picard, disk_sensors64):
-    z = np.array([[0.3, -0.2]])
-    phi = fundamental_solution_many(1.0, disk_sensors64.points, z)[:, 0]
-    base = picard_indicator(fig6_picard, phi)
+    phis = disk_phis(disk_sensors64, [[0.3, -0.2], [1.2, 0.5]])
     rng = np.random.default_rng(21)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, fig6_picard.size))
     twisted = PicardData(
@@ -117,75 +183,76 @@ def test_picard_phase_invariance(fig6_picard, disk_sensors64):
         eigenvectors=fig6_picard.eigenvectors * phases[None, :],
         weight=fig6_picard.weight,
     )
-    assert picard_indicator(twisted, phi) == pytest.approx(base, rel=1e-12)
+    for field_fn in (fm_field, mlsm_field):
+        base = field_at(field_fn, fig6_picard, phis)
+        assert field_at(field_fn, twisted, phis) == pytest.approx(base, rel=1e-12)
 
 
 def test_scaling_covariance(fig6_picard, disk_sensors64):
-    z = np.array([[0.3, -0.2]])
-    phi = fundamental_solution_many(1.0, disk_sensors64.points, z)[:, 0]
+    phis = disk_phis(disk_sensors64, [0.3, -0.2])
     scaled = PicardData(
         eigenvalues=3.0 * fig6_picard.eigenvalues,
         eigenvectors=fig6_picard.eigenvectors,
         weight=fig6_picard.weight,
     )
-    assert picard_indicator(scaled, phi) == pytest.approx(
-        3.0 * picard_indicator(fig6_picard, phi), rel=1e-12
+    assert field_at(fm_field, scaled, phis)[0] == pytest.approx(
+        3.0 * field_at(fm_field, fig6_picard, phis)[0], rel=1e-12
     )
 
 
 # ---------------------------------------------------------------------------
-# MLSM solve and indicators
+# MLSM field against explicit regularized solves g_z = V diag(lambda f) V^H phi
 
 
 def test_mlsm_solve_regularization_consistency():
     data = diag_data([2.0, 1.0, 0.5])
     phi = np.array([0.3, -0.2, 0.1], dtype=complex)
-    g = mlsm_solve(data, phi, FilterSpec(kind="tikhonov", eps=1e-14))
-    nsharp_g = data.eigenvectors @ (
-        data.eigenvalues * (data.eigenvectors.conj().T @ g)
-    )
-    assert np.linalg.norm(nsharp_g - phi) <= 1e-6 * np.linalg.norm(phi)
+    f = FilterSpec(kind="tikhonov", eps=1e-14)
+    g = explicit_mlsm_solve(data, phi, f)
+    nsharp_mat = explicit_nsharp(data)
+    assert np.linalg.norm(nsharp_mat @ g - phi) <= 1e-6 * np.linalg.norm(phi)
+    p = field_at(mlsm_field, data, phi[:, None], f)[0]
+    assert p == pytest.approx(1.0 / np.vdot(g, nsharp_mat @ g).real, rel=1e-12)
 
 
 def test_mlsm_solve_single_mode_cutoff():
     data = diag_data([2.0, 1.0])
-    phi = np.array([1.0, 0.0], dtype=complex)
-    g = mlsm_solve(data, phi, FilterSpec(kind="cutoff", eps=2.0))  # retains mode 1 only
-    assert np.allclose(g, phi / 2.0)
+    phi = np.array([[1.0], [0.0]], dtype=complex)
+    f = FilterSpec(kind="cutoff", eps=2.0)  # retains mode 1 only
+    assert np.allclose(explicit_mlsm_solve(data, phi[:, 0], f), phi[:, 0] / 2.0)
+    # (N_sharp g, g) = 2 * |1/2|^2
+    assert field_at(mlsm_field, data, phi, f)[0] == pytest.approx(2.0)
 
 
-def test_half_power_identity_against_sqrt_oracle(fig6_picard):
-    # (N_sharp g, g) must equal ||N_sharp^{1/2} g||^2 computed independently
-    rng = np.random.default_rng(22)
-    g = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    v = fig6_picard.eigenvectors
-    nsharp_mat = (v * fig6_picard.eigenvalues) @ v.conj().T
-    eig = hermitian_eig(nsharp_mat)
-    half = sqrt_op_apply(eig, g)
-    oracle = fig6_picard.weight * np.linalg.norm(half) ** 2
-    # restrict g to the retained span for an exact comparison
-    g_in = v @ (v.conj().T @ g)
-    val = half_power_norm_sq(fig6_picard, g_in)
-    oracle_in = fig6_picard.weight * np.vdot(g_in, nsharp_mat @ g_in).real
-    assert val == pytest.approx(oracle_in, rel=1e-10)
-    assert val <= oracle * (1 + 1e-10)
+def test_half_power_identity_against_sqrt_oracle(fig6_picard, disk_sensors64):
+    # 1/P(z) must equal ||N_sharp^{1/2} g_z||^2 computed independently
+    zs = [[0.3, -0.2], [0.0, 0.0], [1.1, -0.4], [1.5, 0.3]]
+    phis = disk_phis(disk_sensors64, zs)
+    f = moderate_tikhonov(fig6_picard)
+    values = field_at(mlsm_field, fig6_picard, phis, f)
+    eig = hermitian_eig(explicit_nsharp(fig6_picard))
+    for j in range(len(zs)):
+        g = explicit_mlsm_solve(fig6_picard, phis[:, j], f)
+        oracle = fig6_picard.weight * np.linalg.norm(sqrt_op_apply(eig, g)) ** 2
+        assert 1.0 / values[j] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_mlsm_indicators_zero_vector(fig6_picard):
-    p, i = mlsm_indicators(fig6_picard, np.zeros(64, dtype=complex))
-    assert p == SENTINEL_CAP
-    assert i == SENTINEL_CAP
+    zero = np.zeros((64, 1), dtype=complex)
+    assert field_at(mlsm_field, fig6_picard, zero)[0] == SENTINEL_CAP
+    assert field_at(fm_field, fig6_picard, zero)[0] == SENTINEL_CAP
 
 
 def test_mlsm_indicators_identity(fig6_picard, disk_sensors64):
-    z = np.array([[0.2, 0.1]])
-    phi = fundamental_solution_many(1.0, disk_sensors64.points, z)[:, 0]
-    g = mlsm_solve(fig6_picard, phi, cutoff_at_rank(fig6_picard))
-    p, i = mlsm_indicators(fig6_picard, g)
-    assert p == pytest.approx(1.0 / half_power_norm_sq(fig6_picard, g), rel=1e-12)
-    assert i == pytest.approx(
-        1.0 / (np.sqrt(fig6_picard.weight) * np.linalg.norm(g)), rel=1e-12
-    )
+    zs = [[0.2, 0.1], [-0.6, 0.4], [1.4, -0.7]]
+    phis = disk_phis(disk_sensors64, zs)
+    f = moderate_tikhonov(fig6_picard)
+    values = field_at(mlsm_field, fig6_picard, phis, f)
+    nsharp_mat = explicit_nsharp(fig6_picard)
+    for j in range(len(zs)):
+        g = explicit_mlsm_solve(fig6_picard, phis[:, j], f)
+        quad = fig6_picard.weight * np.vdot(g, nsharp_mat @ g).real
+        assert values[j] == pytest.approx(1.0 / quad, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +312,8 @@ def test_cutoff_bracketing_exact(fig6_picard, disk_sensors64):
     terms = fig6_picard.weight * np.abs(c) ** 2 / lam
     for eps in (1e-2, 1e-5, 1e-8):
         m = int(np.count_nonzero(lam**2 > eps))
-        g = mlsm_solve(fig6_picard, phi, FilterSpec(kind="cutoff", eps=eps))
-        val = half_power_norm_sq(fig6_picard, g)
-        assert val == pytest.approx(np.sum(terms[:m]), rel=1e-12, abs=1e-15)
+        p = field_at(mlsm_field, fig6_picard, phi[:, None], FilterSpec(kind="cutoff", eps=eps))
+        assert 1.0 / p[0] == pytest.approx(np.sum(terms[:m]), rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +328,8 @@ def jaccard_of(field_values, grid):
     return np.sum(pred & inside) / np.sum(pred | inside)
 
 
-def test_figure6_fm_classification(fig6_picard, disk_sensors64, disk_grid101):
-    fld = fm_field(fig6_picard, disk_sensors64, 1.0, disk_grid101)
+def test_figure6_fm_classification(fig6_picard, disk_grid101_phis, disk_grid101):
+    fld = fm_field(fig6_picard, disk_grid101_phis, disk_grid101)
     assert jaccard_of(fld.values, disk_grid101) >= 0.5
     r = np.hypot(disk_grid101.points[:, 0], disk_grid101.points[:, 1])
     core = fld.values[r <= 0.8].mean()
@@ -271,8 +337,8 @@ def test_figure6_fm_classification(fig6_picard, disk_sensors64, disk_grid101):
     assert core >= 10 * annulus
 
 
-def test_figure6_mlsm_classification(fig6_picard, disk_sensors64, disk_grid101):
-    fld = mlsm_field(fig6_picard, disk_sensors64, 1.0, disk_grid101)
+def test_figure6_mlsm_classification(fig6_picard, disk_grid101_phis, disk_grid101):
+    fld = mlsm_field(fig6_picard, disk_grid101_phis, disk_grid101)
     assert jaccard_of(fld.values, disk_grid101) >= 0.5
     r = np.hypot(disk_grid101.points[:, 0], disk_grid101.points[:, 1])
     core = fld.values[r <= 0.8].mean()
@@ -280,19 +346,20 @@ def test_figure6_mlsm_classification(fig6_picard, disk_sensors64, disk_grid101):
     assert core >= 10 * annulus
 
 
-def test_figure7_absorbing_classification(fig7_picard, disk_sensors64, disk_grid101):
-    fld = fm_field(fig7_picard, disk_sensors64, 1.0, disk_grid101)
+def test_figure7_absorbing_classification(fig7_picard, disk_grid101_phis, disk_grid101):
+    fld = fm_field(fig7_picard, disk_grid101_phis, disk_grid101)
     assert jaccard_of(fld.values, disk_grid101) >= 0.5
 
 
 def test_figure7_interior_solution_finite(fig7_picard, disk_sensors64):
-    z = np.array([[0.2, -0.1]])
-    phi = fundamental_solution_many(1.0, disk_sensors64.points, z)[:, 0]
-    g = mlsm_solve(fig7_picard, phi, cutoff_at_rank(fig7_picard))
+    phis = disk_phis(disk_sensors64, [0.2, -0.1])
+    g = explicit_mlsm_solve(fig7_picard, phis[:, 0], cutoff_at_rank(fig7_picard))
     assert np.all(np.isfinite(g))
+    p = field_at(mlsm_field, fig7_picard, phis)[0]
+    assert np.isfinite(p) and 0.0 < p < SENTINEL_CAP
 
 
-def test_w_p_spearman_equivalence(fig6_picard, disk_sensors64, disk_grid101):
-    w = fm_field(fig6_picard, disk_sensors64, 1.0, disk_grid101).values
-    p = mlsm_field(fig6_picard, disk_sensors64, 1.0, disk_grid101).values
+def test_w_p_spearman_equivalence(fig6_picard, disk_grid101_phis, disk_grid101):
+    w = fm_field(fig6_picard, disk_grid101_phis, disk_grid101).values
+    p = mlsm_field(fig6_picard, disk_grid101_phis, disk_grid101).values
     assert spearmanr(w, p).statistic >= 0.9
