@@ -23,7 +23,7 @@ from . import bayes as bayes_mod
 from . import disk as disk_mod
 from .born import add_noise, assemble_multistatic
 from .errors import ConfigError, NearscatError
-from .fields import IndicatorField, write_field_csv, write_field_pgm
+from .fields import write_field_csv, write_field_pgm
 from .geometry import (
     Disk,
     Ellipse,
@@ -224,12 +224,15 @@ def _scatterers_of(cfg):
     return specs
 
 
-# Keys each runner reads without a default.
+# Keys each runner reads without a default; a dot steps into a nested object.
+_GRID_KEYS = ("grid.bounds", "grid.nx", "grid.ny")
+_SENSOR_KEYS = ("sensors.count", "sensors.radius")
+_DISK_KEYS = ("disk_medium.a", "disk_medium.n", *_GRID_KEYS)
 REQUIRED_KEYS = {
-    "born-music": ("sensors", "scatterers", "grid"),
-    "disk-fm": ("disk_medium", "grid"),
-    "disk-mlsm": ("disk_medium", "grid"),
-    "bayes": ("sensors", "scatterers", "bayes"),
+    "born-music": (*_SENSOR_KEYS, "scatterers", *_GRID_KEYS),
+    "disk-fm": _DISK_KEYS,
+    "disk-mlsm": _DISK_KEYS,
+    "bayes": (*_SENSOR_KEYS, "scatterers", "bayes.support"),
 }
 
 TOP_KEYS = {
@@ -251,6 +254,15 @@ TOP_KEYS = {
 }
 
 
+def _has_key(cfg, dotted):
+    node = cfg
+    for part in dotted.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return False
+        node = node[part]
+    return True
+
+
 def validate_config(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -258,7 +270,7 @@ def validate_config(cfg):
     mode = cfg.get("mode")
     if mode not in REQUIRED_KEYS:
         raise ConfigError(f"unknown mode {mode!r}")
-    missing = [key for key in REQUIRED_KEYS[mode] if key not in cfg]
+    missing = [key for key in REQUIRED_KEYS[mode] if not _has_key(cfg, key)]
     if missing:
         raise ConfigError(f"mode {mode!r} needs key(s) {missing}")
     if mode in ("disk-fm", "disk-mlsm"):
@@ -384,10 +396,10 @@ def _run_bayes(cfg, out_dir):
     summary = bayes_mod.run_mh(model, readings)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["iteration,gamma,log_post"]
-    for it, (g, lp) in enumerate(zip(summary.chain_gamma, summary.chain_logpost)):
-        lines.append(f"{it},{g:.17g},{lp:.17g}")
-    (out_dir / "chain.csv").write_text("\n".join(lines) + "\n")
+    gammas, logposts = summary.chain_gamma.tolist(), summary.chain_logpost.tolist()
+    with open(out_dir / "chain.csv", "w") as fh:
+        fh.write("iteration,gamma,log_post\n")
+        fh.writelines(map("{},{:.17g},{:.17g}\n".format, range(len(gammas)), gammas, logposts))
     stats = {
         "mean": summary.mean,
         "sd": summary.sd,

@@ -29,10 +29,10 @@ class IndicatorField:
 
 
 def write_field_csv(fld, path):
-    lines = ["x,y,value"]
-    for (x, y), v in zip(fld.grid.points, fld.values):
-        lines.append(f"{x:.17g},{y:.17g},{v:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    x, y = fld.grid.points.T.tolist()
+    with open(path, "w") as fh:
+        fh.write("x,y,value\n")
+        fh.writelines(map("{:.17g},{:.17g},{:.17g}\n".format, x, y, fld.values.tolist()))
 
 
 def read_field_csv(path):
@@ -48,10 +48,9 @@ def write_field_pgm(fld, path):
         pix = np.rint((img - lo) / (hi - lo) * 255.0).astype(int)
     else:
         pix = np.full(img.shape, 128, dtype=int)
-    lines = ["P2", f"{img.shape[1]} {img.shape[0]}", "255"]
-    for row in pix:
-        lines.append(" ".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(f"P2\n{img.shape[1]} {img.shape[0]}\n255\n")
+        fh.writelines(" ".join(map(str, row)) + "\n" for row in pix.tolist())
 
 
 def local_maxima(fld, top=None):

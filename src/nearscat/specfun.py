@@ -91,14 +91,27 @@ def fundamental_solution(k, x, y):
 def fundamental_solution_many(k, points_x, points_y):
     """Vectorized Φ over all pairs: returns matrix Φ(x_i, y_j).
 
-    points_x: (Nx, 2), points_y: (Ny, 2).  No pair may coincide.
+    points_x: (Nx, 2), points_y: (Ny, 2).  No pair may coincide, and every
+    k|x_i - y_j| must lie inside the MAX_ABS_ARG envelope that bessel_j
+    enforces.  Φ = (i/4)(J_0 + iY_0) is filled from the real-argument
+    Bessel functions, so Re Φ = -Y_0/4 and Im Φ = J_0/4 exactly.
     """
     if k <= 0.0:
         raise DomainError(f"wavenumber must be positive, got {k}")
     px = np.asarray(points_x, dtype=float)
     py = np.asarray(points_y, dtype=float)
-    diff = px[:, None, :] - py[None, :, :]
-    r = np.hypot(diff[..., 0], diff[..., 1])
-    if np.any(r == 0.0):
-        raise DomainError("fundamental_solution is singular at coincident points")
-    return 0.25j * special.hankel1(0, k * r)
+    kr = np.hypot(px[:, None, 0] - py[None, :, 0], px[:, None, 1] - py[None, :, 1])
+    kr *= k
+    if kr.size:
+        if kr.min() == 0.0:
+            raise DomainError("fundamental_solution is singular at coincident points")
+        if kr.max() > MAX_ABS_ARG:
+            raise DomainError(
+                f"k|x - y| = {kr.max():.3g} exceeds overflow guard {MAX_ABS_ARG}"
+            )
+    out = np.empty(kr.shape, dtype=complex)
+    special.y0(kr, out=out.real)
+    out.real *= -0.25
+    special.j0(kr, out=out.imag)
+    out.imag *= 0.25
+    return out

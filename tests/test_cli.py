@@ -237,3 +237,63 @@ def test_main_missing_required_key_exit_2(tmp_path, capsys, preset, mode, key):
     err = json.loads(err_lines[0])
     assert err["error"] == "config"
     assert key in err["message"]
+
+
+@pytest.mark.parametrize(
+    "preset, key",
+    [
+        ("figure1", "sensors.count"),
+        ("figure1", "sensors.radius"),
+        ("figure1", "grid.bounds"),
+        ("figure1", "grid.nx"),
+        ("figure6", "grid.ny"),
+        ("figure6", "disk_medium.a"),
+        ("figure6", "disk_medium.n"),
+        ("figure4", "sensors.count"),
+        ("figure4", "bayes.support"),
+    ],
+)
+def test_main_missing_nested_key_exit_2(tmp_path, capsys, preset, key):
+    cfg_dict = json.loads(json.dumps(PRESETS[preset]))
+    outer, inner = key.split(".")
+    del cfg_dict[outer][inner]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "config"
+    assert key in err["message"]
+
+
+def test_main_wavenumber_beyond_bessel_guard_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 1e9}))
+    out = tmp_path / "out"
+    code = main(["run", "--preset", "figure1", "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "numerical"
+
+
+def test_chain_csv_matches_per_row_reference(tmp_path, monkeypatch):
+    original = bayes.run_mh
+    summaries = []
+
+    def capturing(model, readings):
+        summaries.append(original(model, readings))
+        return summaries[-1]
+
+    monkeypatch.setattr(bayes, "run_mh", capturing)
+    override = {"bayes": {"iterations": 400, "burn_in": 100}}
+    run(preset="figure4", config=override, out_dir=tmp_path)
+    (summary,) = summaries
+    lines = ["iteration,gamma,log_post"]
+    for it, (g, lp) in enumerate(zip(summary.chain_gamma, summary.chain_logpost)):
+        lines.append(f"{it},{g:.17g},{lp:.17g}")
+    assert (tmp_path / "chain.csv").read_text() == "\n".join(lines) + "\n"

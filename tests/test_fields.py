@@ -11,6 +11,7 @@ from nearscat.fields import (
     write_field_pgm,
 )
 from nearscat.geometry import make_grid
+from nearscat.sampling import SENTINEL_CAP
 
 
 def small_field():
@@ -61,6 +62,50 @@ def test_pgm_constant_field_midgray(tmp_path):
     write_field_pgm(fld, path)
     pixels = [int(v) for row in path.read_text().splitlines()[3:] for v in row.split()]
     assert pixels == [128, 128, 128, 128]
+
+
+def reference_csv(fld):
+    lines = ["x,y,value"]
+    for (x, y), v in zip(fld.grid.points, fld.values):
+        lines.append(f"{x:.17g},{y:.17g},{v:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_pgm(fld):
+    img = fld.as_image()
+    lo, hi = float(np.min(img)), float(np.max(img))
+    lines = ["P2", f"{img.shape[1]} {img.shape[0]}", "255"]
+    for row in img:
+        if hi > lo:
+            pixels = (int(np.rint((v - lo) / (hi - lo) * 255.0)) for v in row)
+        else:
+            pixels = (128 for _ in row)
+        lines.append(" ".join(str(p) for p in pixels))
+    return "\n".join(lines) + "\n"
+
+
+def _mixed_values():
+    values = np.random.default_rng(41).normal(0.0, 1e3, 35)
+    values[[0, 5, 9, 17, 34]] = [SENTINEL_CAP, 1e-300, 0.0, -1e-300, -SENTINEL_CAP]
+    return values
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _mixed_values(),
+        np.where(np.arange(35) == 12, 5e-324, 1e-300),
+        np.full(35, -2.5),
+        np.full(35, SENTINEL_CAP),
+    ],
+    ids=["mixed", "subnormal", "constant", "all-capped"],
+)
+def test_writers_match_per_cell_reference(tmp_path, values):
+    fld = IndicatorField(grid=make_grid((-0.9, 1.0 / 3.0, -1.8, 1e-7), 7, 5), values=values)
+    write_field_csv(fld, tmp_path / "f.csv")
+    write_field_pgm(fld, tmp_path / "f.pgm")
+    assert (tmp_path / "f.csv").read_text() == reference_csv(fld)
+    assert (tmp_path / "f.pgm").read_text() == reference_pgm(fld)
 
 
 def test_local_maxima_ordering():

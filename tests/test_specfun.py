@@ -7,6 +7,7 @@ import pytest
 
 from nearscat.errors import DomainError
 from nearscat.specfun import (
+    MAX_ABS_ARG,
     bessel_j,
     bessel_j_prime,
     bessel_y,
@@ -209,3 +210,34 @@ def test_phi_many_matches_scalar():
             assert mat[i, j] == pytest.approx(
                 fundamental_solution(1.3, px[i], py[j]), rel=1e-14
             )
+
+
+@pytest.mark.parametrize(
+    "lo, hi, rel",
+    [(1e-3, 100.0, 1e-14), (100.0, MAX_ABS_ARG, 1e-13)],
+)
+def test_phi_many_against_mpmath_hankel(lo, hi, rel):
+    # Points on a ray from the origin at k = 1, so k|x - y| is exactly the
+    # abscissa and the check measures Φ itself, not the rounding of |x - y|.
+    # Cephes' asymptotic phase costs about a digit near kr = MAX_ABS_ARG.
+    rng = np.random.default_rng(6)
+    r = np.exp(rng.uniform(np.log(lo), np.log(hi), 200))
+    r[-1] = hi
+    ys = np.column_stack([r, np.zeros_like(r)])
+    phi = fundamental_solution_many(1.0, np.zeros((1, 2)), ys)[0]
+    ref = np.array([complex(0.25j * mpmath.hankel1(0, mpmath.mpf(x))) for x in r])
+    assert np.max(np.abs(phi - ref) / np.abs(ref)) <= rel
+
+
+def test_phi_many_domain_errors():
+    origin = np.zeros((1, 2))
+    edge = np.array([[MAX_ABS_ARG / 2.0, 0.0]])
+    assert np.isfinite(fundamental_solution_many(2.0, origin, edge)).all()
+    with pytest.raises(DomainError):
+        fundamental_solution_many(2.0 * (1.0 + 1e-15), origin, edge)
+    with pytest.raises(DomainError):
+        fundamental_solution_many(1e9, origin, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(DomainError):
+        fundamental_solution_many(1.0, origin, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DomainError):
+        fundamental_solution_many(0.0, origin, edge)
