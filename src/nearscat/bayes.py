@@ -61,10 +61,19 @@ class BayesModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise DomainError(f"h must be positive, got {self.h}")
+        # `not x > 0` also rejects NaN
+        for name in ("h", "prior_sd", "proposal_sd_gamma", "proposal_sd_eta"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise DomainError(f"{name} must be positive, got {value}")
+        if self.burn_in < 0:
+            raise DomainError(f"burn_in must be nonnegative, got {self.burn_in}")
         if self.iterations <= self.burn_in:
             raise DomainError("iterations must exceed burn_in")
+        if self.thinning < 1:
+            raise DomainError(f"thinning must be at least 1, got {self.thinning}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
 def support_diameter(shape):
@@ -118,13 +127,9 @@ def log_posterior(model, readings, gamma, eta):
     """Unnormalized log posterior (additive constants dropped)."""
     if readings.delta <= 0.0:
         raise DomainError("readings.delta must be positive for the likelihood")
-    b = design_matrix(model, readings)
-    mu = b @ np.asarray(eta, dtype=float)
-    return _log_posterior_from_mu(model, readings, float(gamma), np.asarray(eta, float), mu)
-
-
-def _log_posterior_from_mu(model, readings, gamma, eta, mu):
-    resid = readings.values - mu
+    gamma = float(gamma)
+    eta = np.asarray(eta, dtype=float)
+    resid = readings.values - design_matrix(model, readings) @ eta
     loglike = -float(np.sum(resid.real**2 + resid.imag**2)) / (2.0 * readings.delta**2)
     logp_eta = -float(np.sum((eta - gamma) ** 2)) / (2.0 * model.h**2)
     logp_gamma = -(gamma**2) / (2.0 * model.prior_sd**2)
@@ -148,50 +153,82 @@ def _histogram_mode(samples, bins=60):
     return float((edges[i] + edges[i + 1]) / 2.0)
 
 
-def run_mh(model, readings):
-    """Joint random-walk MH over (gamma, eta); deterministic given the seed."""
+def _quadratic_form(model, readings):
+    """(Q, l, c) with log posterior -1/2 theta^T Q theta + l^T theta + c.
+
+    theta = (eta_1..eta_P, gamma).  The model is linear-Gaussian in theta
+    (real eta, complex readings), so the form is exact:
+    Q_eta,eta = Re(B^H B)/delta^2 + I/h^2, Q_eta,gamma = -1/h^2,
+    Q_gamma,gamma = P/h^2 + 1/prior_sd^2, l = (Re(B^H u)/delta^2, 0), and
+    c = -|u|^2/(2 delta^2) is the log posterior at theta = 0.
+    """
     if readings.delta <= 0.0:
         raise DomainError("readings.delta must be positive for the likelihood")
     b = design_matrix(model, readings)
+    u = readings.values
     p = b.shape[1]
-    dim = p + 1
+    d2 = readings.delta**2
+    h2 = model.h**2
+    q = np.empty((p + 1, p + 1))
+    q[:p, :p] = (b.conj().T @ b).real / d2 + np.eye(p) / h2
+    q[:p, p] = q[p, :p] = -1.0 / h2
+    q[p, p] = p / h2 + 1.0 / model.prior_sd**2
+    lin = np.zeros(p + 1)
+    lin[:p] = (b.conj().T @ u).real / d2
+    c = -float(np.sum(u.real**2 + u.imag**2)) / (2.0 * d2)
+    return q, lin, c
+
+
+def run_mh(model, readings):
+    """Joint random-walk MH over theta = (eta, gamma); deterministic given the seed.
+
+    Each step works on the exact quadratic form of the log posterior
+    (`_quadratic_form`): for a proposal theta + d the log ratio is
+    d.g - 1/2 d.(Q d), where g = l - Q theta is the gradient, updated by
+    -Q d on acceptance, so a step costs (P+1)-vector work whatever the
+    number of readings.  The random draws are those of a per-step residual
+    sampler: one standard_normal(P + 1) per step (the P eta increments, then
+    gamma's) and one uniform for the accept test, so a seed gives the same
+    gamma chain.
+    """
+    q, lin, logp = _quadratic_form(model, readings)
+    dim = q.shape[0]
+    p = dim - 1
     sd_eta = model.proposal_sd_eta
     if sd_eta is None:
         sd_eta = 2.4 * model.h / np.sqrt(dim)
     sd_gamma = model.proposal_sd_gamma
     if sd_gamma is None:
         sd_gamma = sd_eta
+    sds = np.full(dim, float(sd_eta))
+    sds[p] = sd_gamma
 
     rng = np.random.default_rng(model.seed)
-    gamma = 0.0
-    eta = np.zeros(p)
-    mu = b @ eta
-    logp = _log_posterior_from_mu(model, readings, gamma, eta, mu)
+    theta = np.zeros(dim)
+    grad = lin.copy()
 
     chain_gamma = np.empty(model.iterations)
     chain_logpost = np.empty(model.iterations)
-    accepted = 0
     # global proposal scale, Robbins-Monro adapted toward 23% acceptance
     # during burn-in only (frozen afterwards, preserving detailed balance)
     log_scale = 0.0
+    step = np.exp(log_scale) * sds
     batch_acc = 0
     batch_len = 50
     for it in range(model.iterations):
-        s = np.exp(log_scale)
-        d_eta = s * sd_eta * rng.standard_normal(p)
-        d_gamma = s * sd_gamma * rng.standard_normal()
-        eta_new = eta + d_eta
-        gamma_new = gamma + d_gamma
-        mu_new = mu + b @ d_eta
-        logp_new = _log_posterior_from_mu(model, readings, gamma_new, eta_new, mu_new)
-        if np.log(rng.uniform()) < logp_new - logp:
-            gamma, eta, mu, logp = gamma_new, eta_new, mu_new, logp_new
-            accepted += 1
+        d = step * rng.standard_normal(dim)
+        qd = q.dot(d)  # .dot: half the call overhead of @ on vectors this short
+        log_ratio = d.dot(grad) - 0.5 * d.dot(qd)
+        if np.log(rng.uniform()) < log_ratio:
+            theta += d
+            grad -= qd
+            logp += log_ratio
             batch_acc += 1
-        chain_gamma[it] = gamma
+        chain_gamma[it] = theta[p]
         chain_logpost[it] = logp
         if it < model.burn_in and (it + 1) % batch_len == 0:
             log_scale += 0.5 * (batch_acc / batch_len - 0.234)
+            step = np.exp(log_scale) * sds
             batch_acc = 0
 
     post = model.iterations - model.burn_in
@@ -203,6 +240,11 @@ def run_mh(model, readings):
             f"acceptance rate {rate:.3%} below 1%; proposal badly scaled"
         )
     samples = chain_gamma[model.burn_in :: model.thinning]
+    if samples.size < 2:
+        raise ChainError(
+            f"thinning {model.thinning} keeps {samples.size} sample after burn-in; "
+            "the sd needs 2"
+        )
     return PosteriorSummary(
         samples=samples,
         mean=float(np.mean(samples)),

@@ -158,70 +158,119 @@ PRESETS["figure5"]["bayes"]["support"] = {
 # Config parsing / validation
 
 
-def _require_keys(d, allowed, context):
+def _require_keys(d, allowed, context, required=()):
+    """d must be an object with keys from `allowed` that has every `required` key."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{context} must be an object, got {d!r}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ConfigError(f"{context} needs key(s) {missing}")
+
+
+def _cast(value, cast, context):
+    """cast(value); a value it rejects is a ConfigError naming `context`."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{context}: expected a number, got {value!r}") from None
 
 
 def _complex_of(v, context):
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, list) and len(v) == 2:
-        return complex(v[0], v[1])
+        return complex(_cast(v[0], float, context), _cast(v[1], float, context))
     raise ConfigError(f"{context}: expected number or [re, im], got {v!r}")
 
 
+def _point_of(v, context):
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ConfigError(f"{context}: expected a point [x, y], got {v!r}")
+    return (_cast(v[0], float, context), _cast(v[1], float, context))
+
+
+SHAPE_KEYS = {
+    "disk": ("center", "radius"),
+    "ellipse": ("center", "a", "b"),
+    "rectangle": ("corner_min", "corner_max"),
+}
+
+
 def _shape_of(d, context):
-    if not isinstance(d, dict) or "type" not in d:
-        raise ConfigError(f"{context}: shape must be an object with a 'type'")
-    t = d["type"]
-    if t == "disk":
-        _require_keys(d, {"type", "center", "radius"}, context)
-        return Disk(center=tuple(d["center"]), radius=float(d["radius"]))
-    if t == "ellipse":
-        _require_keys(d, {"type", "center", "a", "b"}, context)
-        return Ellipse(center=tuple(d["center"]), a=float(d["a"]), b=float(d["b"]))
-    if t == "rectangle":
-        _require_keys(d, {"type", "corner_min", "corner_max"}, context)
-        return Rectangle(
-            corner_min=tuple(d["corner_min"]), corner_max=tuple(d["corner_max"])
+    t = d.get("type") if isinstance(d, dict) else None
+    if not isinstance(t, str) or t not in SHAPE_KEYS:
+        raise ConfigError(
+            f"{context}: shape must be an object with a 'type' in {sorted(SHAPE_KEYS)}"
         )
-    raise ConfigError(f"{context}: unknown shape type {t!r}")
+    _require_keys(d, {"type", *SHAPE_KEYS[t]}, context, SHAPE_KEYS[t])
+    if t == "disk":
+        return Disk(center=_point_of(d["center"], f"{context}.center"),
+                    radius=_cast(d["radius"], float, f"{context}.radius"))
+    if t == "ellipse":
+        return Ellipse(center=_point_of(d["center"], f"{context}.center"),
+                       a=_cast(d["a"], float, f"{context}.a"),
+                       b=_cast(d["b"], float, f"{context}.b"))
+    return Rectangle(corner_min=_point_of(d["corner_min"], f"{context}.corner_min"),
+                     corner_max=_point_of(d["corner_max"], f"{context}.corner_max"))
+
+
+INDEX_KEYS = {"constant": ("value",), "poly_x1": ("coeffs",)}
 
 
 def _index_of(d, context):
-    _require_keys(d, {"kind", "value", "coeffs"}, context)
-    kind = d.get("kind")
+    context = f"{context}.index"
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in INDEX_KEYS:
+        raise ConfigError(
+            f"{context}: index must be an object with a 'kind' in {sorted(INDEX_KEYS)}"
+        )
+    _require_keys(d, {"kind", "value", "coeffs"}, context, INDEX_KEYS[kind])
     if kind == "constant":
-        n = _complex_of(d["value"], context)
-        return constant_index(n)
-    if kind == "poly_x1":
-        coeffs = [float(c) for c in d["coeffs"]]
+        return constant_index(_complex_of(d["value"], f"{context}.value"))
+    if not isinstance(d["coeffs"], list):
+        raise ConfigError(f"{context}.coeffs: expected a list, got {d['coeffs']!r}")
+    coeffs = [_cast(c, float, f"{context}.coeffs") for c in d["coeffs"]]
 
-        def fn(x1, x2):
-            out = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
-            for p, c in enumerate(coeffs):
-                out += c * np.asarray(x1) ** p
-            return out
+    def fn(x1, x2):
+        out = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
+        for p, c in enumerate(coeffs):
+            out += c * np.asarray(x1) ** p
+        return out
 
-        return fn
-    raise ConfigError(f"{context}: unknown index kind {kind!r}")
+    return fn
 
 
 def _scatterers_of(cfg):
+    if not isinstance(cfg["scatterers"], list):
+        raise ConfigError("scatterers must be a list")
     specs = []
     for i, s in enumerate(cfg["scatterers"]):
         ctx = f"scatterers[{i}]"
-        _require_keys(s, {"shape", "index", "epsilon_scale"}, ctx)
+        _require_keys(s, {"shape", "index", "epsilon_scale"}, ctx, ("shape", "index"))
         specs.append(
             ScattererSpec(
                 shape=_shape_of(s["shape"], ctx),
                 index_fn=_index_of(s["index"], ctx),
-                epsilon_scale=float(s.get("epsilon_scale", 1.0)),
+                epsilon_scale=_cast(s.get("epsilon_scale", 1.0), float, f"{ctx}.epsilon_scale"),
             )
         )
     return specs
+
+
+def _noise_of(cfg, default_delta):
+    """(delta, seed) of the noise settings; the seed is required when delta > 0."""
+    noise = cfg.get("noise", {"delta": default_delta, "seed": 0})
+    _require_keys(noise, {"delta", "seed"}, "noise")
+    delta = _cast(noise.get("delta", default_delta), float, "noise.delta")
+    if delta > 0.0 and "seed" not in noise:
+        raise ConfigError("noise.seed is required when noise.delta > 0")
+    seed = _cast(noise.get("seed", 0), int, "noise.seed")
+    if seed < 0:
+        raise ConfigError(f"noise.seed must be nonnegative, got {seed}")
+    return delta, seed
 
 
 # Keys each runner reads without a default; a dot steps into a nested object.
@@ -268,14 +317,14 @@ def validate_config(cfg):
         raise ConfigError("config must be a JSON object")
     _require_keys(cfg, TOP_KEYS, "config")
     mode = cfg.get("mode")
-    if mode not in REQUIRED_KEYS:
+    if not isinstance(mode, str) or mode not in REQUIRED_KEYS:
         raise ConfigError(f"unknown mode {mode!r}")
     missing = [key for key in REQUIRED_KEYS[mode] if not _has_key(cfg, key)]
     if missing:
         raise ConfigError(f"mode {mode!r} needs key(s) {missing}")
     if mode in ("disk-fm", "disk-mlsm"):
-        m = int(cfg.get("truncation", 20))
-        q = int(cfg.get("quad_points", 64))
+        m = _cast(cfg.get("truncation", 20), int, "truncation")
+        q = _cast(cfg.get("quad_points", 64), int, "quad_points")
         if q < 2 * m + 2:
             raise ConfigError(
                 f"quad_points = {q} cannot resolve truncation {m}; need >= {2 * m + 2}"
@@ -290,7 +339,15 @@ def validate_config(cfg):
 def _grid_of(cfg):
     g = cfg["grid"]
     _require_keys(g, {"bounds", "nx", "ny"}, "grid")
-    return make_grid(tuple(g["bounds"]), int(g["nx"]), int(g["ny"]))
+    if not (isinstance(g["bounds"], list) and len(g["bounds"]) == 4):
+        raise ConfigError(
+            f"grid.bounds: expected [xmin, xmax, ymin, ymax], got {g['bounds']!r}"
+        )
+    return make_grid(
+        tuple(_cast(b, float, "grid.bounds") for b in g["bounds"]),
+        _cast(g["nx"], int, "grid.nx"),
+        _cast(g["ny"], int, "grid.ny"),
+    )
 
 
 def export_field(fld, out_dir, stem="field"):
@@ -311,15 +368,26 @@ def _write_manifest(out_dir, cfg, t0):
         fh.write("\n")
 
 
+def _sensors_of(cfg):
+    s = cfg["sensors"]
+    return make_sensor_array(
+        _cast(s["count"], int, "sensors.count"), _cast(s["radius"], float, "sensors.radius")
+    )
+
+
 def _run_born_music(cfg, out_dir):
-    sensors = make_sensor_array(cfg["sensors"]["count"], cfg["sensors"]["radius"])
+    sensors = _sensors_of(cfg)
     specs = _scatterers_of(cfg)
-    k = float(cfg.get("k", 1.0))
-    matrix = assemble_multistatic(specs, sensors, k, int(cfg.get("rule_order", 16)))
-    noise = cfg.get("noise", {"delta": 0.0, "seed": 0})
-    if noise.get("delta", 0.0) > 0.0:
-        matrix = add_noise(matrix, float(noise["delta"]), int(noise["seed"]))
-    model = build_music(matrix, rank_override=cfg.get("rank_override"))
+    k = _cast(cfg.get("k", 1.0), float, "k")
+    rule_order = _cast(cfg.get("rule_order", 16), int, "rule_order")
+    matrix = assemble_multistatic(specs, sensors, k, rule_order)
+    delta, seed = _noise_of(cfg, 0.0)
+    if delta > 0.0:
+        matrix = add_noise(matrix, delta, seed)
+    rank = cfg.get("rank_override")
+    model = build_music(
+        matrix, rank_override=None if rank is None else _cast(rank, int, "rank_override")
+    )
     grid = _grid_of(cfg)
     fld = music_field(model, steering_matrix(sensors, k, grid.points), grid)
     export_field(fld, out_dir)
@@ -332,7 +400,7 @@ def _run_disk(cfg, out_dir):
     medium = disk_mod.DiskMedium(
         a=_complex_of(dm["a"], "disk_medium.a"),
         n=_complex_of(dm["n"], "disk_medium.n"),
-        k=float(cfg.get("k", 1.0)),
+        k=_cast(cfg.get("k", 1.0), float, "k"),
     )
     m = int(cfg.get("truncation", 20))
     q = int(cfg.get("quad_points", 64))
@@ -348,8 +416,8 @@ def _run_disk(cfg, out_dir):
         fdict = cfg["filter"]
         _require_keys(fdict, {"kind", "eps", "a"}, "filter")
         filt = FilterSpec(
-            kind=fdict["kind"], eps=float(fdict["eps"]),
-            a=float(fdict["a"]) if fdict.get("a") is not None else None,
+            kind=fdict["kind"], eps=_cast(fdict.get("eps"), float, "filter.eps"),
+            a=_cast(fdict["a"], float, "filter.a") if fdict.get("a") is not None else None,
         )
     phis = steering_matrix(sensors, medium.k, grid.points)
     w_field = fm_field(data, phis, grid)
@@ -362,36 +430,41 @@ def _run_disk(cfg, out_dir):
     return {"retained_modes": int(data.size)}
 
 
+# Numeric settings of the bayes block; an absent or null one takes the
+# default of make_bayes_model / BayesModel.
+BAYES_SETTINGS = {
+    "rule_order": int,
+    "h": float,
+    "prior_sd": float,
+    "proposal_sd_gamma": float,
+    "proposal_sd_eta": float,
+    "iterations": int,
+    "burn_in": int,
+    "thinning": int,
+    "seed": int,
+}
+
+
 def _run_bayes(cfg, out_dir):
-    sensors = make_sensor_array(cfg["sensors"]["count"], cfg["sensors"]["radius"])
+    sensors = _sensors_of(cfg)
     specs = _scatterers_of(cfg)
-    k = float(cfg.get("k", 1.0))
-    noise = cfg.get("noise", {"delta": 0.15, "seed": 0})
+    k = _cast(cfg.get("k", 1.0), float, "k")
+    delta, seed = _noise_of(cfg, 0.15)
     readings = bayes_mod.synthesize_readings(
         specs, sensors, k,
-        noise_frac=float(noise["delta"]),
-        seed=int(noise["seed"]),
-        rule_order=int(cfg.get("rule_order", 16)),
+        noise_frac=delta,
+        seed=seed,
+        rule_order=_cast(cfg.get("rule_order", 16), int, "rule_order"),
     )
     bc = cfg["bayes"]
-    _require_keys(
-        bc,
-        {"support", "rule_order", "h", "prior_sd", "iterations", "burn_in",
-         "thinning", "seed", "proposal_sd_gamma", "proposal_sd_eta"},
-        "bayes",
-    )
+    _require_keys(bc, {"support", *BAYES_SETTINGS}, "bayes")
+    settings = {
+        key: _cast(bc[key], cast, f"bayes.{key}")
+        for key, cast in BAYES_SETTINGS.items()
+        if bc.get(key) is not None
+    }
     model = bayes_mod.make_bayes_model(
-        _shape_of(bc["support"], "bayes.support"),
-        k,
-        rule_order=int(bc.get("rule_order", 3)),
-        h=bc.get("h"),
-        prior_sd=float(bc.get("prior_sd", 1e5)),
-        proposal_sd_gamma=bc.get("proposal_sd_gamma"),
-        proposal_sd_eta=bc.get("proposal_sd_eta"),
-        iterations=int(bc.get("iterations", 20000)),
-        burn_in=int(bc.get("burn_in", 5000)),
-        thinning=int(bc.get("thinning", 1)),
-        seed=int(bc.get("seed", 0)),
+        _shape_of(bc["support"], "bayes.support"), k, **settings
     )
     summary = bayes_mod.run_mh(model, readings)
     out_dir = Path(out_dir)
@@ -438,9 +511,10 @@ def run(config=None, preset=None, out_dir=None, seed=None):
     else:
         raise ConfigError("either a config or a preset is required")
     if seed is not None:
-        cfg.setdefault("noise", {"delta": 0.0})["seed"] = int(seed)
-        if "bayes" in cfg:
-            cfg["bayes"]["seed"] = int(seed)
+        cfg.setdefault("noise", {})
+        for block in ("noise", "bayes"):
+            if isinstance(cfg.get(block), dict):  # anything else fails validation
+                cfg[block]["seed"] = int(seed)
     if out_dir is None:
         out_dir = cfg.get("output_dir", "out")
     validate_config(cfg)

@@ -73,21 +73,6 @@ def hankel1_prime(order, x):
     return (hankel1(order - 1, x) - hankel1(order + 1, x)) / 2.0
 
 
-def fundamental_solution(k, x, y):
-    """2-D outgoing fundamental solution (i/4) H^(1)_0(k|x - y|).
-
-    Symmetric in its two point arguments; x == y is a singularity.
-    """
-    if k <= 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = float(np.hypot(x[0] - y[0], x[1] - y[1]))
-    if r == 0.0:
-        raise DomainError("fundamental_solution is singular at x = y")
-    return 0.25j * hankel1(0, k * r)
-
-
 def fundamental_solution_many(k, points_x, points_y):
     """Vectorized Φ over all pairs: returns matrix Φ(x_i, y_j).
 

@@ -1,5 +1,7 @@
-"""Bayesian index-estimation tests: posterior algebra, MH correctness against
-the conjugate closed form, and recovery on the paper-scale configuration."""
+"""Bayesian index-estimation tests: posterior algebra, the sampler against a
+per-step residual reference and the exact Gaussian posterior, MH correctness
+against the conjugate closed form, and recovery on the paper-scale
+configuration."""
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from nearscat.bayes import (
 from nearscat.born import born_scattered_field
 from nearscat.errors import ChainError, DomainError
 from nearscat.geometry import Disk, Ellipse, Rectangle, ScattererSpec
+
+from reference import fundamental_solution, reference_run_mh
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +53,25 @@ def test_model_validation(bayes_square):
         make_bayes_model(bayes_square, 1.0, h=-1.0)
     with pytest.raises(DomainError):
         make_bayes_model(bayes_square, 1.0, iterations=100, burn_in=100)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"h": float("nan")},
+        {"burn_in": -1},
+        {"thinning": 0},
+        {"thinning": -1},
+        {"prior_sd": 0.0},
+        {"prior_sd": float("nan")},
+        {"proposal_sd_gamma": 0.0},
+        {"proposal_sd_eta": -0.1},
+        {"seed": -1},
+    ],
+)
+def test_model_rejects_bad_settings(bayes_square, bad):
+    with pytest.raises(DomainError):
+        make_bayes_model(bayes_square, 1.0, **bad)
 
 
 def test_readings_are_backscatter(readings15, unit_sensors32):
@@ -131,6 +154,83 @@ def test_seed_determinism(model_true, readings15):
     assert s1.mean == s2.mean
 
 
+def _square(half_width):
+    return Rectangle(
+        corner_min=(-half_width, -half_width), corner_max=(half_width, half_width)
+    )
+
+
+@pytest.mark.parametrize(
+    "half_width, seed, proposal",
+    [
+        (0.2, 0, {}),
+        (0.2, 1, {}),
+        (0.265, 0, {}),
+        (0.265, 1, {}),
+        (0.2, 2, {"proposal_sd_gamma": 0.3, "proposal_sd_eta": 0.15}),
+    ],
+)
+def test_run_mh_matches_residual_reference(readings15, half_width, seed, proposal):
+    # burn-in spans 10 adaptation batches, so the proposal scale moves
+    model = make_bayes_model(
+        _square(half_width), 1.0, iterations=1500, burn_in=500, seed=seed, **proposal
+    )
+    got = run_mh(model, readings15)
+    ref = reference_run_mh(model, readings15)
+    assert np.array_equal(got.chain_gamma, ref.chain_gamma)
+    assert 0.05 <= got.acceptance_rate <= 0.6
+    rel = np.abs(got.chain_logpost - ref.chain_logpost) / np.abs(ref.chain_logpost)
+    assert rel.max() <= 1e-12
+
+
+def _exact_gamma_posterior(model, readings):
+    """(mean, sd) of gamma under the exact posterior N(Q^-1 b, Q^-1).
+
+    theta = (gamma, eta).  The readings u = B eta + noise are stacked as the
+    real system A = [Re B; Im B], y = [Re u; Im u]; B is built pair by pair
+    from the scalar reference Phi.
+    """
+    k, nodes, weights = model.k, model.rhat.nodes, model.rhat.weights
+    b = np.array([
+        [k**2 * w * fundamental_solution(k, x, z) * fundamental_solution(k, z, y)
+         for z, w in zip(nodes, weights)]
+        for x, y in zip(readings.points_x, readings.points_y)
+    ])
+    a = np.vstack([b.real, b.imag])
+    y = np.concatenate([readings.values.real, readings.values.imag])
+    d2, h2, p = readings.delta**2, model.h**2, len(weights)
+    q = np.zeros((p + 1, p + 1))
+    q[0, 0] = p / h2 + 1.0 / model.prior_sd**2
+    q[0, 1:] = q[1:, 0] = -1.0 / h2
+    q[1:, 1:] = a.T @ a / d2 + np.eye(p) / h2
+    rhs = np.concatenate([[0.0], a.T @ y / d2])
+    cov = np.linalg.inv(q)
+    return float((cov @ rhs)[0]), float(np.sqrt(cov[0, 0]))
+
+
+def _obm_mcse(samples):
+    """Monte Carlo standard error of the mean by overlapping batch means
+    (batches of n^(2/3) samples, several autocorrelation times here)."""
+    n = samples.size
+    size = int(n ** (2.0 / 3.0))
+    csum = np.concatenate([[0.0], np.cumsum(samples)])
+    means = (csum[size:] - csum[:-size]) / size
+    var = n * size / ((n - size) * (n - size + 1)) * np.sum((means - samples.mean()) ** 2)
+    return float(np.sqrt(var / n))
+
+
+@pytest.mark.parametrize("half_width", [0.2, 0.265], ids=["figure4", "figure5"])
+def test_mh_matches_exact_gaussian_posterior(readings15, half_width):
+    model = make_bayes_model(
+        _square(half_width), 1.0, rule_order=3, prior_sd=1e5,
+        iterations=20000, burn_in=5000, seed=101,
+    )
+    exact_mean, exact_sd = _exact_gamma_posterior(model, readings15)
+    s = run_mh(model, readings15)
+    assert abs(s.mean - exact_mean) <= 5.0 * _obm_mcse(s.samples)
+    assert s.sd == pytest.approx(exact_sd, rel=0.2)
+
+
 def test_sample_count_contract(bayes_square, readings15):
     model = make_bayes_model(
         bayes_square, 1.0, iterations=2000, burn_in=500, thinning=3, seed=3
@@ -186,6 +286,17 @@ def test_posterior_contraction(model_true, bayes_scatterer, unit_sensors32):
         _, sd1 = conjugate_posterior(model_true, r1)
         _, sd2 = conjugate_posterior(model_true, r2)
         assert sd2 < sd1
+
+
+def test_chain_error_on_one_retained_sample(readings15):
+    # 300 post-burn-in iterations thinned by 300 keep one draw: no sd
+    model = make_bayes_model(
+        _square(0.2), 1.0, iterations=400, burn_in=100, thinning=300, seed=3
+    )
+    with pytest.raises(ChainError):
+        run_mh(model, readings15)
+    kept = make_bayes_model(_square(0.2), 1.0, iterations=400, burn_in=100, thinning=299, seed=3)
+    assert run_mh(kept, readings15).samples.size == 2
 
 
 def test_chain_error_on_pathological_proposal(model_true, readings15):

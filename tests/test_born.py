@@ -19,7 +19,8 @@ from nearscat.geometry import (
     scatterer_quadrature,
 )
 from nearscat.linalg import hermitian_eig
-from nearscat.specfun import fundamental_solution
+
+from reference import fundamental_solution
 
 
 def test_zero_contrast_is_exact_zero(unit_sensors32):

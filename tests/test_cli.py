@@ -297,3 +297,115 @@ def test_chain_csv_matches_per_row_reference(tmp_path, monkeypatch):
     for it, (g, lp) in enumerate(zip(summary.chain_gamma, summary.chain_logpost)):
         lines.append(f"{it},{g:.17g},{lp:.17g}")
     assert (tmp_path / "chain.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def _edited_preset(preset, path, value):
+    """A copy of the preset with the dotted `path` set to value (deleted when
+    value is ...); integer parts index lists."""
+    cfg = json.loads(json.dumps(PRESETS[preset]))
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    node = cfg
+    for part in parents:
+        node = node[part]
+    if value is ...:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+def _main_on(tmp_path, cfg_dict):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    return main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("thinning", 0),
+        ("thinning", -1),
+        ("prior_sd", 0),
+        ("prior_sd", -1e5),
+        ("iterations", "abc"),
+        ("iterations", float("inf")),
+        ("burn_in", -5),
+        ("seed", -1),
+        ("h", "abc"),
+        ("proposal_sd_eta", "abc"),
+        ("proposal_sd_eta", 0),
+        ("proposal_sd_gamma", -0.5),
+        ("rule_order", 0),
+        ("thinning", 15000),
+    ],
+)
+def test_main_bad_bayes_setting_exit_2_or_3(tmp_path, capsys, key, value):
+    code = _main_on(tmp_path, _edited_preset("figure4", f"bayes.{key}", value))
+    assert code in (2, 3)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] in ("config", "numerical")
+
+
+@pytest.mark.parametrize(
+    "preset, path, value",
+    [
+        ("figure1", "scatterers.0.shape.radius", ...),
+        ("figure1", "scatterers.1.shape.b", ...),
+        ("figure1", "scatterers.0.shape.center", 5),
+        ("figure1", "scatterers.0.shape.radius", "abc"),
+        ("figure1", "scatterers.0.shape", ...),
+        ("figure1", "scatterers.0.index", ...),
+        ("figure1", "scatterers.0.index.value", ...),
+        ("figure1", "scatterers.0", 5),
+        ("figure3", "scatterers.0.index.coeffs", ...),
+        ("figure4", "bayes.support.corner_max", ...),
+        ("figure1", "noise", {"delta": 0.1}),
+        ("figure4", "noise.seed", ...),
+        ("figure4", "noise.seed", -3),
+        ("figure4", "noise.delta", "abc"),
+        ("figure4", "k", "abc"),
+        ("figure6", "truncation", "abc"),
+        ("figure1", "grid.nx", "abc"),
+        ("figure6", "grid.bounds", [0, 1]),
+        ("figure1", "grid.bounds", [-0.9, 0.9, "a", 0.9]),
+        ("figure1", "rank_override", "abc"),
+        ("figure1", "scatterers.0.shape.type", ["disk"]),
+        ("figure1", "scatterers.0.index.kind", ["constant"]),
+        ("figure1", "mode", ["born-music"]),
+    ],
+)
+def test_main_bad_nested_value_exit_2(tmp_path, capsys, preset, path, value):
+    code = _main_on(tmp_path, _edited_preset(preset, path, value))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "config"
+
+
+def test_seed_override_keeps_the_mode_noise_default(tmp_path):
+    # a bayes config without a noise block reads 15% noise, with --seed too
+    cfg = {key: val for key, val in PRESETS["figure4"].items() if key != "noise"}
+    cfg["bayes"] = {**cfg["bayes"], "iterations": 400, "burn_in": 100}
+    run(config=cfg, out_dir=tmp_path / "seeded", seed=0)
+    explicit = {**cfg, "noise": {"delta": 0.15, "seed": 0}}
+    explicit["bayes"] = {**cfg["bayes"], "seed": 0}
+    run(config=explicit, out_dir=tmp_path / "explicit")
+    assert (tmp_path / "seeded" / "chain.csv").read_bytes() == (
+        tmp_path / "explicit" / "chain.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("preset, block", [("figure1", "noise"), ("figure4", "bayes")])
+def test_main_seed_with_non_object_block_exit_2(tmp_path, capsys, preset, block):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_edited_preset(preset, block, 5)))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "3"])
+    assert code == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "config"

@@ -10,7 +10,8 @@ from nearscat.fields import local_maxima
 from nearscat.geometry import Ellipse, SamplingGrid, ScattererSpec, constant_index
 from nearscat.music import build_music, music_field
 from nearscat.sampling import SENTINEL_CAP, steering_matrix
-from nearscat.specfun import fundamental_solution
+
+from reference import fundamental_solution
 
 
 def music_at(model, sensors, k, points):

@@ -22,7 +22,9 @@ from nearscat.sampling import (
     mlsm_field,
     steering_matrix,
 )
-from nearscat.specfun import fundamental_solution, fundamental_solution_many
+from nearscat.specfun import fundamental_solution_many
+
+from reference import fundamental_solution
 
 
 def point_grid(n):

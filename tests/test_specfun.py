@@ -11,11 +11,12 @@ from nearscat.specfun import (
     bessel_j,
     bessel_j_prime,
     bessel_y,
-    fundamental_solution,
     fundamental_solution_many,
     hankel1,
     hankel1_prime,
 )
+
+from reference import fundamental_solution
 
 mpmath.mp.dps = 30
 
@@ -193,11 +194,27 @@ def test_phi_addition_theorem():
     assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
+def test_phi_scalar_oracle_against_mpmath_hankel():
+    # the scalar reference Φ that the other modules' tests use as their oracle
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = rng.uniform(-2, 2, 2)
+        y = rng.uniform(-2, 2, 2)
+        k = rng.uniform(0.5, 3.0)
+        kr = k * float(np.hypot(*(x - y)))
+        ref = complex(0.25j * mpmath.hankel1(0, mpmath.mpf(kr)))
+        assert abs(fundamental_solution(k, x, y) - ref) <= 1e-14 * abs(ref)
+
+
 def test_phi_singularity_and_bad_k():
     with pytest.raises(DomainError):
         fundamental_solution(1.0, (0.3, 0.3), (0.3, 0.3))
     with pytest.raises(DomainError):
+        fundamental_solution_many(1.0, [(0.3, 0.3)], [(0.3, 0.3)])
+    with pytest.raises(DomainError):
         fundamental_solution(0.0, (0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(DomainError):
+        fundamental_solution_many(0.0, [(0.0, 0.0)], [(1.0, 0.0)])
 
 
 def test_phi_many_matches_scalar():
