@@ -23,7 +23,7 @@ from . import bayes as bayes_mod
 from . import disk as disk_mod
 from .born import add_noise, assemble_multistatic
 from .errors import ConfigError, NearscatError
-from .fields import write_field_csv, write_field_pgm
+from .fields import write_chain_csv, write_field_csv, write_field_pgm
 from .geometry import (
     Disk,
     Ellipse,
@@ -323,13 +323,21 @@ def validate_config(cfg):
     if missing:
         raise ConfigError(f"mode {mode!r} needs key(s) {missing}")
     if mode in ("disk-fm", "disk-mlsm"):
-        m = _cast(cfg.get("truncation", 20), int, "truncation")
-        q = _cast(cfg.get("quad_points", 64), int, "quad_points")
-        if q < 2 * m + 2:
-            raise ConfigError(
-                f"quad_points = {q} cannot resolve truncation {m}; need >= {2 * m + 2}"
-            )
+        _disk_sizes(cfg)
     return cfg
+
+
+def _disk_sizes(cfg):
+    """(truncation, quad_points) of a disk config, checked against each other."""
+    m = _cast(cfg.get("truncation", 20), int, "truncation")
+    q = _cast(cfg.get("quad_points", 64), int, "quad_points")
+    if m < 0:
+        raise ConfigError(f"truncation must be nonnegative, got {m}")
+    if q < 2 * m + 2:
+        raise ConfigError(
+            f"quad_points = {q} cannot resolve truncation {m}; need >= {2 * m + 2}"
+        )
+    return m, q
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +410,7 @@ def _run_disk(cfg, out_dir):
         n=_complex_of(dm["n"], "disk_medium.n"),
         k=_cast(cfg.get("k", 1.0), float, "k"),
     )
-    m = int(cfg.get("truncation", 20))
-    q = int(cfg.get("quad_points", 64))
+    m, q = _disk_sizes(cfg)
     matrix = disk_mod.assemble_nearfield_matrix(medium, m, q)
     regime = cfg.get("regime", "nonabsorbing")
     data = make_picard_data(
@@ -469,10 +476,7 @@ def _run_bayes(cfg, out_dir):
     summary = bayes_mod.run_mh(model, readings)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    gammas, logposts = summary.chain_gamma.tolist(), summary.chain_logpost.tolist()
-    with open(out_dir / "chain.csv", "w") as fh:
-        fh.write("iteration,gamma,log_post\n")
-        fh.writelines(map("{},{:.17g},{:.17g}\n".format, range(len(gammas)), gammas, logposts))
+    write_chain_csv(summary.chain_gamma, summary.chain_logpost, out_dir / "chain.csv")
     stats = {
         "mean": summary.mean,
         "sd": summary.sd,

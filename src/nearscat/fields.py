@@ -1,10 +1,12 @@
 """Indicator fields over sampling grids and their on-disk formats.
 
 CSV: header "x,y,value", row-major with y as the outer loop, 17 significant
-digits.  PGM: ASCII P2, 8-bit, linear min-to-max scaling (constant fields
-render as mid-gray 128).
+digits.  Chain CSV: header "iteration,gamma,log_post", 17 significant digits.
+PGM: ASCII P2, 8-bit, linear min-to-max scaling (constant fields render as
+mid-gray 128).
 """
 
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,10 +31,35 @@ class IndicatorField:
 
 
 def write_field_csv(fld, path):
-    x, y = fld.grid.points.T.tolist()
+    """Each distinct coordinate is formatted once: the nx x strings are shared
+    by every grid row and each row's y is spliced into that row's template."""
+    nx = fld.grid.nx
+    xs = list(map("{:.17g}".format, fld.grid.points[:nx, 0].tolist()))
+    ys = map("{:.17g}".format, fld.grid.points[::nx, 1].tolist())
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        fh.writelines(map("{:.17g},{:.17g},{:.17g}\n".format, x, y, fld.values.tolist()))
+        for y, row in zip(ys, fld.as_image().tolist()):
+            fh.write("".join(map(("{}," + y + ",{:.17g}\n").format, xs, row)))
+
+
+def write_chain_csv(chain_gamma, chain_logpost, path):
+    """CSV with header "iteration,gamma,log_post", one row per chain entry.
+
+    A rejected Metropolis-Hastings step repeats the previous state, so each
+    run of repeated states is formatted once.  States are told apart by
+    their bit patterns: 0.0 and -0.0 differ there, and NaN equals NaN.
+    """
+    gamma = np.asarray(chain_gamma, dtype=float)
+    logpost = np.asarray(chain_logpost, dtype=float)
+    bits = np.stack([gamma, logpost]).view(np.int64)
+    new = np.ones(gamma.size, dtype=bool)
+    np.any(bits[:, 1:] != bits[:, :-1], axis=0, out=new[1:])
+    states = list(map(",{:.17g},{:.17g}\n".format,
+                      gamma[new].tolist(), logpost[new].tolist()))
+    with open(path, "w") as fh:
+        fh.write("iteration,gamma,log_post\n")
+        fh.writelines(map(operator.concat, map(str, range(gamma.size)),
+                          map(states.__getitem__, (np.cumsum(new) - 1).tolist())))
 
 
 def read_field_csv(path):

@@ -25,6 +25,11 @@ def _check_order(order):
         raise DomainError(f"order {order} exceeds supported maximum {MAX_ORDER}")
 
 
+def _check_arg(r):
+    if r > MAX_ABS_ARG:
+        raise DomainError(f"|z| = {r:.3g} exceeds overflow guard {MAX_ABS_ARG}")
+
+
 def bessel_j(order, z):
     """Bessel function of the first kind J_order(z) for real or complex z.
 
@@ -33,8 +38,7 @@ def bessel_j(order, z):
     """
     _check_order(order)
     z = complex(z)
-    if abs(z) > MAX_ABS_ARG:
-        raise DomainError(f"|z| = {abs(z):.3g} exceeds overflow guard {MAX_ABS_ARG}")
+    _check_arg(abs(z))
     if z.imag == 0.0:
         return float(special.jv(order, z.real))
     return complex(special.jv(order, z))
@@ -46,6 +50,7 @@ def bessel_y(order, x):
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"bessel_y requires x > 0, got {x}")
+    _check_arg(x)
     return float(special.yn(order, x))
 
 
@@ -55,6 +60,7 @@ def hankel1(order, x):
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"hankel1 requires x > 0, got {x}")
+    _check_arg(x)
     return complex(special.hankel1(order, x))
 
 
@@ -85,7 +91,15 @@ def fundamental_solution_many(k, points_x, points_y):
         raise DomainError(f"wavenumber must be positive, got {k}")
     px = np.asarray(points_x, dtype=float)
     py = np.asarray(points_y, dtype=float)
-    kr = np.hypot(px[:, None, 0] - py[None, :, 0], px[:, None, 1] - py[None, :, 1])
+    out = np.empty((px.shape[0], py.shape[0]), dtype=complex)
+    # |x - y| without hypot or temporaries: dy is squared in out.imag, which
+    # J0 overwrites below.  A separation whose square underflows reads as 0.
+    kr = px[:, None, 0] - py[None, :, 0]
+    dy = np.subtract(px[:, None, 1], py[None, :, 1], out=out.imag)
+    kr *= kr
+    dy *= dy
+    kr += dy
+    np.sqrt(kr, out=kr)
     kr *= k
     if kr.size:
         if kr.min() == 0.0:
@@ -94,7 +108,6 @@ def fundamental_solution_many(k, points_x, points_y):
             raise DomainError(
                 f"k|x - y| = {kr.max():.3g} exceeds overflow guard {MAX_ABS_ARG}"
             )
-    out = np.empty(kr.shape, dtype=complex)
     special.y0(kr, out=out.real)
     out.real *= -0.25
     special.j0(kr, out=out.imag)

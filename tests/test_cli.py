@@ -375,6 +375,7 @@ def test_main_bad_bayes_setting_exit_2_or_3(tmp_path, capsys, key, value):
         ("figure1", "scatterers.0.shape.type", ["disk"]),
         ("figure1", "scatterers.0.index.kind", ["constant"]),
         ("figure1", "mode", ["born-music"]),
+        ("figure6", "truncation", -1),
     ],
 )
 def test_main_bad_nested_value_exit_2(tmp_path, capsys, preset, path, value):

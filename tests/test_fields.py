@@ -7,6 +7,7 @@ from nearscat.fields import (
     IndicatorField,
     local_maxima,
     read_field_csv,
+    write_chain_csv,
     write_field_csv,
     write_field_pgm,
 )
@@ -106,6 +107,45 @@ def test_writers_match_per_cell_reference(tmp_path, values):
     write_field_pgm(fld, tmp_path / "f.pgm")
     assert (tmp_path / "f.csv").read_text() == reference_csv(fld)
     assert (tmp_path / "f.pgm").read_text() == reference_pgm(fld)
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 9), (9, 2)])
+def test_csv_matches_per_cell_reference_on_thin_grids(tmp_path, nx, ny):
+    grid = make_grid((-0.9, 1.0 / 3.0, -1.8, 1e-7), nx, ny)
+    values = np.random.default_rng(42).normal(0.0, 1e3, nx * ny)
+    fld = IndicatorField(grid=grid, values=values)
+    write_field_csv(fld, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_text() == reference_csv(fld)
+
+
+def reference_chain_csv(gamma, logpost):
+    lines = ["iteration,gamma,log_post"]
+    for it, (g, lp) in enumerate(zip(gamma, logpost)):
+        lines.append(f"{it},{g:.17g},{lp:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "gamma, logpost",
+    [
+        ([1.5, 1.5, 1.5, 2.0, 2.0, 1.5, 1.5], [-3.0, -3.0, -3.0, -2.5, -2.5, -3.0, -3.0]),
+        ([0.0, -0.0, -0.0, 0.0], [-1.0, -1.0, -1.0, -1.0]),
+        ([1.0, 1.0, 1.0, 1.0], [0.0, 0.0, -0.0, -0.0]),
+        ([_NAN, _NAN, _NAN, 2.0, _NAN], [-1.0, -1.0, -1.0, -1.0, -1.0]),
+        ([0.1, 0.2, 0.2], [_NAN, _NAN, -7.0]),
+        ([0.1], [-2.0]),
+        ([0.1, 0.2] * 6, [-1e-300, -5e-324] * 6),
+        ([], []),
+    ],
+    ids=["repeats", "signed-zero-gamma", "signed-zero-logpost", "nan-run-gamma",
+         "nan-run-logpost", "one-row", "alternating", "empty"],
+)
+def test_chain_csv_matches_per_row_reference(tmp_path, gamma, logpost):
+    write_chain_csv(np.array(gamma), np.array(logpost), tmp_path / "chain.csv")
+    assert (tmp_path / "chain.csv").read_text() == reference_chain_csv(gamma, logpost)
 
 
 def test_local_maxima_ordering():

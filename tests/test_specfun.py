@@ -118,6 +118,14 @@ def test_y_domain_error():
         bessel_y(0, -1.0)
 
 
+@pytest.mark.parametrize("fn", [bessel_y, hankel1, hankel1_prime])
+def test_scalar_argument_guard(fn):
+    # the same MAX_ABS_ARG envelope as bessel_j and Φ
+    assert np.isfinite(fn(0, 699.0))
+    with pytest.raises(DomainError):
+        fn(0, 1e9)
+
+
 def test_hankel1_composition():
     v = hankel1(0, 1.0)
     assert v == pytest.approx(bessel_j(0, 1.0) + 1j * bessel_y(0, 1.0), abs=1e-15)
@@ -256,5 +264,7 @@ def test_phi_many_domain_errors():
         fundamental_solution_many(1e9, origin, np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(DomainError):
         fundamental_solution_many(1.0, origin, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DomainError):  # the squared separation underflows to 0
+        fundamental_solution_many(1.0, origin, np.array([[1e-200, 0.0]]))
     with pytest.raises(DomainError):
         fundamental_solution_many(0.0, origin, edge)
