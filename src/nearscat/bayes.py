@@ -75,6 +75,11 @@ class BayesModel:
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
+    @property
+    def kept(self):
+        """The number of post-burn-in draws that thinning keeps."""
+        return len(range(self.burn_in, self.iterations, self.thinning))
+
 
 def support_diameter(shape):
     """Default h = |D|: the diameter of the reconstructed support."""
@@ -107,33 +112,6 @@ def design_matrix(model, readings):
     px = fundamental_solution_many(k, readings.points_x, model.rhat.nodes)
     py = fundamental_solution_many(k, model.rhat.nodes, readings.points_y)
     return k**2 * model.rhat.weights[None, :] * px * py.T
-
-
-def predicted_mean(model, gamma_field, x, y):
-    """mu(x, y) for node values eta(z_p) = gamma_field."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if model.support_shape.contains(x) or model.support_shape.contains(y):
-        raise DomainError("evaluation point lies inside the reconstructed support")
-    k = model.k
-    px = fundamental_solution_many(k, x[None, :], model.rhat.nodes)[0]
-    py = fundamental_solution_many(k, model.rhat.nodes, y[None, :])[:, 0]
-    return complex(
-        k**2 * np.sum(model.rhat.weights * np.asarray(gamma_field, dtype=complex) * px * py)
-    )
-
-
-def log_posterior(model, readings, gamma, eta):
-    """Unnormalized log posterior (additive constants dropped)."""
-    if readings.delta <= 0.0:
-        raise DomainError("readings.delta must be positive for the likelihood")
-    gamma = float(gamma)
-    eta = np.asarray(eta, dtype=float)
-    resid = readings.values - design_matrix(model, readings) @ eta
-    loglike = -float(np.sum(resid.real**2 + resid.imag**2)) / (2.0 * readings.delta**2)
-    logp_eta = -float(np.sum((eta - gamma) ** 2)) / (2.0 * model.h**2)
-    logp_gamma = -(gamma**2) / (2.0 * model.prior_sd**2)
-    return loglike + logp_eta + logp_gamma
 
 
 @dataclass(frozen=True)
@@ -190,7 +168,20 @@ def run_mh(model, readings):
     sampler: one standard_normal(P + 1) per step (the P eta increments, then
     gamma's) and one uniform for the accept test, so a seed gives the same
     gamma chain.
+
+    The draws of a random-walk sampler do not depend on its state, so the
+    chain goes one adaptation batch of 50 steps at a time: it takes the
+    batch's draws in per-step order, forms every Q d and d.(Q d) of the
+    batch in one matrix product, then jumps from one acceptance to the
+    next, rescoring the rest of the batch against the updated gradient.
+    The proposal scale only moves between batches, so it is constant
+    within one.
     """
+    if model.kept < 2:
+        raise ChainError(
+            f"thinning {model.thinning} keeps {model.kept} sample after burn-in; "
+            "the sd needs 2"
+        )
     q, lin, logp = _quadratic_form(model, readings)
     dim = q.shape[0]
     p = dim - 1
@@ -204,32 +195,56 @@ def run_mh(model, readings):
     sds[p] = sd_gamma
 
     rng = np.random.default_rng(model.seed)
-    theta = np.zeros(dim)
+    normal, uniform = rng.standard_normal, rng.random
+    gamma = 0.0
     grad = lin.copy()
 
-    chain_gamma = np.empty(model.iterations)
-    chain_logpost = np.empty(model.iterations)
+    n = model.iterations
+    chain_gamma = np.empty(n)
+    chain_logpost = np.empty(n)
     # global proposal scale, Robbins-Monro adapted toward 23% acceptance
     # during burn-in only (frozen afterwards, preserving detailed balance)
     log_scale = 0.0
     step = np.exp(log_scale) * sds
-    batch_acc = 0
     batch_len = 50
-    for it in range(model.iterations):
-        d = step * rng.standard_normal(dim)
-        qd = q.dot(d)  # .dot: half the call overhead of @ on vectors this short
-        log_ratio = d.dot(grad) - 0.5 * d.dot(qd)
-        if np.log(rng.random()) < log_ratio:  # the uniform() draw, at a quarter of the cost
-            theta += d
-            grad -= qd
+    z = np.empty((batch_len, dim))
+    rows = list(z)
+    for start in range(0, n, batch_len):
+        stop = min(start + batch_len, n)
+        m = stop - start
+        draws = []
+        for row in rows[:m]:
+            normal(out=row)
+            draws.append(uniform())  # the uniform() draw, at a quarter of the cost
+        log_u = np.log(draws).tolist()
+        d = z[:m] * step
+        qd = d @ q.T  # q.T: row i is Q d_i, as Q is not bitwise symmetric
+        half = (0.5 * (d * qd).sum(axis=1)).tolist()
+        d_gamma = d[:, p].tolist()
+        chain_gamma[start:stop] = gamma
+        chain_logpost[start:stop] = logp
+        accepted = 0
+        t = 0
+        while t < m:
+            # the whole batch against the current gradient: cheaper than a
+            # slice of it; the scan reads only the steps from t on
+            dots = (d @ grad).tolist()
+            for j in range(t, m):
+                log_ratio = dots[j] - half[j]
+                if log_u[j] < log_ratio:
+                    break
+            else:
+                break
+            gamma += d_gamma[j]
+            grad -= qd[j]
             logp += log_ratio
-            batch_acc += 1
-        chain_gamma[it] = theta[p]
-        chain_logpost[it] = logp
-        if it < model.burn_in and (it + 1) % batch_len == 0:
-            log_scale += 0.5 * (batch_acc / batch_len - 0.234)
+            chain_gamma[start + j : stop] = gamma
+            chain_logpost[start + j : stop] = logp
+            accepted += 1
+            t = j + 1
+        if start + batch_len <= model.burn_in:
+            log_scale += 0.5 * (accepted / batch_len - 0.234)
             step = np.exp(log_scale) * sds
-            batch_acc = 0
 
     post = model.iterations - model.burn_in
     rate = (
@@ -240,11 +255,6 @@ def run_mh(model, readings):
             f"acceptance rate {rate:.3%} below 1%; proposal badly scaled"
         )
     samples = chain_gamma[model.burn_in :: model.thinning]
-    if samples.size < 2:
-        raise ChainError(
-            f"thinning {model.thinning} keeps {samples.size} sample after burn-in; "
-            "the sd needs 2"
-        )
     return PosteriorSummary(
         samples=samples,
         mean=float(np.mean(samples)),
@@ -253,65 +263,4 @@ def run_mh(model, readings):
         acceptance_rate=rate,
         chain_gamma=chain_gamma,
         chain_logpost=chain_logpost,
-    )
-
-
-# ---------------------------------------------------------------------------
-# 1-D reduction (eta collapsed to gamma): conjugate-normal closed form
-
-
-def conjugate_posterior(model, readings):
-    """Exact posterior (mean, sd) of gamma when eta is pinned to gamma.
-
-    With mu = gamma * s, s = B @ 1, the Gaussian likelihood is conjugate to
-    the N(0, prior_sd^2) prior.
-    """
-    b = design_matrix(model, readings)
-    s = b @ np.ones(b.shape[1])
-    d2 = readings.delta**2
-    precision = float(np.sum(s.real**2 + s.imag**2)) / d2 + 1.0 / model.prior_sd**2
-    lin = float(np.sum(readings.values.real * s.real + readings.values.imag * s.imag)) / d2
-    return lin / precision, 1.0 / np.sqrt(precision)
-
-
-def run_mh_collapsed(model, readings, proposal_sd=None):
-    """MH on the 1-D reduction; used to validate detailed balance."""
-    b = design_matrix(model, readings)
-    s = b @ np.ones(b.shape[1])
-    d2 = readings.delta**2
-
-    def logp_of(g):
-        resid = readings.values - g * s
-        return (
-            -float(np.sum(resid.real**2 + resid.imag**2)) / (2.0 * d2)
-            - g**2 / (2.0 * model.prior_sd**2)
-        )
-
-    if proposal_sd is None:
-        _, post_sd = conjugate_posterior(model, readings)
-        proposal_sd = 2.4 * post_sd
-    rng = np.random.default_rng(model.seed)
-    gamma = 0.0
-    logp = logp_of(gamma)
-    chain = np.empty(model.iterations)
-    accepted = 0
-    for it in range(model.iterations):
-        g_new = gamma + proposal_sd * rng.standard_normal()
-        lp_new = logp_of(g_new)
-        if np.log(rng.uniform()) < lp_new - logp:
-            gamma, logp = g_new, lp_new
-            accepted += 1
-        chain[it] = gamma
-    rate = accepted / model.iterations
-    if rate < 0.01:
-        raise ChainError(f"acceptance rate {rate:.3%} below 1%")
-    samples = chain[model.burn_in :: model.thinning]
-    return PosteriorSummary(
-        samples=samples,
-        mean=float(np.mean(samples)),
-        sd=float(np.std(samples, ddof=1)),
-        map_estimate=_histogram_mode(samples),
-        acceptance_rate=rate,
-        chain_gamma=chain,
-        chain_logpost=None,
     )

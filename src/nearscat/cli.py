@@ -22,7 +22,7 @@ import numpy as np
 from . import bayes as bayes_mod
 from . import disk as disk_mod
 from .born import add_noise, assemble_multistatic
-from .errors import ConfigError, NearscatError
+from .errors import ConfigError, DomainError, NearscatError
 from .fields import write_chain_csv, write_field_csv, write_field_pgm
 from .geometry import (
     Disk,
@@ -470,9 +470,16 @@ def _run_bayes(cfg, out_dir):
         for key, cast in BAYES_SETTINGS.items()
         if bc.get(key) is not None
     }
-    model = bayes_mod.make_bayes_model(
-        _shape_of(bc["support"], "bayes.support"), k, **settings
-    )
+    support = _shape_of(bc["support"], "bayes.support")
+    try:
+        model = bayes_mod.make_bayes_model(support, k, **settings)
+    except DomainError as exc:
+        raise ConfigError(f"bayes: {exc}") from None
+    if model.kept < 2:
+        raise ConfigError(
+            f"bayes.thinning {model.thinning} keeps {model.kept} sample after "
+            "burn-in; the sd needs 2"
+        )
     summary = bayes_mod.run_mh(model, readings)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

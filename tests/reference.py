@@ -9,9 +9,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from nearscat.bayes import design_matrix
-from nearscat.errors import DomainError
-from nearscat.specfun import hankel1
+from nearscat.bayes import PosteriorSummary, _histogram_mode, design_matrix
+from nearscat.errors import ChainError, DomainError
+from nearscat.specfun import fundamental_solution_many, hankel1
 
 
 def fundamental_solution(k, x, y):
@@ -84,3 +84,91 @@ def reference_run_mh(model, readings):
             log_scale += 0.5 * (batch_acc / batch_len - 0.234)
             batch_acc = 0
     return SimpleNamespace(chain_gamma=chain_gamma, chain_logpost=chain_logpost)
+
+
+def predicted_mean(model, gamma_field, x, y):
+    """mu(x, y) for node values eta(z_p) = gamma_field."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if model.support_shape.contains(x) or model.support_shape.contains(y):
+        raise DomainError("evaluation point lies inside the reconstructed support")
+    k = model.k
+    px = fundamental_solution_many(k, x[None, :], model.rhat.nodes)[0]
+    py = fundamental_solution_many(k, model.rhat.nodes, y[None, :])[:, 0]
+    return complex(
+        k**2 * np.sum(model.rhat.weights * np.asarray(gamma_field, dtype=complex) * px * py)
+    )
+
+
+def log_posterior(model, readings, gamma, eta):
+    """Unnormalized log posterior (additive constants dropped)."""
+    if readings.delta <= 0.0:
+        raise DomainError("readings.delta must be positive for the likelihood")
+    gamma = float(gamma)
+    eta = np.asarray(eta, dtype=float)
+    resid = readings.values - design_matrix(model, readings) @ eta
+    loglike = -float(np.sum(resid.real**2 + resid.imag**2)) / (2.0 * readings.delta**2)
+    logp_eta = -float(np.sum((eta - gamma) ** 2)) / (2.0 * model.h**2)
+    logp_gamma = -(gamma**2) / (2.0 * model.prior_sd**2)
+    return loglike + logp_eta + logp_gamma
+
+
+# The 1-D reduction (eta pinned to gamma): its conjugate-normal closed form,
+# and an MH chain on it that criterion 9 checks against that form.
+
+
+def conjugate_posterior(model, readings):
+    """Exact posterior (mean, sd) of gamma when eta is pinned to gamma.
+
+    With mu = gamma * s, s = B @ 1, the Gaussian likelihood is conjugate to
+    the N(0, prior_sd^2) prior.
+    """
+    b = design_matrix(model, readings)
+    s = b @ np.ones(b.shape[1])
+    d2 = readings.delta**2
+    precision = float(np.sum(s.real**2 + s.imag**2)) / d2 + 1.0 / model.prior_sd**2
+    lin = float(np.sum(readings.values.real * s.real + readings.values.imag * s.imag)) / d2
+    return lin / precision, 1.0 / np.sqrt(precision)
+
+
+def run_mh_collapsed(model, readings, proposal_sd=None):
+    """MH on the 1-D reduction; used to validate detailed balance."""
+    b = design_matrix(model, readings)
+    s = b @ np.ones(b.shape[1])
+    d2 = readings.delta**2
+
+    def logp_of(g):
+        resid = readings.values - g * s
+        return (
+            -float(np.sum(resid.real**2 + resid.imag**2)) / (2.0 * d2)
+            - g**2 / (2.0 * model.prior_sd**2)
+        )
+
+    if proposal_sd is None:
+        _, post_sd = conjugate_posterior(model, readings)
+        proposal_sd = 2.4 * post_sd
+    rng = np.random.default_rng(model.seed)
+    gamma = 0.0
+    logp = logp_of(gamma)
+    chain = np.empty(model.iterations)
+    accepted = 0
+    for it in range(model.iterations):
+        g_new = gamma + proposal_sd * rng.standard_normal()
+        lp_new = logp_of(g_new)
+        if np.log(rng.uniform()) < lp_new - logp:
+            gamma, logp = g_new, lp_new
+            accepted += 1
+        chain[it] = gamma
+    rate = accepted / model.iterations
+    if rate < 0.01:
+        raise ChainError(f"acceptance rate {rate:.3%} below 1%")
+    samples = chain[model.burn_in :: model.thinning]
+    return PosteriorSummary(
+        samples=samples,
+        mean=float(np.mean(samples)),
+        sd=float(np.std(samples, ddof=1)),
+        map_estimate=_histogram_mode(samples),
+        acceptance_rate=rate,
+        chain_gamma=chain,
+        chain_logpost=None,
+    )

@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from nearscat.bayes import (
-    conjugate_posterior,
-    make_bayes_model,
-    run_mh,
-    run_mh_collapsed,
-    synthesize_readings,
-)
+from nearscat.bayes import make_bayes_model, run_mh, synthesize_readings
 from nearscat.born import add_noise, assemble_multistatic, make_sensor_array
 from nearscat.cli import PRESETS, run
 from nearscat.disk import DiskMedium, assemble_nearfield_matrix, sigma_m
@@ -29,6 +23,8 @@ from nearscat.linalg import hermitian_eig, nsharp
 from nearscat.music import build_music, music_field
 from nearscat.sampling import fm_field, fm_mlsm_equivalence_check, mlsm_field
 from nearscat.specfun import bessel_j, bessel_y, fundamental_solution_many
+
+from reference import conjugate_posterior, run_mh_collapsed
 
 mpmath.mp.dps = 30
 

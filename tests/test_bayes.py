@@ -8,13 +8,9 @@ import pytest
 
 from nearscat.bayes import (
     Readings,
-    conjugate_posterior,
     design_matrix,
-    log_posterior,
     make_bayes_model,
-    predicted_mean,
     run_mh,
-    run_mh_collapsed,
     support_diameter,
     synthesize_readings,
 )
@@ -22,7 +18,14 @@ from nearscat.born import born_scattered_field
 from nearscat.errors import ChainError, DomainError
 from nearscat.geometry import Disk, Ellipse, Rectangle, ScattererSpec
 
-from reference import fundamental_solution, reference_run_mh
+from reference import (
+    conjugate_posterior,
+    fundamental_solution,
+    log_posterior,
+    predicted_mean,
+    reference_run_mh,
+    run_mh_collapsed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +177,27 @@ def test_run_mh_matches_residual_reference(readings15, half_width, seed, proposa
     # burn-in spans 10 adaptation batches, so the proposal scale moves
     model = make_bayes_model(
         _square(half_width), 1.0, iterations=1500, burn_in=500, seed=seed, **proposal
+    )
+    got = run_mh(model, readings15)
+    ref = reference_run_mh(model, readings15)
+    assert np.array_equal(got.chain_gamma, ref.chain_gamma)
+    assert 0.05 <= got.acceptance_rate <= 0.6
+    rel = np.abs(got.chain_logpost - ref.chain_logpost) / np.abs(ref.chain_logpost)
+    assert rel.max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "iterations, burn_in",
+    [
+        (1537, 520),  # neither a multiple of the 50-step batch
+        (1537, 0),  # no adaptation at all
+        (1501, 500),  # a last batch of one step
+        (1549, 549),  # burn-in ends one step short of a batch edge
+    ],
+)
+def test_run_mh_batch_edges_match_residual_reference(readings15, iterations, burn_in):
+    model = make_bayes_model(
+        _square(0.2), 1.0, iterations=iterations, burn_in=burn_in, seed=4
     )
     got = run_mh(model, readings15)
     ref = reference_run_mh(model, readings15)

@@ -350,6 +350,30 @@ def test_main_bad_bayes_setting_exit_2_or_3(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [
+        ("thinning", 0),
+        ("prior_sd", 0),
+        ("h", -1),
+        ("seed", -1),
+        ("rule_order", 0),
+        ("burn_in", 30000),
+        ("thinning", 15000),
+    ],
+)
+def test_main_out_of_range_bayes_setting_exit_2(tmp_path, capsys, key, value):
+    # the model rejects these before any MH step runs: a config error, not a
+    # numerical one
+    code = _main_on(tmp_path, _edited_preset("figure4", f"bayes.{key}", value))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "config"
+
+
+@pytest.mark.parametrize(
     "preset, path, value",
     [
         ("figure1", "scatterers.0.shape.radius", ...),
