@@ -33,9 +33,9 @@ from .geometry import (
     make_grid,
     make_sensor_array,
 )
-from .linalg import nsharp
+from .linalg import REGIMES, nsharp
 from .music import build_music, music_field
-from .sampling import FilterSpec, fm_field, make_picard_data, mlsm_field, steering_matrix
+from .sampling import FilterSpec, fm_mlsm_fields, make_picard_data
 
 # ---------------------------------------------------------------------------
 # Presets: the standard experiment configurations at desk scale.
@@ -351,11 +351,12 @@ def _grid_of(cfg):
         raise ConfigError(
             f"grid.bounds: expected [xmin, xmax, ymin, ymax], got {g['bounds']!r}"
         )
-    return make_grid(
-        tuple(_cast(b, float, "grid.bounds") for b in g["bounds"]),
-        _cast(g["nx"], int, "grid.nx"),
-        _cast(g["ny"], int, "grid.ny"),
-    )
+    bounds = tuple(_cast(b, float, "grid.bounds") for b in g["bounds"])
+    nx, ny = _cast(g["nx"], int, "grid.nx"), _cast(g["ny"], int, "grid.ny")
+    try:
+        return make_grid(bounds, nx, ny)
+    except DomainError as exc:
+        raise ConfigError(f"grid: {exc}") from None
 
 
 def export_field(fld, out_dir, stem="field"):
@@ -378,15 +379,41 @@ def _write_manifest(out_dir, cfg, t0):
 
 def _sensors_of(cfg):
     s = cfg["sensors"]
-    return make_sensor_array(
-        _cast(s["count"], int, "sensors.count"), _cast(s["radius"], float, "sensors.radius")
-    )
+    count = _cast(s["count"], int, "sensors.count")
+    radius = _cast(s["radius"], float, "sensors.radius")
+    try:
+        return make_sensor_array(count, radius)
+    except DomainError as exc:
+        raise ConfigError(f"sensors: {exc}") from None
+
+
+def _wavenumber_of(cfg):
+    k = _cast(cfg.get("k", 1.0), float, "k")
+    if not k > 0.0:
+        raise ConfigError(f"k must be positive, got {k}")
+    return k
+
+
+def _filter_of(cfg):
+    """The MLSM filter of a disk config; None selects the rank cutoff."""
+    fdict = cfg.get("filter")
+    if not fdict:
+        return None
+    _require_keys(fdict, {"kind", "eps", "a"}, "filter", ("kind",))
+    try:
+        return FilterSpec(
+            kind=fdict["kind"], eps=_cast(fdict.get("eps"), float, "filter.eps"),
+            a=_cast(fdict["a"], float, "filter.a") if fdict.get("a") is not None else None,
+        )
+    except DomainError as exc:
+        raise ConfigError(f"filter: {exc}") from None
 
 
 def _run_born_music(cfg, out_dir):
     sensors = _sensors_of(cfg)
+    k = _wavenumber_of(cfg)
+    grid = _grid_of(cfg)
     specs = _scatterers_of(cfg)
-    k = _cast(cfg.get("k", 1.0), float, "k")
     rule_order = _cast(cfg.get("rule_order", 16), int, "rule_order")
     matrix = assemble_multistatic(specs, sensors, k, rule_order)
     delta, seed = _noise_of(cfg, 0.0)
@@ -396,8 +423,7 @@ def _run_born_music(cfg, out_dir):
     model = build_music(
         matrix, rank_override=None if rank is None else _cast(rank, int, "rank_override")
     )
-    grid = _grid_of(cfg)
-    fld = music_field(model, steering_matrix(sensors, k, grid.points), grid)
+    fld = music_field(model, sensors, k, grid)
     export_field(fld, out_dir)
     return {"rank": model.rank}
 
@@ -408,27 +434,20 @@ def _run_disk(cfg, out_dir):
     medium = disk_mod.DiskMedium(
         a=_complex_of(dm["a"], "disk_medium.a"),
         n=_complex_of(dm["n"], "disk_medium.n"),
-        k=_cast(cfg.get("k", 1.0), float, "k"),
+        k=_wavenumber_of(cfg),
     )
     m, q = _disk_sizes(cfg)
-    matrix = disk_mod.assemble_nearfield_matrix(medium, m, q)
     regime = cfg.get("regime", "nonabsorbing")
+    if regime not in REGIMES:
+        raise ConfigError(f"regime must be one of {list(REGIMES)}, got {regime!r}")
+    grid = _grid_of(cfg)
+    filt = _filter_of(cfg)
+    matrix = disk_mod.assemble_nearfield_matrix(medium, m, q)
     data = make_picard_data(
         nsharp(matrix, regime), weight=2.0 * np.pi * disk_mod.SENSOR_RADIUS / q
     )
     sensors = make_sensor_array(q, disk_mod.SENSOR_RADIUS)
-    grid = _grid_of(cfg)
-    filt = None
-    if cfg.get("filter"):
-        fdict = cfg["filter"]
-        _require_keys(fdict, {"kind", "eps", "a"}, "filter")
-        filt = FilterSpec(
-            kind=fdict["kind"], eps=_cast(fdict.get("eps"), float, "filter.eps"),
-            a=_cast(fdict["a"], float, "filter.a") if fdict.get("a") is not None else None,
-        )
-    phis = steering_matrix(sensors, medium.k, grid.points)
-    w_field = fm_field(data, phis, grid)
-    p_field = mlsm_field(data, phis, grid, filt)
+    w_field, p_field = fm_mlsm_fields(data, sensors, medium.k, grid, filt)
     primary, companion, stem = (
         (w_field, p_field, "mlsm") if cfg["mode"] == "disk-fm" else (p_field, w_field, "fm")
     )
@@ -455,7 +474,7 @@ BAYES_SETTINGS = {
 def _run_bayes(cfg, out_dir):
     sensors = _sensors_of(cfg)
     specs = _scatterers_of(cfg)
-    k = _cast(cfg.get("k", 1.0), float, "k")
+    k = _wavenumber_of(cfg)
     delta, seed = _noise_of(cfg, 0.15)
     readings = bayes_mod.synthesize_readings(
         specs, sensors, k,

@@ -31,15 +31,20 @@ class IndicatorField:
 
 
 def write_field_csv(fld, path):
-    """Each distinct coordinate is formatted once: the nx x strings are shared
-    by every grid row and each row's y is spliced into that row's template."""
+    """Each distinct coordinate is formatted once: the nx x strings are spliced
+    into one row template, and each grid row is one `%` call on the row's y
+    (formatted once) interleaved with its values."""
     nx = fld.grid.nx
-    xs = list(map("{:.17g}".format, fld.grid.points[:nx, 0].tolist()))
+    xs = map("{:.17g}".format, fld.grid.points[:nx, 0].tolist())
+    template = "".join(x + ",%s,%.17g\n" for x in xs)
     ys = map("{:.17g}".format, fld.grid.points[::nx, 1].tolist())
+    args = [None] * (2 * nx)
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
         for y, row in zip(ys, fld.as_image().tolist()):
-            fh.write("".join(map(("{}," + y + ",{:.17g}\n").format, xs, row)))
+            args[::2] = [y] * nx
+            args[1::2] = row
+            fh.write(template % tuple(args))
 
 
 def write_chain_csv(chain_gamma, chain_logpost, path):

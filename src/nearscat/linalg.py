@@ -27,14 +27,16 @@ class EigenSystem:
 
 
 def _fix_phases(vecs):
-    """Rotate each column so its first nonzero component is real positive."""
+    """Rotate each column so its first nonzero component is real positive.
+
+    The rotations |p|/p are numpy scalar divisions: the array division
+    rounds differently in the last bit for some complex p.
+    """
+    nonzero = np.abs(vecs) > 1e-300
+    pivots = vecs[np.argmax(nonzero, axis=0), np.arange(vecs.shape[1])]
     out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-300)
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, j] = col * (abs(pivot) / pivot)
+    cols = np.flatnonzero(nonzero.any(axis=0))  # all-zero columns stay as they are
+    out[:, cols] = vecs[:, cols] * np.array([abs(p) / p for p in pivots[cols]])
     return out
 
 
@@ -86,6 +88,9 @@ def abs_op(b):
     return (v * np.abs(eig.eigenvalues)) @ v.conj().T
 
 
+REGIMES = ("nonabsorbing", "absorbing")
+
+
 def nsharp(n, regime, sigma=None):
     """Positive selfadjoint data combination.
 
@@ -100,17 +105,17 @@ def nsharp(n, regime, sigma=None):
     hypotheses, not enforced here; the eigensystem consumers clip small
     negatives and reject large ones.
     """
+    if regime not in REGIMES:
+        raise DomainError(f"unknown regime {regime!r}")
     if regime == "nonabsorbing":
         return abs_op(real_part_op(n)) + abs_op(imag_part_op(n))
-    if regime == "absorbing":
-        im = imag_part_op(n)
-        if sigma is None:
-            vals = hermitian_eig(im).eigenvalues
-            sigma = 1.0 if (vals.size and vals[0] >= 0.0) else -1.0
-        if sigma not in (1, -1, 1.0, -1.0):
-            raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
-        return sigma * im
-    raise DomainError(f"unknown regime {regime!r}")
+    im = imag_part_op(n)
+    if sigma is None:
+        vals = hermitian_eig(im).eigenvalues
+        sigma = 1.0 if (vals.size and vals[0] >= 0.0) else -1.0
+    if sigma not in (1, -1, 1.0, -1.0):
+        raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
+    return sigma * im
 
 
 def sqrt_op_apply(eig, g):

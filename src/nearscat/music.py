@@ -3,7 +3,7 @@
 The indicator is the reciprocal squared norm of the noise-subspace
 projection of the steering vector; it blows up at scatterer centers.  It is
 the spectral range test of `sampling` with unit weights on the noise
-subspace, evaluated over a steering matrix from `sampling.steering_matrix`.
+subspace, evaluated block by block by `sampling.grid_indicators`.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError
 from .fields import IndicatorField
 from .linalg import EigenSystem, hermitian_eig, spectral_gap_rank
-from .sampling import _spectral_indicator
+from .sampling import grid_indicators
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,11 @@ def build_music(matrix, rank_override=None):
     return MusicModel(eig=eig, rank=r)
 
 
-def music_field(model, phis, grid):
-    """I(z) = [sum_{j>r} |(phi_z, w_j)|^2]^{-1} over a sampling grid, one
-    steering column of phis per grid point (row-major, y outer loop)."""
+def music_field(model, sensors, k, grid):
+    """I(z) = [sum_{j>r} |(phi_z, w_j)|^2]^{-1} over a sampling grid, for the
+    steering vectors phi_z = Phi(sensors, z) at wavenumber k."""
     noise_vecs = model.eig.eigenvectors[:, model.rank :]
-    values = _spectral_indicator(noise_vecs, np.ones(noise_vecs.shape[1]), phis)
+    (values,) = grid_indicators(
+        noise_vecs, np.ones((1, noise_vecs.shape[1])), sensors, k, grid.points
+    )
     return IndicatorField(grid=grid, values=values, metadata={"mode": "music", "rank": model.rank})

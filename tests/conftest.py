@@ -14,7 +14,7 @@ from nearscat.geometry import (
     make_sensor_array,
 )
 from nearscat.linalg import nsharp
-from nearscat.sampling import make_picard_data, steering_matrix
+from nearscat.sampling import fm_mlsm_fields, make_picard_data
 
 
 @pytest.fixture(scope="session")
@@ -46,18 +46,6 @@ def disk_sensors64():
 
 
 @pytest.fixture(scope="session")
-def grid101_phis(unit_sensors32, grid101):
-    """Steering matrix of the MUSIC sensors over grid101 at k = 1."""
-    return steering_matrix(unit_sensors32, 1.0, grid101.points)
-
-
-@pytest.fixture(scope="session")
-def disk_grid101_phis(disk_sensors64, disk_grid101):
-    """Steering matrix of the disk sensors over disk_grid101 at k = 1."""
-    return steering_matrix(disk_sensors64, 1.0, disk_grid101.points)
-
-
-@pytest.fixture(scope="session")
 def fig6_medium():
     return DiskMedium(a=0.5 + 0.0j, n=5.0 + 0.0j, k=1.0)
 
@@ -74,6 +62,12 @@ CURVE_WEIGHT = 2.0 * np.pi * SENSOR_RADIUS / 64
 def fig6_picard(fig6_medium):
     matrix = assemble_nearfield_matrix(fig6_medium, 20, 64)
     return make_picard_data(nsharp(matrix, "nonabsorbing"), weight=CURVE_WEIGHT)
+
+
+@pytest.fixture(scope="session")
+def fig6_fields(fig6_picard, disk_sensors64, disk_grid101):
+    """The figure6 FM and MLSM fields (W, P) over disk_grid101 at k = 1."""
+    return fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101)
 
 
 @pytest.fixture(scope="session")

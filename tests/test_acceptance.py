@@ -21,7 +21,7 @@ from nearscat.fields import local_maxima
 from nearscat.geometry import Rectangle, ScattererSpec, constant_index
 from nearscat.linalg import hermitian_eig, nsharp
 from nearscat.music import build_music, music_field
-from nearscat.sampling import fm_field, fm_mlsm_equivalence_check, mlsm_field
+from nearscat.sampling import fm_mlsm_equivalence_check, fm_mlsm_fields
 from nearscat.specfun import bessel_j, bessel_y, fundamental_solution_many
 
 from reference import conjugate_posterior, run_mh_collapsed
@@ -100,9 +100,7 @@ def test_criterion_2_eigensolver():
     )
 
 
-def test_criterion_3_music_localization(
-    figure1_scatterers, unit_sensors32, grid101, grid101_phis
-):
+def test_criterion_3_music_localization(figure1_scatterers, unit_sensors32, grid101):
     started = time.perf_counter()
     truths = np.array([[-0.5, 0.5], [0.5, -0.5]])
     cell = 1.8 / 100
@@ -110,11 +108,11 @@ def test_criterion_3_music_localization(
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
     model = build_music(m)
     rank_ok = model.rank == 2
-    pts, _ = local_maxima(music_field(model, grid101_phis, grid101), top=2)
+    pts, _ = local_maxima(music_field(model, unit_sensors32, 1.0, grid101), top=2)
     clean_err = max(np.abs(pts - t).max(axis=1).min() for t in truths)
 
     noisy = build_music(add_noise(m, 0.02, 7))
-    pts_n, _ = local_maxima(music_field(noisy, grid101_phis, grid101), top=2)
+    pts_n, _ = local_maxima(music_field(noisy, unit_sensors32, 1.0, grid101), top=2)
     noisy_err = max(np.abs(pts_n - t).max(axis=1).min() for t in truths)
 
     elapsed = _deadline(3, started, 20.0)
@@ -170,9 +168,9 @@ def _jaccard_half_interior_median(values, grid):
     return np.sum(pred & inside) / np.sum(pred | inside)
 
 
-def test_criterion_6_factorization_method(fig6_picard, disk_grid101_phis, disk_grid101):
+def test_criterion_6_factorization_method(fig6_picard, disk_sensors64, disk_grid101):
     started = time.perf_counter()
-    fld = fm_field(fig6_picard, disk_grid101_phis, disk_grid101)
+    fld, _ = fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101)
     jac = _jaccard_half_interior_median(fld.values, disk_grid101)
     r = np.hypot(disk_grid101.points[:, 0], disk_grid101.points[:, 1])
     core = fld.values[r <= 0.8].mean()
@@ -187,7 +185,7 @@ def test_criterion_6_factorization_method(fig6_picard, disk_grid101_phis, disk_g
     )
 
 
-def test_criterion_7_absorbing_regime(fig7_medium, disk_grid101_phis, disk_grid101):
+def test_criterion_7_absorbing_regime(fig7_medium, disk_sensors64, disk_grid101):
     started = time.perf_counter()
     matrix = assemble_nearfield_matrix(fig7_medium, 20, 64)
     ns = nsharp(matrix, "absorbing")
@@ -198,7 +196,7 @@ def test_criterion_7_absorbing_regime(fig7_medium, disk_grid101_phis, disk_grid1
     from nearscat.sampling import make_picard_data
 
     data = make_picard_data(ns, weight=2 * np.pi * 2.0 / 64)
-    fld = fm_field(data, disk_grid101_phis, disk_grid101)
+    fld, _ = fm_mlsm_fields(data, disk_sensors64, 1.0, disk_grid101)
     jac = _jaccard_half_interior_median(fld.values, disk_grid101)
     elapsed = _deadline(7, started, 30.0)
     ok = positive and jac >= 0.5
@@ -210,9 +208,7 @@ def test_criterion_7_absorbing_regime(fig7_medium, disk_grid101_phis, disk_grid1
     )
 
 
-def test_criterion_8_fm_mlsm_equivalence(
-    fig6_picard, disk_sensors64, disk_grid101_phis, disk_grid101
-):
+def test_criterion_8_fm_mlsm_equivalence(fig6_picard, disk_sensors64, disk_grid101):
     started = time.perf_counter()
     eps_seq = [10.0 ** (-j) for j in range(1, 9)]
     rng = np.random.default_rng(808)
@@ -243,8 +239,8 @@ def test_criterion_8_fm_mlsm_equivalence(
         else:
             min_growth = min(min_growth, rep.values[-1] / rep.values[0])
 
-    w = fm_field(fig6_picard, disk_grid101_phis, disk_grid101).values
-    p = mlsm_field(fig6_picard, disk_grid101_phis, disk_grid101).values
+    w_field, p_field = fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101)
+    w, p = w_field.values, p_field.values
     rho = spearmanr(w, p).statistic
 
     elapsed = _deadline(8, started, 60.0)

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from nearscat import bayes, born, sampling, specfun
+from nearscat import bayes, born, sampling
 from nearscat.cli import PRESETS, main, run, validate_config
 from nearscat.errors import ConfigError
 from nearscat.fields import read_field_csv
+from nearscat.geometry import make_grid
 
 
 def small_music_config():
@@ -172,18 +173,24 @@ def test_preset_with_seed_override(tmp_path):
 
 
 def test_steering_matrix_built_once_per_run(tmp_path, monkeypatch):
-    # FM and MLSM sample the same grid, so they must share one steering build
-    original = specfun.fundamental_solution_many
-    grid_sizes = []
+    # every grid point's steering vector is built once, in one block, and
+    # FM and MLSM share it
+    original = sampling.fundamental_solution_many
+    for preset in ("figure1", "figure6"):
+        blocks = []
 
-    def counting(k, points_x, points_y):
-        grid_sizes.append(len(points_y))
-        return original(k, points_x, points_y)
+        def recording(k, points_x, points_y):
+            blocks.append(np.array(points_y))
+            return original(k, points_x, points_y)
 
-    for module in (specfun, sampling, born, bayes):
-        monkeypatch.setattr(module, "fundamental_solution_many", counting)
-    run(preset="figure6", out_dir=tmp_path)
-    assert grid_sizes.count(101 * 101) == 1
+        monkeypatch.setattr(sampling, "fundamental_solution_many", recording)
+        run(preset=preset, out_dir=tmp_path / preset)
+        g = PRESETS[preset]["grid"]
+        grid = make_grid(g["bounds"], g["nx"], g["ny"])
+        covered = np.concatenate(blocks)
+        assert sum(map(len, blocks)) == len(grid.points)
+        assert len(np.unique(covered, axis=0)) == len(grid.points)
+        assert np.array_equal(np.unique(covered, axis=0), np.unique(grid.points, axis=0))
 
 
 def test_preset_override_merges_nested_objects(tmp_path):
@@ -410,6 +417,62 @@ def test_main_bad_nested_value_exit_2(tmp_path, capsys, preset, path, value):
     err_lines = captured.err.splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "preset, path, value",
+    [
+        ("figure1", "grid.nx", 1),
+        ("figure6", "grid.ny", 1),
+        ("figure1", "k", 0),
+        ("figure6", "k", -1),
+        ("figure1", "sensors.count", 0),
+        ("figure1", "sensors.radius", 0),
+        ("figure1", "sensors.radius", -1),
+        ("figure6", "regime", "foo"),
+        ("figure7", "filter", {"kind": "bar", "eps": 1}),
+        ("figure6", "filter", {"kind": "tikhonov", "eps": 0}),
+        ("figure6", "filter", {"kind": "cutoff", "eps": -1}),
+    ],
+)
+def test_main_out_of_range_imaging_setting_exit_2(
+    tmp_path, capsys, monkeypatch, preset, path, value
+):
+    def no_phi(*args):
+        raise AssertionError("Phi built before the settings were checked")
+
+    for module in (born, sampling):
+        monkeypatch.setattr(module, "fundamental_solution_many", no_phi)
+    code = _main_on(tmp_path, _edited_preset(preset, path, value))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "preset, override",
+    [
+        # the grid point (1, 0) is the first sensor
+        ("figure1", {"grid": {"bounds": [-1.0, 1.0, -1.0, 1.0], "nx": 5, "ny": 5}}),
+        # k|x - y| beyond MAX_ABS_ARG on the outer grid points
+        ("figure6", {"grid": {"bounds": [-1e3, 1e3, -1e3, 1e3], "nx": 5, "ny": 5}}),
+    ],
+)
+def test_main_phi_error_in_grid_block_exit_3(tmp_path, capsys, monkeypatch, preset, override):
+    monkeypatch.setattr(sampling, "_BLOCK", 4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    out = tmp_path / "out"
+    code = main(["run", "--preset", preset, "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "numerical"
 
 
 def test_seed_override_keeps_the_mode_noise_default(tmp_path):

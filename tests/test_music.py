@@ -9,7 +9,8 @@ from nearscat.errors import DomainError
 from nearscat.fields import local_maxima
 from nearscat.geometry import Ellipse, SamplingGrid, ScattererSpec, constant_index
 from nearscat.music import build_music, music_field
-from nearscat.sampling import SENTINEL_CAP, steering_matrix
+from nearscat.sampling import SENTINEL_CAP
+from nearscat.specfun import fundamental_solution_many
 
 from reference import fundamental_solution
 
@@ -18,12 +19,12 @@ def music_at(model, sensors, k, points):
     """MUSIC indicator at arbitrary points, through the field function."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     grid = SamplingGrid(0.0, 1.0, 0.0, 1.0, len(points), 1, points)
-    return music_field(model, steering_matrix(sensors, k, points), grid).values
+    return music_field(model, sensors, k, grid).values
 
 
 def synthetic_rank_matrix(sensors, k, centers, strengths):
     """Noiseless point-scatterer model N = U S U^T with U of steering vectors."""
-    u = steering_matrix(sensors, k, np.asarray(centers, dtype=float))
+    u = fundamental_solution_many(k, sensors.points, np.asarray(centers, dtype=float))
     s = np.diag(np.asarray(strengths, dtype=complex))
     return MultistaticMatrix(
         data=u @ s @ u.T, sensors=sensors, wavenumber=float(k)
@@ -78,11 +79,11 @@ def test_projector_identity(figure1_scatterers, unit_sensors32):
         assert 1.0 / value == pytest.approx(brute, rel=1e-10)
 
 
-def test_figure1_localization(figure1_scatterers, unit_sensors32, grid101, grid101_phis):
+def test_figure1_localization(figure1_scatterers, unit_sensors32, grid101):
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
     model = build_music(m)
     assert model.rank == 2
-    fld = music_field(model, grid101_phis, grid101)
+    fld = music_field(model, unit_sensors32, 1.0, grid101)
     assert np.all(fld.values >= 0.0)
     pts, _ = local_maxima(fld, top=2)
     cell = 1.8 / 100
@@ -91,10 +92,10 @@ def test_figure1_localization(figure1_scatterers, unit_sensors32, grid101, grid1
         assert err <= cell + 1e-12
 
 
-def test_figure1_noise_robustness(figure1_scatterers, unit_sensors32, grid101, grid101_phis):
+def test_figure1_noise_robustness(figure1_scatterers, unit_sensors32, grid101):
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
-    clean = music_field(build_music(m), grid101_phis, grid101)
-    noisy = music_field(build_music(add_noise(m, 0.05, 7)), grid101_phis, grid101)
+    clean = music_field(build_music(m), unit_sensors32, 1.0, grid101)
+    noisy = music_field(build_music(add_noise(m, 0.05, 7)), unit_sensors32, 1.0, grid101)
     p_clean, _ = local_maxima(clean, top=2)
     p_noisy, _ = local_maxima(noisy, top=2)
     cell = 1.8 / 100
@@ -103,9 +104,9 @@ def test_figure1_noise_robustness(figure1_scatterers, unit_sensors32, grid101, g
         assert err <= 2 * cell + 1e-12
 
 
-def test_figure1_discrimination(figure1_scatterers, unit_sensors32, grid101, grid101_phis):
+def test_figure1_discrimination(figure1_scatterers, unit_sensors32, grid101):
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
-    fld = music_field(build_music(m), grid101_phis, grid101)
+    fld = music_field(build_music(m), unit_sensors32, 1.0, grid101)
     centers = np.array([[-0.5, 0.5], [0.5, -0.5]])
     d = np.minimum(
         np.abs(grid101.points - centers[0]).max(axis=1),
@@ -119,12 +120,12 @@ def test_figure1_discrimination(figure1_scatterers, unit_sensors32, grid101, gri
     assert at_centers >= 100 * np.percentile(far, 95)
 
 
-def test_figure2_argmax(unit_sensors32, grid101, grid101_phis):
+def test_figure2_argmax(unit_sensors32, grid101):
     spec = ScattererSpec(
         Ellipse(center=(0.5, -0.5), a=0.2, b=0.1), constant_index(2.0 + 1.0j)
     )
     m = assemble_multistatic([spec], unit_sensors32, 1.0, 16)
-    fld = music_field(build_music(m), grid101_phis, grid101)
+    fld = music_field(build_music(m), unit_sensors32, 1.0, grid101)
     z = fld.argmax_point()
     cell = 1.8 / 100
     assert np.abs(z - np.array([0.5, -0.5])).max() <= cell + 1e-12

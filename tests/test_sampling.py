@@ -7,34 +7,36 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from nearscat import sampling
 from nearscat.errors import DegenerateSpectrumError, DomainError
-from nearscat.geometry import SamplingGrid, make_sensor_array
+from nearscat.geometry import make_sensor_array
 from nearscat.linalg import hermitian_eig, sqrt_op_apply
 from nearscat.sampling import (
     SENTINEL_CAP,
     FilterSpec,
     PicardData,
     cutoff_at_rank,
+    _indicator_block,
     filter_value,
-    fm_field,
     fm_mlsm_equivalence_check,
+    fm_mlsm_fields,
     make_picard_data,
-    mlsm_field,
-    steering_matrix,
+    picard_weights,
 )
 from nearscat.specfun import fundamental_solution_many
 
 from reference import fundamental_solution
 
 
-def point_grid(n):
-    """A grid label for n arbitrary sampling points (fields only carry it)."""
-    return SamplingGrid(0.0, 1.0, 0.0, 1.0, n, 1, np.zeros((n, 2)))
+FM, MLSM = 0, 1  # rows of picard_weights
 
 
-def field_at(field_fn, data, phis, *args):
-    """Field values for explicit steering columns phis (one per point)."""
-    return field_fn(data, phis, point_grid(phis.shape[1]), *args).values
+def field_at(row, data, phis, f=None):
+    """FM or MLSM values for explicit steering columns phis (one per point),
+    through the per-block kernel of the grid pipeline; the MLSM filter
+    defaults to the rank cutoff, as in fm_mlsm_fields."""
+    weights = picard_weights(data, cutoff_at_rank(data) if f is None else f)
+    return _indicator_block(data.eigenvectors.conj().T, weights, phis)[row]
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +46,7 @@ def field_at(field_fn, data, phis, *args):
 def test_steering_matrix_matches_phi():
     sensors = make_sensor_array(64, 2.0)
     zs = np.array([[0.0, 0.0], [0.3, -0.4], [0.2, -0.3], [-1.1, 0.6]])
-    phis = steering_matrix(sensors, 1.0, zs)
+    phis = fundamental_solution_many(1.0, sensors.points, zs)
     assert phis.shape == (64, 4)
     assert np.allclose(phis[:, 0], phis[0, 0])  # radial symmetry at the origin
     for j, z in enumerate(zs):
@@ -52,6 +54,29 @@ def test_steering_matrix_matches_phi():
             assert phis[i, j] == pytest.approx(
                 fundamental_solution(1.0, sensors.points[i], z), rel=1e-14
             )
+
+
+@pytest.mark.parametrize("block", [1, 7, 16, 1024, 10201])
+def test_blocked_pipeline_matches_single_shot(
+    monkeypatch, fig6_picard, disk_sensors64, disk_grid101, block
+):
+    # 101^2 points are not a multiple of any block here but the last
+    weights = picard_weights(fig6_picard, cutoff_at_rank(fig6_picard))
+    phis = fundamental_solution_many(1.0, disk_sensors64.points, disk_grid101.points)
+    single = _indicator_block(fig6_picard.eigenvectors.conj().T, weights, phis)
+    exact = block in (sampling._BLOCK, len(disk_grid101.points))
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    blocked = sampling.grid_indicators(
+        fig6_picard.eigenvectors, weights, disk_sensors64, 1.0, disk_grid101.points
+    )
+    if exact:
+        # the shipped block size and a single block give byte-identical output
+        assert np.array_equal(blocked, single)
+    else:
+        # other sizes may cut the projection at a different BLAS kernel edge
+        # (OpenBLAS zgemm unrolls 4 columns), which rounds differently; the
+        # Picard sums amplify that to a few 1e-12
+        np.testing.assert_allclose(blocked, single, rtol=1e-11, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +176,7 @@ def moderate_tikhonov(data):
 def test_picard_single_mode_gives_lambda():
     data = diag_data([4.0, 2.0])
     phi = np.array([[1.0], [0.0]], dtype=complex)
-    assert field_at(fm_field, data, phi)[0] == pytest.approx(4.0)
+    assert field_at(FM, data, phi)[0] == pytest.approx(4.0)
 
 
 def test_picard_orthogonal_hits_cap():
@@ -160,14 +185,14 @@ def test_picard_orthogonal_hits_cap():
         eigenvectors=np.array([[1.0], [0.0]], dtype=complex),
     )
     phi = np.array([[0.0], [1.0]], dtype=complex)
-    assert field_at(fm_field, data, phi)[0] == SENTINEL_CAP
-    assert field_at(mlsm_field, data, phi)[0] == SENTINEL_CAP
+    assert field_at(FM, data, phi)[0] == SENTINEL_CAP
+    assert field_at(MLSM, data, phi)[0] == SENTINEL_CAP
 
 
 def test_fm_field_matches_explicit_picard_sum(fig6_picard, disk_sensors64):
     zs = [[0.3, -0.2], [0.0, 0.0], [1.1, -0.4], [1.5, 0.3]]
     phis = disk_phis(disk_sensors64, zs)
-    values = field_at(fm_field, fig6_picard, phis)
+    values = field_at(FM, fig6_picard, phis)
     for j in range(len(zs)):
         picard = sum(
             fig6_picard.weight * abs(np.vdot(psi, phis[:, j])) ** 2 / lam
@@ -185,9 +210,9 @@ def test_picard_phase_invariance(fig6_picard, disk_sensors64):
         eigenvectors=fig6_picard.eigenvectors * phases[None, :],
         weight=fig6_picard.weight,
     )
-    for field_fn in (fm_field, mlsm_field):
-        base = field_at(field_fn, fig6_picard, phis)
-        assert field_at(field_fn, twisted, phis) == pytest.approx(base, rel=1e-12)
+    for row in (FM, MLSM):
+        base = field_at(row, fig6_picard, phis)
+        assert field_at(row, twisted, phis) == pytest.approx(base, rel=1e-12)
 
 
 def test_scaling_covariance(fig6_picard, disk_sensors64):
@@ -197,8 +222,8 @@ def test_scaling_covariance(fig6_picard, disk_sensors64):
         eigenvectors=fig6_picard.eigenvectors,
         weight=fig6_picard.weight,
     )
-    assert field_at(fm_field, scaled, phis)[0] == pytest.approx(
-        3.0 * field_at(fm_field, fig6_picard, phis)[0], rel=1e-12
+    assert field_at(FM, scaled, phis)[0] == pytest.approx(
+        3.0 * field_at(FM, fig6_picard, phis)[0], rel=1e-12
     )
 
 
@@ -213,7 +238,7 @@ def test_mlsm_solve_regularization_consistency():
     g = explicit_mlsm_solve(data, phi, f)
     nsharp_mat = explicit_nsharp(data)
     assert np.linalg.norm(nsharp_mat @ g - phi) <= 1e-6 * np.linalg.norm(phi)
-    p = field_at(mlsm_field, data, phi[:, None], f)[0]
+    p = field_at(MLSM, data, phi[:, None], f)[0]
     assert p == pytest.approx(1.0 / np.vdot(g, nsharp_mat @ g).real, rel=1e-12)
 
 
@@ -223,7 +248,7 @@ def test_mlsm_solve_single_mode_cutoff():
     f = FilterSpec(kind="cutoff", eps=2.0)  # retains mode 1 only
     assert np.allclose(explicit_mlsm_solve(data, phi[:, 0], f), phi[:, 0] / 2.0)
     # (N_sharp g, g) = 2 * |1/2|^2
-    assert field_at(mlsm_field, data, phi, f)[0] == pytest.approx(2.0)
+    assert field_at(MLSM, data, phi, f)[0] == pytest.approx(2.0)
 
 
 def test_half_power_identity_against_sqrt_oracle(fig6_picard, disk_sensors64):
@@ -231,7 +256,7 @@ def test_half_power_identity_against_sqrt_oracle(fig6_picard, disk_sensors64):
     zs = [[0.3, -0.2], [0.0, 0.0], [1.1, -0.4], [1.5, 0.3]]
     phis = disk_phis(disk_sensors64, zs)
     f = moderate_tikhonov(fig6_picard)
-    values = field_at(mlsm_field, fig6_picard, phis, f)
+    values = field_at(MLSM, fig6_picard, phis, f)
     eig = hermitian_eig(explicit_nsharp(fig6_picard))
     for j in range(len(zs)):
         g = explicit_mlsm_solve(fig6_picard, phis[:, j], f)
@@ -241,15 +266,15 @@ def test_half_power_identity_against_sqrt_oracle(fig6_picard, disk_sensors64):
 
 def test_mlsm_indicators_zero_vector(fig6_picard):
     zero = np.zeros((64, 1), dtype=complex)
-    assert field_at(mlsm_field, fig6_picard, zero)[0] == SENTINEL_CAP
-    assert field_at(fm_field, fig6_picard, zero)[0] == SENTINEL_CAP
+    assert field_at(MLSM, fig6_picard, zero)[0] == SENTINEL_CAP
+    assert field_at(FM, fig6_picard, zero)[0] == SENTINEL_CAP
 
 
 def test_mlsm_indicators_identity(fig6_picard, disk_sensors64):
     zs = [[0.2, 0.1], [-0.6, 0.4], [1.4, -0.7]]
     phis = disk_phis(disk_sensors64, zs)
     f = moderate_tikhonov(fig6_picard)
-    values = field_at(mlsm_field, fig6_picard, phis, f)
+    values = field_at(MLSM, fig6_picard, phis, f)
     nsharp_mat = explicit_nsharp(fig6_picard)
     for j in range(len(zs)):
         g = explicit_mlsm_solve(fig6_picard, phis[:, j], f)
@@ -314,7 +339,7 @@ def test_cutoff_bracketing_exact(fig6_picard, disk_sensors64):
     terms = fig6_picard.weight * np.abs(c) ** 2 / lam
     for eps in (1e-2, 1e-5, 1e-8):
         m = int(np.count_nonzero(lam**2 > eps))
-        p = field_at(mlsm_field, fig6_picard, phi[:, None], FilterSpec(kind="cutoff", eps=eps))
+        p = field_at(MLSM, fig6_picard, phi[:, None], FilterSpec(kind="cutoff", eps=eps))
         assert 1.0 / p[0] == pytest.approx(np.sum(terms[:m]), rel=1e-12, abs=1e-15)
 
 
@@ -330,8 +355,8 @@ def jaccard_of(field_values, grid):
     return np.sum(pred & inside) / np.sum(pred | inside)
 
 
-def test_figure6_fm_classification(fig6_picard, disk_grid101_phis, disk_grid101):
-    fld = fm_field(fig6_picard, disk_grid101_phis, disk_grid101)
+def test_figure6_fm_classification(fig6_fields, disk_grid101):
+    fld = fig6_fields[FM]
     assert jaccard_of(fld.values, disk_grid101) >= 0.5
     r = np.hypot(disk_grid101.points[:, 0], disk_grid101.points[:, 1])
     core = fld.values[r <= 0.8].mean()
@@ -339,8 +364,8 @@ def test_figure6_fm_classification(fig6_picard, disk_grid101_phis, disk_grid101)
     assert core >= 10 * annulus
 
 
-def test_figure6_mlsm_classification(fig6_picard, disk_grid101_phis, disk_grid101):
-    fld = mlsm_field(fig6_picard, disk_grid101_phis, disk_grid101)
+def test_figure6_mlsm_classification(fig6_fields, disk_grid101):
+    fld = fig6_fields[MLSM]
     assert jaccard_of(fld.values, disk_grid101) >= 0.5
     r = np.hypot(disk_grid101.points[:, 0], disk_grid101.points[:, 1])
     core = fld.values[r <= 0.8].mean()
@@ -348,8 +373,8 @@ def test_figure6_mlsm_classification(fig6_picard, disk_grid101_phis, disk_grid10
     assert core >= 10 * annulus
 
 
-def test_figure7_absorbing_classification(fig7_picard, disk_grid101_phis, disk_grid101):
-    fld = fm_field(fig7_picard, disk_grid101_phis, disk_grid101)
+def test_figure7_absorbing_classification(fig7_picard, disk_sensors64, disk_grid101):
+    fld = fm_mlsm_fields(fig7_picard, disk_sensors64, 1.0, disk_grid101)[FM]
     assert jaccard_of(fld.values, disk_grid101) >= 0.5
 
 
@@ -357,11 +382,11 @@ def test_figure7_interior_solution_finite(fig7_picard, disk_sensors64):
     phis = disk_phis(disk_sensors64, [0.2, -0.1])
     g = explicit_mlsm_solve(fig7_picard, phis[:, 0], cutoff_at_rank(fig7_picard))
     assert np.all(np.isfinite(g))
-    p = field_at(mlsm_field, fig7_picard, phis)[0]
+    p = field_at(MLSM, fig7_picard, phis)[0]
     assert np.isfinite(p) and 0.0 < p < SENTINEL_CAP
 
 
-def test_w_p_spearman_equivalence(fig6_picard, disk_grid101_phis, disk_grid101):
-    w = fm_field(fig6_picard, disk_grid101_phis, disk_grid101).values
-    p = mlsm_field(fig6_picard, disk_grid101_phis, disk_grid101).values
+def test_w_p_spearman_equivalence(fig6_fields):
+    w = fig6_fields[FM].values
+    p = fig6_fields[MLSM].values
     assert spearmanr(w, p).statistic >= 0.9
