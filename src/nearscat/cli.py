@@ -1,13 +1,17 @@
 """Configuration-driven experiment runner.
 
-A run is described by a single JSON file (schema below, unknown keys
-rejected), or by a named preset mirroring the standard experiment
-configurations; `--config` on top of `--preset` merges in overrides.
+A run is described by a single JSON file, or by a named preset mirroring the
+standard experiment configurations; `--config` on top of `--preset` merges
+in overrides.  The schema is the per-mode table `MODES` below: every key a
+mode reads, its reader (type and the ranges no library object checks) and
+its default; unknown keys are rejected.  `validate_config` turns a config
+into typed run inputs before any numerics run.
 
 Outputs per run: field.csv + field.pgm + manifest.json (reconstruction
 modes; disk modes additionally write the companion indicator), or
 chain.csv + summary.json + manifest.json (bayes mode).  Exit codes:
-0 success, 2 configuration error, 3 numerical error.
+0 success, 2 configuration error, 3 numerical error, each error with one
+JSON line on stderr.
 """
 
 import argparse
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import bayes as bayes_mod
 from . import disk as disk_mod
-from .born import add_noise, assemble_multistatic
+from .born import DEFAULT_RULE_ORDER, add_noise, assemble_multistatic
 from .errors import ConfigError, DomainError, NearscatError
 from .fields import write_chain_csv, write_field_csv, write_field_pgm
 from .geometry import (
@@ -32,6 +36,7 @@ from .geometry import (
     constant_index,
     make_grid,
     make_sensor_array,
+    quadrature_order,
 )
 from .linalg import REGIMES, nsharp
 from .music import build_music, music_field
@@ -155,84 +160,125 @@ PRESETS["figure5"]["bayes"]["support"] = {
 
 
 # ---------------------------------------------------------------------------
-# Config parsing / validation
+# Config schema: one table per mode.  A row is key: (reader, default).  The
+# reader turns the JSON value at a dotted path into its typed value or
+# raises ConfigError.  An absent or null key is read from its default, which
+# is written like a config value; a default of ... marks a required key and
+# None passes through.  Ranges that a library object checks (make_grid,
+# make_sensor_array, FilterSpec, ScattererSpec, DiskMedium, BayesModel, the
+# quadrature order) are left to it; the readers check only the others.
+
+# Size caps, checked before anything is allocated: 2048² grid points, 1024
+# sensors or quadrature points, 10⁷ MH steps.
+MAX_GRID_POINTS = 2048 * 2048
+MAX_SENSORS = 1024
+MAX_ITERATIONS = 10**7
 
 
-def _require_keys(d, allowed, context, required=()):
-    """d must be an object with keys from `allowed` that has every `required` key."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{context} must be an object, got {d!r}")
-    unknown = set(d) - set(allowed)
+def _check(ok, path, what, value):
+    """value, if ok; otherwise a ConfigError saying what path must be."""
+    if not ok:
+        raise ConfigError(f"{path} must be {what}, got {value!r}")
+    return value
+
+
+def _any(value, path):
+    return value
+
+
+def _text(value, path):
+    return _check(isinstance(value, str), path, "a string", value)
+
+
+def _real(value, path):
+    # type(), not isinstance(): JSON true/false are no numbers; NaN fails the bound
+    ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return float(_check(ok, path, "a finite number", value))
+
+
+def _int(value, path):
+    ok = type(value) is int or type(value) is float and value.is_integer()
+    return int(_check(ok, path, "an integer", value))
+
+
+def _where(reader, ok, what):
+    """The reader, then the range check ok(typed value)."""
+
+    def read(value, path):
+        typed = reader(value, path)
+        return _check(ok(typed), path, what, typed)
+
+    return read
+
+
+def _reals(length, what):
+    """Reader of a list of finite numbers, of the given length unless None."""
+
+    def read(value, path):
+        _check(isinstance(value, list) and length in (None, len(value)), path, what, value)
+        return tuple(_real(x, path) for x in value)
+
+    return read
+
+
+_point = _reals(2, "a point [x, y]")
+_re_im = _reals(2, "a number or [re, im]")
+
+
+def _complex(value, path):
+    return complex(*_re_im(value, path)) if isinstance(value, list) else complex(_real(value, path))
+
+
+def _read(obj, table, path):
+    """The typed values of an object's keys, in table order."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'config'} must be an object, got {obj!r}")
+    unknown = set(obj) - set(table)
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
-    missing = [key for key in required if key not in d]
-    if missing:
-        raise ConfigError(f"{context} needs key(s) {missing}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path or 'config'}")
+    out = {}
+    for key, (reader, default) in table.items():
+        where = f"{path}.{key}" if path else key
+        value = default if obj.get(key) is None else obj[key]
+        if value is ...:
+            raise ConfigError(f"{where} is required")
+        out[key] = None if value is None else reader(value, where)
+    return out
 
 
-def _cast(value, cast, context):
-    """cast(value); a value it rejects is a ConfigError naming `context`."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{context}: expected a number, got {value!r}") from None
+def _object(table, build=None):
+    """Reader of an object: build(*values in table order), or the values by key."""
+
+    def read(value, path):
+        fields = _read(value, table, path)
+        return fields if build is None else build(*fields.values())
+
+    return read
 
 
-def _complex_of(v, context):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(_cast(v[0], float, context), _cast(v[1], float, context))
-    raise ConfigError(f"{context}: expected number or [re, im], got {v!r}")
+def _variant(tag, variants):
+    """Reader of an object whose `tag` key picks its (table, build) in variants."""
+
+    def read(value, path):
+        kind = value.get(tag) if isinstance(value, dict) else None
+        ok = isinstance(kind, str) and kind in variants
+        _check(ok, f"{path}.{tag}", f"one of {sorted(variants)}", kind)
+        rest = {key: val for key, val in value.items() if key != tag}
+        return _object(*variants[kind])(rest, path)
+
+    return read
 
 
-def _point_of(v, context):
-    if not (isinstance(v, list) and len(v) == 2):
-        raise ConfigError(f"{context}: expected a point [x, y], got {v!r}")
-    return (_cast(v[0], float, context), _cast(v[1], float, context))
+def _list_of(reader):
+    def read(value, path):
+        _check(isinstance(value, list) and value, path, "a nonempty list", value)
+        return [reader(item, f"{path}.{i}") for i, item in enumerate(value)]
+
+    return read
 
 
-SHAPE_KEYS = {
-    "disk": ("center", "radius"),
-    "ellipse": ("center", "a", "b"),
-    "rectangle": ("corner_min", "corner_max"),
-}
-
-
-def _shape_of(d, context):
-    t = d.get("type") if isinstance(d, dict) else None
-    if not isinstance(t, str) or t not in SHAPE_KEYS:
-        raise ConfigError(
-            f"{context}: shape must be an object with a 'type' in {sorted(SHAPE_KEYS)}"
-        )
-    _require_keys(d, {"type", *SHAPE_KEYS[t]}, context, SHAPE_KEYS[t])
-    if t == "disk":
-        return Disk(center=_point_of(d["center"], f"{context}.center"),
-                    radius=_cast(d["radius"], float, f"{context}.radius"))
-    if t == "ellipse":
-        return Ellipse(center=_point_of(d["center"], f"{context}.center"),
-                       a=_cast(d["a"], float, f"{context}.a"),
-                       b=_cast(d["b"], float, f"{context}.b"))
-    return Rectangle(corner_min=_point_of(d["corner_min"], f"{context}.corner_min"),
-                     corner_max=_point_of(d["corner_max"], f"{context}.corner_max"))
-
-
-INDEX_KEYS = {"constant": ("value",), "poly_x1": ("coeffs",)}
-
-
-def _index_of(d, context):
-    context = f"{context}.index"
-    kind = d.get("kind") if isinstance(d, dict) else None
-    if not isinstance(kind, str) or kind not in INDEX_KEYS:
-        raise ConfigError(
-            f"{context}: index must be an object with a 'kind' in {sorted(INDEX_KEYS)}"
-        )
-    _require_keys(d, {"kind", "value", "coeffs"}, context, INDEX_KEYS[kind])
-    if kind == "constant":
-        return constant_index(_complex_of(d["value"], f"{context}.value"))
-    if not isinstance(d["coeffs"], list):
-        raise ConfigError(f"{context}.coeffs: expected a list, got {d['coeffs']!r}")
-    coeffs = [_cast(c, float, f"{context}.coeffs") for c in d["coeffs"]]
+def _poly_x1(coeffs):
+    """Index function n(x) = sum_p coeffs[p] x1^p."""
 
     def fn(x1, x2):
         out = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
@@ -243,120 +289,137 @@ def _index_of(d, context):
     return fn
 
 
-def _scatterers_of(cfg):
-    if not isinstance(cfg["scatterers"], list):
-        raise ConfigError("scatterers must be a list")
-    specs = []
-    for i, s in enumerate(cfg["scatterers"]):
-        ctx = f"scatterers[{i}]"
-        _require_keys(s, {"shape", "index", "epsilon_scale"}, ctx, ("shape", "index"))
-        specs.append(
-            ScattererSpec(
-                shape=_shape_of(s["shape"], ctx),
-                index_fn=_index_of(s["index"], ctx),
-                epsilon_scale=_cast(s.get("epsilon_scale", 1.0), float, f"{ctx}.epsilon_scale"),
-            )
-        )
-    return specs
+def _grid(bounds, nx, ny):
+    _check(nx * ny <= MAX_GRID_POINTS, "grid.nx * grid.ny", f"at most {MAX_GRID_POINTS}", nx * ny)
+    return make_grid(bounds, nx, ny)
 
 
-def _noise_of(cfg, default_delta):
-    """(delta, seed) of the noise settings; the seed is required when delta > 0."""
-    noise = cfg.get("noise", {"delta": default_delta, "seed": 0})
-    _require_keys(noise, {"delta", "seed"}, "noise")
-    delta = _cast(noise.get("delta", default_delta), float, "noise.delta")
-    if delta > 0.0 and "seed" not in noise:
-        raise ConfigError("noise.seed is required when noise.delta > 0")
-    seed = _cast(noise.get("seed", 0), int, "noise.seed")
-    if seed < 0:
-        raise ConfigError(f"noise.seed must be nonnegative, got {seed}")
-    return delta, seed
+_sensor_count = _where(_int, lambda n: n <= MAX_SENSORS, f"at most {MAX_SENSORS}")
+_shape = _variant("type", {
+    "disk": ({"center": (_point, ...), "radius": (_real, ...)}, Disk),
+    "ellipse": ({"center": (_point, ...), "a": (_real, ...), "b": (_real, ...)}, Ellipse),
+    "rectangle": ({"corner_min": (_point, ...), "corner_max": (_point, ...)}, Rectangle),
+})
+_index = _variant("kind", {
+    "constant": ({"value": (_complex, ...)}, constant_index),
+    "poly_x1": ({"coeffs": (_reals(None, "a list of numbers"), ...)}, _poly_x1),
+})
+_scatterers = _list_of(_object(
+    {"shape": (_shape, ...), "index": (_index, ...), "epsilon_scale": (_real, 1.0)},
+    ScattererSpec,
+))
+_sensors = _object({"count": (_sensor_count, ...), "radius": (_real, ...)}, make_sensor_array)
+_sampling_grid = _object({
+    "bounds": (_reals(4, "[xmin, xmax, ymin, ymax]"), ...), "nx": (_int, ...), "ny": (_int, ...),
+}, _grid)
+_nonnegative_int = _where(_int, lambda n: n >= 0, "nonnegative")
 
 
-# Keys each runner reads without a default; a dot steps into a nested object.
-_GRID_KEYS = ("grid.bounds", "grid.nx", "grid.ny")
-_SENSOR_KEYS = ("sensors.count", "sensors.radius")
-_DISK_KEYS = ("disk_medium.a", "disk_medium.n", *_GRID_KEYS)
-REQUIRED_KEYS = {
-    "born-music": (*_SENSOR_KEYS, "scatterers", *_GRID_KEYS),
-    "disk-fm": _DISK_KEYS,
-    "disk-mlsm": _DISK_KEYS,
-    "bayes": (*_SENSOR_KEYS, "scatterers", "bayes.support"),
+def _noise(default_delta):
+    """Reader of a noise block as (delta, seed); the seed is required when delta > 0."""
+    table = {
+        "delta": (_where(_real, lambda d: d >= 0.0, "nonnegative"), default_delta),
+        "seed": (_nonnegative_int, None),
+    }
+
+    def read(value, path):
+        delta, seed = _read(value, table, path).values()
+        _check(seed is not None or delta == 0.0, f"{path}.seed", "given when delta > 0", seed)
+        return delta, seed or 0
+
+    return read
+
+
+_COMMON = {
+    "mode": (_any, ...),
+    "k": (_where(_real, lambda k: k > 0.0, "positive"), 1.0),
+    "output_dir": (_text, "out"),
+}
+_SCATTERING = {
+    **_COMMON,
+    "sensors": (_sensors, ...),
+    "scatterers": (_scatterers, ...),
+    "rule_order": (lambda value, path: quadrature_order(_int(value, path)), DEFAULT_RULE_ORDER),
+}
+_DISK = {
+    **_COMMON,
+    "disk_medium": (_object({"a": (_complex, ...), "n": (_complex, ...)}), ...),
+    "regime": (_where(_any, lambda r: r in REGIMES, f"one of {list(REGIMES)}"), "nonabsorbing"),
+    "truncation": (_nonnegative_int, 20),
+    "quad_points": (_sensor_count, 64),
+    "grid": (_sampling_grid, ...),
+    "filter": (_object({"kind": (_any, ...), "eps": (_real, ...), "a": (_real, None)},
+                       FilterSpec), None),
+}
+MODES = {
+    "born-music": {
+        **_SCATTERING,
+        "grid": (_sampling_grid, ...),
+        "noise": (_noise(0.0), {"seed": 0}),
+        "rank_override": (_int, None),
+    },
+    "disk-fm": _DISK,
+    "disk-mlsm": _DISK,
+    "bayes": {
+        **_SCATTERING,
+        "noise": (_noise(0.15), {"seed": 0}),
+        # None leaves a setting to make_bayes_model / BayesModel
+        "bayes": (_object({
+            "support": (_shape, ...),
+            "rule_order": (_int, None),
+            "h": (_real, None),
+            "prior_sd": (_real, None),
+            "proposal_sd_gamma": (_real, None),
+            "proposal_sd_eta": (_real, None),
+            "iterations": (_where(_int, lambda n: n <= MAX_ITERATIONS,
+                                  f"at most {MAX_ITERATIONS}"), None),
+            "burn_in": (_int, None),
+            "thinning": (_int, None),
+            "seed": (_int, None),
+        }), ...),
+    },
 }
 
-TOP_KEYS = {
-    "mode",
-    "k",
-    "sensors",
-    "scatterers",
-    "rule_order",
-    "grid",
-    "noise",
-    "rank_override",
-    "disk_medium",
-    "regime",
-    "truncation",
-    "quad_points",
-    "filter",
-    "bayes",
-    "output_dir",
-}
 
-
-def _has_key(cfg, dotted):
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return False
-        node = node[part]
-    return True
+def _mode_of(cfg):
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    mode = cfg.get("mode")
+    return _check(isinstance(mode, str) and mode in MODES, "mode", f"one of {sorted(MODES)}", mode)
 
 
 def validate_config(cfg):
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(cfg, TOP_KEYS, "config")
-    mode = cfg.get("mode")
-    if not isinstance(mode, str) or mode not in REQUIRED_KEYS:
-        raise ConfigError(f"unknown mode {mode!r}")
-    missing = [key for key in REQUIRED_KEYS[mode] if not _has_key(cfg, key)]
-    if missing:
-        raise ConfigError(f"mode {mode!r} needs key(s) {missing}")
-    if mode in ("disk-fm", "disk-mlsm"):
-        _disk_sizes(cfg)
-    return cfg
-
-
-def _disk_sizes(cfg):
-    """(truncation, quad_points) of a disk config, checked against each other."""
-    m = _cast(cfg.get("truncation", 20), int, "truncation")
-    q = _cast(cfg.get("quad_points", 64), int, "quad_points")
-    if m < 0:
-        raise ConfigError(f"truncation must be nonnegative, got {m}")
-    if q < 2 * m + 2:
-        raise ConfigError(
-            f"quad_points = {q} cannot resolve truncation {m}; need >= {2 * m + 2}"
-        )
-    return m, q
+    """The typed run inputs of a config, keyed like its settings: the
+    sensors, grid, scatterers, filter, disk medium and Bayes model are built,
+    noise is (delta, seed), and every range is checked, before any numerics.
+    Raises ConfigError."""
+    mode = _mode_of(cfg)
+    try:
+        s = _read(cfg, MODES[mode], "")
+        if mode == "born-music":
+            rank, count = s["rank_override"], s["sensors"].count
+            _check(rank is None or 0 <= rank <= count, "rank_override",
+                   f"in [0, sensors.count = {count}]", rank)
+        elif mode == "bayes":
+            delta = s["noise"][0]
+            _check(delta > 0.0, "noise.delta", "positive: the likelihood needs noise", delta)
+            settings = {key: val for key, val in s["bayes"].items() if val is not None}
+            model = bayes_mod.make_bayes_model(settings.pop("support"), s["k"], **settings)
+            _check(model.kept >= 2, "bayes.thinning",
+                   f"small enough to keep 2 draws after burn-in (keeps {model.kept})", model.thinning)
+            s["bayes"] = model
+        else:
+            m, q = s["truncation"], s["quad_points"]
+            _check(q >= 2 * m + 2, "quad_points", f">= 2 * truncation + 2 = {2 * m + 2}", q)
+            s["disk_medium"] = disk_mod.DiskMedium(**s["disk_medium"], k=s["k"])
+            s["sensors"] = make_sensor_array(q, disk_mod.SENSOR_RADIUS)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    return s
 
 
 # ---------------------------------------------------------------------------
-# Runners
-
-
-def _grid_of(cfg):
-    g = cfg["grid"]
-    _require_keys(g, {"bounds", "nx", "ny"}, "grid")
-    if not (isinstance(g["bounds"], list) and len(g["bounds"]) == 4):
-        raise ConfigError(
-            f"grid.bounds: expected [xmin, xmax, ymin, ymax], got {g['bounds']!r}"
-        )
-    bounds = tuple(_cast(b, float, "grid.bounds") for b in g["bounds"])
-    nx, ny = _cast(g["nx"], int, "grid.nx"), _cast(g["ny"], int, "grid.ny")
-    try:
-        return make_grid(bounds, nx, ny)
-    except DomainError as exc:
-        raise ConfigError(f"grid: {exc}") from None
+# Runners: numerics and export of validated inputs
 
 
 def export_field(fld, out_dir, stem="field"):
@@ -367,139 +430,44 @@ def export_field(fld, out_dir, stem="field"):
 
 
 def _write_manifest(out_dir, cfg, t0):
-    manifest = {
-        "config": cfg,
-        "git_describe": None,
-        "wall_time_s": time.monotonic() - t0,
-    }
+    manifest = {"config": cfg, "wall_time_s": time.monotonic() - t0}
     with open(Path(out_dir) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
 
 
-def _sensors_of(cfg):
-    s = cfg["sensors"]
-    count = _cast(s["count"], int, "sensors.count")
-    radius = _cast(s["radius"], float, "sensors.radius")
-    try:
-        return make_sensor_array(count, radius)
-    except DomainError as exc:
-        raise ConfigError(f"sensors: {exc}") from None
-
-
-def _wavenumber_of(cfg):
-    k = _cast(cfg.get("k", 1.0), float, "k")
-    if not k > 0.0:
-        raise ConfigError(f"k must be positive, got {k}")
-    return k
-
-
-def _filter_of(cfg):
-    """The MLSM filter of a disk config; None selects the rank cutoff."""
-    fdict = cfg.get("filter")
-    if not fdict:
-        return None
-    _require_keys(fdict, {"kind", "eps", "a"}, "filter", ("kind",))
-    try:
-        return FilterSpec(
-            kind=fdict["kind"], eps=_cast(fdict.get("eps"), float, "filter.eps"),
-            a=_cast(fdict["a"], float, "filter.a") if fdict.get("a") is not None else None,
-        )
-    except DomainError as exc:
-        raise ConfigError(f"filter: {exc}") from None
-
-
-def _run_born_music(cfg, out_dir):
-    sensors = _sensors_of(cfg)
-    k = _wavenumber_of(cfg)
-    grid = _grid_of(cfg)
-    specs = _scatterers_of(cfg)
-    rule_order = _cast(cfg.get("rule_order", 16), int, "rule_order")
-    matrix = assemble_multistatic(specs, sensors, k, rule_order)
-    delta, seed = _noise_of(cfg, 0.0)
-    if delta > 0.0:
-        matrix = add_noise(matrix, delta, seed)
-    rank = cfg.get("rank_override")
-    model = build_music(
-        matrix, rank_override=None if rank is None else _cast(rank, int, "rank_override")
+def _run_born_music(s, out_dir):
+    matrix = add_noise(
+        assemble_multistatic(s["scatterers"], s["sensors"], s["k"], s["rule_order"]),
+        *s["noise"],
     )
-    fld = music_field(model, sensors, k, grid)
-    export_field(fld, out_dir)
+    model = build_music(matrix, rank_override=s["rank_override"])
+    export_field(music_field(model, s["sensors"], s["k"], s["grid"]), out_dir)
     return {"rank": model.rank}
 
 
-def _run_disk(cfg, out_dir):
-    dm = cfg["disk_medium"]
-    _require_keys(dm, {"a", "n"}, "disk_medium")
-    medium = disk_mod.DiskMedium(
-        a=_complex_of(dm["a"], "disk_medium.a"),
-        n=_complex_of(dm["n"], "disk_medium.n"),
-        k=_wavenumber_of(cfg),
-    )
-    m, q = _disk_sizes(cfg)
-    regime = cfg.get("regime", "nonabsorbing")
-    if regime not in REGIMES:
-        raise ConfigError(f"regime must be one of {list(REGIMES)}, got {regime!r}")
-    grid = _grid_of(cfg)
-    filt = _filter_of(cfg)
-    matrix = disk_mod.assemble_nearfield_matrix(medium, m, q)
+def _run_disk(s, out_dir):
+    sensors = s["sensors"]
+    matrix = disk_mod.assemble_nearfield_matrix(s["disk_medium"], s["truncation"], sensors.count)
     data = make_picard_data(
-        nsharp(matrix, regime), weight=2.0 * np.pi * disk_mod.SENSOR_RADIUS / q
+        nsharp(matrix, s["regime"]), weight=2.0 * np.pi * sensors.radius / sensors.count
     )
-    sensors = make_sensor_array(q, disk_mod.SENSOR_RADIUS)
-    w_field, p_field = fm_mlsm_fields(data, sensors, medium.k, grid, filt)
+    w_field, p_field = fm_mlsm_fields(data, sensors, s["k"], s["grid"], s["filter"])
     primary, companion, stem = (
-        (w_field, p_field, "mlsm") if cfg["mode"] == "disk-fm" else (p_field, w_field, "fm")
+        (w_field, p_field, "mlsm") if s["mode"] == "disk-fm" else (p_field, w_field, "fm")
     )
     export_field(primary, out_dir)
     export_field(companion, out_dir, stem=stem)
     return {"retained_modes": int(data.size)}
 
 
-# Numeric settings of the bayes block; an absent or null one takes the
-# default of make_bayes_model / BayesModel.
-BAYES_SETTINGS = {
-    "rule_order": int,
-    "h": float,
-    "prior_sd": float,
-    "proposal_sd_gamma": float,
-    "proposal_sd_eta": float,
-    "iterations": int,
-    "burn_in": int,
-    "thinning": int,
-    "seed": int,
-}
-
-
-def _run_bayes(cfg, out_dir):
-    sensors = _sensors_of(cfg)
-    specs = _scatterers_of(cfg)
-    k = _wavenumber_of(cfg)
-    delta, seed = _noise_of(cfg, 0.15)
+def _run_bayes(s, out_dir):
+    delta, seed = s["noise"]
     readings = bayes_mod.synthesize_readings(
-        specs, sensors, k,
-        noise_frac=delta,
-        seed=seed,
-        rule_order=_cast(cfg.get("rule_order", 16), int, "rule_order"),
+        s["scatterers"], s["sensors"], s["k"],
+        noise_frac=delta, seed=seed, rule_order=s["rule_order"],
     )
-    bc = cfg["bayes"]
-    _require_keys(bc, {"support", *BAYES_SETTINGS}, "bayes")
-    settings = {
-        key: _cast(bc[key], cast, f"bayes.{key}")
-        for key, cast in BAYES_SETTINGS.items()
-        if bc.get(key) is not None
-    }
-    support = _shape_of(bc["support"], "bayes.support")
-    try:
-        model = bayes_mod.make_bayes_model(support, k, **settings)
-    except DomainError as exc:
-        raise ConfigError(f"bayes: {exc}") from None
-    if model.kept < 2:
-        raise ConfigError(
-            f"bayes.thinning {model.thinning} keeps {model.kept} sample after "
-            "burn-in; the sd needs 2"
-        )
-    summary = bayes_mod.run_mh(model, readings)
+    summary = bayes_mod.run_mh(s["bayes"], readings)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_chain_csv(summary.chain_gamma, summary.chain_logpost, out_dir / "chain.csv")
@@ -513,6 +481,10 @@ def _run_bayes(cfg, out_dir):
         json.dump(stats, fh, indent=2)
         fh.write("\n")
     return stats
+
+
+_RUNNERS = {"born-music": _run_born_music, "disk-fm": _run_disk, "disk-mlsm": _run_disk,
+            "bayes": _run_bayes}
 
 
 def _merge_into(base, override):
@@ -541,21 +513,17 @@ def run(config=None, preset=None, out_dir=None, seed=None):
     else:
         raise ConfigError("either a config or a preset is required")
     if seed is not None:
-        cfg.setdefault("noise", {})
+        table = MODES[_mode_of(cfg)]
+        if "noise" in table and cfg.get("noise") is None:
+            cfg["noise"] = {}
         for block in ("noise", "bayes"):
-            if isinstance(cfg.get(block), dict):  # anything else fails validation
+            if block in table and isinstance(cfg.get(block), dict):  # else validation fails
                 cfg[block]["seed"] = int(seed)
+    s = validate_config(cfg)
     if out_dir is None:
-        out_dir = cfg.get("output_dir", "out")
-    validate_config(cfg)
+        out_dir = s["output_dir"]
     t0 = time.monotonic()
-    mode = cfg["mode"]
-    if mode == "born-music":
-        result = _run_born_music(cfg, out_dir)
-    elif mode in ("disk-fm", "disk-mlsm"):
-        result = _run_disk(cfg, out_dir)
-    else:
-        result = _run_bayes(cfg, out_dir)
+    result = _RUNNERS[s["mode"]](s, out_dir)
     _write_manifest(out_dir, cfg, t0)
     return result
 
@@ -574,7 +542,7 @@ def main(argv=None):
     if args.config is not None:
         try:
             cfg = json.loads(args.config.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or text
             print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
             return 2
     try:
@@ -582,7 +550,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
-    except (NearscatError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (NearscatError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
         return 3
     print(json.dumps(result))

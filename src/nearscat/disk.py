@@ -28,6 +28,10 @@ class DiskMedium:
     n: complex
     k: float = 1.0
 
+    def __post_init__(self):
+        if self.a == 0:  # the series divides by a
+            raise DomainError("disk coefficient a must be nonzero")
+
 
 def sigma_m(medium, m):
     """Series coefficient of the scattered field for angular order m >= 0."""

@@ -144,6 +144,10 @@ class ScattererSpec:
     index_fn: object  # callable (x1, x2) -> complex, vectorized
     epsilon_scale: float = 1.0
 
+    def __post_init__(self):
+        if not self.epsilon_scale > 0.0:  # NaN too
+            raise DomainError(f"epsilon_scale must be positive, got {self.epsilon_scale}")
+
 
 def constant_index(n):
     """Index function for a homogeneous scatterer."""
@@ -167,6 +171,13 @@ def _gl(order, lo, hi):
     return mid + half * x, half * w
 
 
+def quadrature_order(order):
+    """order as an int, if it is an integer in [2, 64]."""
+    if order < 2 or order > 64 or int(order) != order:
+        raise DomainError(f"quadrature order must be an integer in [2, 64], got {order!r}")
+    return int(order)
+
+
 def gauss_quadrature(shape, order):
     """Tensor-product Gauss-Legendre rule mapped onto the shape.
 
@@ -174,9 +185,7 @@ def gauss_quadrature(shape, order):
     placed in r^2 so that dx = (1/2) d(r^2) dtheta carries no singular
     Jacobian.
     """
-    if order < 2 or order > 64 or int(order) != order:
-        raise DomainError(f"quadrature order must be an integer in [2, 64], got {order!r}")
-    order = int(order)
+    order = quadrature_order(order)
     if isinstance(shape, Rectangle):
         xs, wx = _gl(order, shape.corner_min[0], shape.corner_max[0])
         ys, wy = _gl(order, shape.corner_min[1], shape.corner_max[1])
@@ -226,8 +235,6 @@ def scatterer_quadrature(spec, order):
     eps = spec.epsilon_scale
     if eps == 1.0:
         return rule
-    if eps <= 0.0:
-        raise DomainError(f"epsilon_scale must be positive, got {eps}")
     if isinstance(spec.shape, (Disk, Ellipse)):
         c = np.asarray(spec.shape.center, dtype=float)
     else:

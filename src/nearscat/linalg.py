@@ -167,7 +167,7 @@ def spectral_gap_rank(eig, floor_rel=None):
     if floor_rel is None:
         floor_rel = vals.size * np.finfo(float).eps
     floor = floor_rel * vals[0]
-    above = np.count_nonzero(vals > floor)
+    above = int(np.count_nonzero(vals > floor))
     if above == 0:
         return 0
     if above == vals.size:

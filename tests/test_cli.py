@@ -1,9 +1,12 @@
 """CLI tests: config validation, presets, output formats, exit codes."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nearscat import bayes, born, sampling
 from nearscat.cli import PRESETS, main, run, validate_config
@@ -321,6 +324,14 @@ def _edited_preset(preset, path, value):
     return cfg
 
 
+def _forbid_phi(monkeypatch):
+    def no_phi(*args):
+        raise AssertionError("Phi built before the settings were checked")
+
+    for module in (born, sampling, bayes):
+        monkeypatch.setattr(module, "fundamental_solution_many", no_phi)
+
+
 def _main_on(tmp_path, cfg_dict):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(cfg_dict))
@@ -366,6 +377,7 @@ def test_main_bad_bayes_setting_exit_2_or_3(tmp_path, capsys, key, value):
         ("rule_order", 0),
         ("burn_in", 30000),
         ("thinning", 15000),
+        ("iterations", 1e12),
     ],
 )
 def test_main_out_of_range_bayes_setting_exit_2(tmp_path, capsys, key, value):
@@ -407,9 +419,19 @@ def test_main_out_of_range_bayes_setting_exit_2(tmp_path, capsys, key, value):
         ("figure1", "scatterers.0.index.kind", ["constant"]),
         ("figure1", "mode", ["born-music"]),
         ("figure6", "truncation", -1),
+        ("figure1", "grid.nx", 20.7),
+        ("figure4", "bayes.iterations", 20000.9),
+        ("figure1", "k", "1"),
+        ("figure1", "grid.bounds.2", float("nan")),
+        ("figure1", "sensors.radius", float("nan")),
+        ("figure6", "filter", {"kind": "tikhonov", "eps": float("nan")}),
+        ("figure1", "noise.delta", float("nan")),
+        ("figure4", "noise.delta", float("nan")),
+        ("figure4", "noise.delta", 0),
     ],
 )
-def test_main_bad_nested_value_exit_2(tmp_path, capsys, preset, path, value):
+def test_main_bad_nested_value_exit_2(tmp_path, capsys, monkeypatch, preset, path, value):
+    _forbid_phi(monkeypatch)
     code = _main_on(tmp_path, _edited_preset(preset, path, value))
     assert code == 2
     captured = capsys.readouterr()
@@ -433,16 +455,22 @@ def test_main_bad_nested_value_exit_2(tmp_path, capsys, preset, path, value):
         ("figure7", "filter", {"kind": "bar", "eps": 1}),
         ("figure6", "filter", {"kind": "tikhonov", "eps": 0}),
         ("figure6", "filter", {"kind": "cutoff", "eps": -1}),
+        ("figure1", "rule_order", 100),
+        ("figure1", "rank_override", 99),
+        ("figure1", "rank_override", -1),
+        ("figure1", "scatterers.0.epsilon_scale", 0),
+        ("figure1", "noise.delta", -1),
+        ("figure6", "disk_medium.a", 0),
+        # size caps: at the parent these exhausted memory
+        ("figure1", "grid.nx", 1e12),
+        ("figure1", "sensors.count", 1e9),
+        ("figure6", "quad_points", 1e9),
     ],
 )
 def test_main_out_of_range_imaging_setting_exit_2(
     tmp_path, capsys, monkeypatch, preset, path, value
 ):
-    def no_phi(*args):
-        raise AssertionError("Phi built before the settings were checked")
-
-    for module in (born, sampling):
-        monkeypatch.setattr(module, "fundamental_solution_many", no_phi)
+    _forbid_phi(monkeypatch)
     code = _main_on(tmp_path, _edited_preset(preset, path, value))
     assert code == 2
     captured = capsys.readouterr()
@@ -488,6 +516,20 @@ def test_seed_override_keeps_the_mode_noise_default(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "content, seed",
+    [(b"[1, 2]", []), (b"[1, 2]", ["--seed", "3"]), (b"\xff\xfe{}", [])],
+)
+def test_main_unusable_config_file_exit_2(tmp_path, capsys, content, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "config"
+
+
 @pytest.mark.parametrize("preset, block", [("figure1", "noise"), ("figure4", "bayes")])
 def test_main_seed_with_non_object_block_exit_2(tmp_path, capsys, preset, block):
     cfg = tmp_path / "cfg.json"
@@ -497,3 +539,61 @@ def test_main_seed_with_non_object_block_exit_2(tmp_path, capsys, preset, block)
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "config"
+
+
+def _small_preset(preset):
+    """The preset on a 5x5 grid, or with a 400-step chain."""
+    cfg = json.loads(json.dumps(PRESETS[preset]))
+    if "grid" in cfg:
+        cfg["grid"].update(nx=5, ny=5)
+    if "bayes" in cfg:
+        cfg["bayes"].update(iterations=400, burn_in=100)
+    return cfg
+
+
+def _leaf_paths(node, path=()):
+    """The paths to the values of a config that are neither objects nor lists."""
+    if not isinstance(node, (dict, list)):
+        return [path]
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    return [leaf for key, val in items for leaf in _leaf_paths(val, (*path, key))]
+
+
+_FUZZ_BASES = {p: _small_preset(p) for p in ("figure1", "figure3", "figure4", "figure6", "figure7")}
+# Small sizes only: a valid but large size would make one example slow.
+_FUZZ_VALUES = st.sampled_from([
+    ..., None, True, -1, 0, 1, 2, 3, 7, 12, 10**12, 0.5, -2.5, 1e-300, 1e300,
+    float("nan"), float("inf"), "", "abc", "disk", "constant", "absorbing",
+    "born-music", "disk-mlsm", "bayes", [], [1.0, 2.0], {}, {"kind": "tikhonov", "eps": 1e-3},
+])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_fuzzed_setting_exits_0_2_or_3(tmp_path, capsys, data):
+    # one leaf of a small preset replaced (... deletes it): the run ends in
+    # exit 0 with its result on stdout, or exit 2 or 3 with one JSON line
+    # on stderr, never in a traceback
+    capsys.readouterr()
+    cfg = copy.deepcopy(_FUZZ_BASES[data.draw(st.sampled_from(sorted(_FUZZ_BASES)))])
+    *parents, last = data.draw(st.sampled_from(_leaf_paths(cfg)))
+    node = cfg
+    for part in parents:
+        node = node[part]
+    value = data.draw(_FUZZ_VALUES)
+    if value is ...:
+        del node[last]
+    else:
+        node[last] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    seed = data.draw(st.sampled_from([[], ["--seed", "3"]]))
+    code = main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"), *seed])
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3)
+    written, silent = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+    assert silent == ""
+    (line,) = written.splitlines()
+    result = json.loads(line)
+    if code:
+        assert result["error"] == {2: "config", 3: "numerical"}[code]
