@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .born import DEFAULT_RULE_ORDER, assemble_multistatic
 from .errors import ChainError, DomainError
 from .geometry import QuadratureRule, gauss_quadrature
 from .specfun import fundamental_solution_many
@@ -24,7 +25,8 @@ class Readings:
     delta: float  # noise standard deviation (per real component)
 
 
-def synthesize_readings(scatterers, sensors, k, noise_frac, seed, rule_order=16):
+def synthesize_readings(scatterers, sensors, k, noise_frac, seed,
+                        rule_order=DEFAULT_RULE_ORDER):
     """One backscatter reading per sensor with additive complex noise.
 
     The data set pairs each receiver with the co-located source (the i-th
@@ -32,8 +34,6 @@ def synthesize_readings(scatterers, sensors, k, noise_frac, seed, rule_order=16)
     readings.  noise_frac scales the per-component noise std against the
     RMS magnitude of the noiseless data (15% noise -> noise_frac = 0.15).
     """
-    from .born import assemble_multistatic
-
     m = assemble_multistatic(scatterers, sensors, k, rule_order).data
     px = sensors.points
     py = sensors.points
@@ -164,14 +164,13 @@ def run_mh(model, readings):
     (`_quadratic_form`): for a proposal theta + d the log ratio is
     d.g - 1/2 d.(Q d), where g = l - Q theta is the gradient, updated by
     -Q d on acceptance, so a step costs (P+1)-vector work whatever the
-    number of readings.  The random draws are those of a per-step residual
-    sampler: one standard_normal(P + 1) per step (the P eta increments, then
-    gamma's) and one uniform for the accept test, so a seed gives the same
-    gamma chain.
+    number of readings.
 
     The draws of a random-walk sampler do not depend on its state, so the
-    chain goes one adaptation batch of 50 steps at a time: it takes the
-    batch's draws in per-step order, forms every Q d and d.(Q d) of the
+    chain goes one adaptation batch of m <= 50 steps at a time.  A batch
+    takes its random numbers in two calls: an (m, P + 1) standard normal
+    block, whose row i holds step i's P eta increments and then gamma's,
+    followed by m accept uniforms.  It forms every Q d and d.(Q d) of the
     batch in one matrix product, then jumps from one acceptance to the
     next, rescoring the rest of the batch against the updated gradient.
     The proposal scale only moves between batches, so it is constant
@@ -195,7 +194,6 @@ def run_mh(model, readings):
     sds[p] = sd_gamma
 
     rng = np.random.default_rng(model.seed)
-    normal, uniform = rng.standard_normal, rng.random
     gamma = 0.0
     grad = lin.copy()
 
@@ -207,17 +205,11 @@ def run_mh(model, readings):
     log_scale = 0.0
     step = np.exp(log_scale) * sds
     batch_len = 50
-    z = np.empty((batch_len, dim))
-    rows = list(z)
     for start in range(0, n, batch_len):
         stop = min(start + batch_len, n)
         m = stop - start
-        draws = []
-        for row in rows[:m]:
-            normal(out=row)
-            draws.append(uniform())  # the uniform() draw, at a quarter of the cost
-        log_u = np.log(draws).tolist()
-        d = z[:m] * step
+        d = rng.standard_normal((m, dim)) * step
+        log_u = np.log(rng.random(m)).tolist()
         qd = d @ q.T  # q.T: row i is Q d_i, as Q is not bitwise symmetric
         half = (0.5 * (d * qd).sum(axis=1)).tolist()
         d_gamma = d[:, p].tolist()

@@ -169,8 +169,10 @@ PRESETS["figure5"]["bayes"]["support"] = {
 # quadrature order) are left to it; the readers check only the others.
 
 # Size caps, checked before anything is allocated: 2048² grid points, 1024
-# sensors or quadrature points, 10⁷ MH steps.
+# sensors or quadrature points, 16 384 Born quadrature nodes over all
+# scatterers (four at rule_order 64), 10⁷ MH steps.
 MAX_GRID_POINTS = 2048 * 2048
+MAX_BORN_NODES = 16384
 MAX_SENSORS = 1024
 MAX_ITERATIONS = 10**7
 
@@ -396,6 +398,10 @@ def validate_config(cfg):
     mode = _mode_of(cfg)
     try:
         s = _read(cfg, MODES[mode], "")
+        if "scatterers" in s:
+            nodes = len(s["scatterers"]) * s["rule_order"] ** 2
+            _check(nodes <= MAX_BORN_NODES, "len(scatterers) * rule_order²",
+                   f"at most {MAX_BORN_NODES}", nodes)
         if mode == "born-music":
             rank, count = s["rank_override"], s["sensors"].count
             _check(rank is None or 0 <= rank <= count, "rank_override",
@@ -546,7 +552,9 @@ def main(argv=None):
             print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
             return 2
     try:
-        result = run(config=cfg, preset=args.preset, out_dir=args.out, seed=args.seed)
+        # overflow and invalid values raise, so they exit 3 without printing warnings
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            result = run(config=cfg, preset=args.preset, out_dir=args.out, seed=args.seed)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2

@@ -42,9 +42,11 @@ def reference_run_mh(model, readings):
     """The joint random-walk MH of `bayes.run_mh`, evaluating the full complex
     residual over every reading at each step.
 
-    Draws eta's increments with standard_normal(P), then gamma's with
-    standard_normal(), then the accept uniform, and adapts the proposal
-    scale during burn-in exactly as `run_mh` does.  Returns the chains.
+    Takes the random numbers in `run_mh`'s batch layout: at the start of
+    every 50-step batch of m steps, standard_normal((m, P + 1)) (row i holds
+    step i's eta increments, then gamma's) and then random(m), the accept
+    uniforms.  Adapts the proposal scale during burn-in exactly as `run_mh`
+    does.  Returns the chains.
     """
     b = design_matrix(model, readings)
     p = b.shape[1]
@@ -68,14 +70,19 @@ def reference_run_mh(model, readings):
     batch_acc = 0
     batch_len = 50
     for it in range(model.iterations):
+        if it % batch_len == 0:
+            m = min(batch_len, model.iterations - it)
+            z = rng.standard_normal((m, dim))
+            uniforms = rng.random(m)
+        i = it % batch_len
         s = np.exp(log_scale)
-        d_eta = s * sd_eta * rng.standard_normal(p)
-        d_gamma = s * sd_gamma * rng.standard_normal()
+        d_eta = s * sd_eta * z[i, :p]
+        d_gamma = s * sd_gamma * z[i, p]
         eta_new = eta + d_eta
         gamma_new = gamma + d_gamma
         mu_new = mu + b @ d_eta
         logp_new = _log_posterior_from_mu(model, readings, gamma_new, eta_new, mu_new)
-        if np.log(rng.uniform()) < logp_new - logp:
+        if np.log(uniforms[i]) < logp_new - logp:
             gamma, eta, mu, logp = gamma_new, eta_new, mu_new, logp_new
             batch_acc += 1
         chain_gamma[it] = gamma

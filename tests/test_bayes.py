@@ -271,8 +271,12 @@ def test_zero_noise_recovery(bayes_square, unit_sensors32):
     rms = float(np.sqrt(np.mean(np.abs(clean.values) ** 2)))
     r = Readings(clean.points_x, clean.points_y, clean.values, 0.01 * rms)
     model = make_bayes_model(bayes_square, 1.0, iterations=20000, burn_in=5000, seed=3)
+    # the model recovers gamma (exact posterior), and the chain its posterior
+    # mean to within Monte Carlo error
+    exact_mean, _ = _exact_gamma_posterior(model, r)
+    assert abs(exact_mean - 1.0) <= 0.05
     s = run_mh(model, r)
-    assert abs(s.mean - 1.0) <= 0.05
+    assert abs(s.mean - exact_mean) <= 5.0 * _obm_mcse(s.samples)
 
 
 def test_paper_recovery_true_support(model_true, readings15):

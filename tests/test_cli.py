@@ -2,12 +2,17 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nearscat
 from nearscat import bayes, born, sampling
 from nearscat.cli import PRESETS, main, run, validate_config
 from nearscat.errors import ConfigError
@@ -465,6 +470,8 @@ def test_main_bad_nested_value_exit_2(tmp_path, capsys, monkeypatch, preset, pat
         ("figure1", "grid.nx", 1e12),
         ("figure1", "sensors.count", 1e9),
         ("figure6", "quad_points", 1e9),
+        # 65 scatterers at rule_order 16: 16 640 Born nodes
+        ("figure1", "scatterers", PRESETS["figure1"]["scatterers"][:1] * 65),
     ],
 )
 def test_main_out_of_range_imaging_setting_exit_2(
@@ -499,6 +506,24 @@ def test_main_phi_error_in_grid_block_exit_3(tmp_path, capsys, monkeypatch, pres
     captured = capsys.readouterr()
     assert captured.out == ""
     err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "numerical"
+
+
+def test_overflow_in_numerics_exits_3_with_one_stderr_line(tmp_path):
+    # the sensor radius overflows in the containment test and in Phi; from a
+    # shell, NumPy warnings must not come before the JSON error line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sensors": {"radius": 1e300}}))
+    src = Path(nearscat.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nearscat.cli", "run", "--preset", "figure1",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    err_lines = proc.stderr.splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "numerical"
 
