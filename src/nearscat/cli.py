@@ -41,6 +41,7 @@ from .geometry import (
 from .linalg import REGIMES, nsharp
 from .music import build_music, music_field
 from .sampling import FilterSpec, fm_mlsm_fields, make_picard_data
+from .specfun import MAX_ORDER
 
 # ---------------------------------------------------------------------------
 # Presets: the standard experiment configurations at desk scale.
@@ -347,7 +348,9 @@ _DISK = {
     **_COMMON,
     "disk_medium": (_object({"a": (_complex, ...), "n": (_complex, ...)}), ...),
     "regime": (_where(_any, lambda r: r in REGIMES, f"one of {list(REGIMES)}"), "nonabsorbing"),
-    "truncation": (_nonnegative_int, 20),
+    # the series takes derivatives by recurrence, so order truncation + 1 is evaluated
+    "truncation": (_where(_nonnegative_int, lambda m: m < MAX_ORDER, f"at most {MAX_ORDER - 1}"),
+                   20),
     "quad_points": (_sensor_count, 64),
     "grid": (_sampling_grid, ...),
     "filter": (_object({"kind": (_any, ...), "eps": (_real, ...), "a": (_real, None)},

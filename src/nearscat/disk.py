@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResonanceError
-from .specfun import bessel_j, bessel_j_prime, hankel1, hankel1_prime
+from .specfun import bessel_j_orders, derivative_orders, hankel1_orders
 
 DISK_RADIUS = 1.0
 SENSOR_RADIUS = 2.0
@@ -33,38 +33,62 @@ class DiskMedium:
             raise DomainError("disk coefficient a must be nonzero")
 
 
+def _series_terms(medium, trunc):
+    """Numerator and denominator of sigma_m for m = 0..trunc: one all-orders
+    Bessel pass at each of k and k sqrt(n/a)."""
+    a, n, k = complex(medium.a), complex(medium.n), float(medium.k)
+    if k <= 0.0:
+        raise DomainError(f"wavenumber must be positive, got {k}")
+    root_prod = cmath.sqrt(n * a)
+    j_in = bessel_j_orders(trunc + 1, k * cmath.sqrt(n / a))  # principal branch
+    j_k = bessel_j_orders(trunc + 1, k)
+    h_k = hankel1_orders(trunc + 1, k)
+    jp_in = root_prod * derivative_orders(j_in)
+    j_in = j_in[:-1]
+    num = j_in * derivative_orders(j_k) - jp_in * j_k[:-1]
+    den = j_in * derivative_orders(h_k) - jp_in * h_k[:-1]
+    return num, den
+
+
+def _check_resonance(den, k, first=0):
+    """ResonanceError at the lowest order >= first whose denominator vanished."""
+    small = np.flatnonzero(np.abs(den[first:]) <= RESONANCE_TOL)
+    if small.size:
+        raise ResonanceError(
+            f"series denominator vanished at order {first + small[0]} (k = {k}); "
+            "wavenumber is numerically a resonance"
+        )
+
+
 def sigma_m(medium, m):
     """Series coefficient of the scattered field for angular order m >= 0."""
     if m < 0 or int(m) != m:
         raise DomainError(f"order must be a nonnegative integer, got {m!r}")
-    a, n, k = complex(medium.a), complex(medium.n), float(medium.k)
-    if k <= 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    root_na = cmath.sqrt(n / a)  # principal branch
-    root_prod = cmath.sqrt(n * a)
-    j_in = bessel_j(m, k * root_na)
-    jp_in = bessel_j_prime(m, k * root_na)
-    num = j_in * bessel_j_prime(m, k) - root_prod * jp_in * bessel_j(m, k)
-    den = j_in * hankel1_prime(m, k) - root_prod * jp_in * hankel1(m, k)
-    if abs(den) <= RESONANCE_TOL:
-        raise ResonanceError(
-            f"series denominator vanished at order {m} (k = {k}); "
-            "wavenumber is numerically a resonance"
-        )
-    return num / den
+    num, den = _series_terms(medium, int(m))
+    _check_resonance(den, medium.k, first=m)
+    return complex((num / den)[m])
 
 
 def series_coefficients(medium, trunc):
     """sigma_m for m = 0..trunc."""
-    return np.array([sigma_m(medium, m) for m in range(trunc + 1)])
+    num, den = _series_terms(medium, trunc)
+    _check_resonance(den, medium.k)
+    return num / den
 
 
 def kernel_weights(medium, trunc):
     """sigma_m * |H^(1)_m(2k)|^2 for m = 0..trunc."""
     k = float(medium.k)
-    sig = series_coefficients(medium, trunc)
-    h = np.array([abs(hankel1(m, 2.0 * k)) ** 2 for m in range(trunc + 1)])
-    return sig * h
+    h = hankel1_orders(trunc, 2.0 * k)
+    with np.errstate(over="ignore"):
+        h2 = np.abs(h) ** 2
+    big = np.flatnonzero(~np.isfinite(h2))
+    if big.size:
+        raise DomainError(
+            f"|H^(1)_m(2k)|^2 overflows at order {big[0]} (k = {k}); "
+            "lower the truncation"
+        )
+    return series_coefficients(medium, trunc) * h2
 
 
 def disk_scattered_field(medium, trunc, x_angle, y_angle):
@@ -111,10 +135,10 @@ def circulant_symbol(medium, trunc, quad_points):
     """
     q = int(quad_points)
     w = kernel_weights(medium, trunc)
+    f = np.arange(q)
+    m = np.minimum(f, q - f)  # |m| of DFT mode f
     out = np.zeros(q, dtype=complex)
-    for f in range(q):
-        m = f if f <= q // 2 else f - q
-        if abs(m) <= trunc:
-            out[f] = 2.0 * np.pi * 0.25j * w[abs(m)]
+    kept = m <= trunc
+    out[kept] = 2.0 * np.pi * 0.25j * w[m[kept]]
     return out
 

@@ -16,7 +16,8 @@ from nearscat.specfun import fundamental_solution_many, hankel1
 
 def fundamental_solution(k, x, y):
     """2-D outgoing fundamental solution (i/4) H^(1)_0(k|x - y|) at one pair,
-    through the scalar AMOS Hankel function.
+    through the scalar `hankel1`: J_0 by Miller's recurrence, Y_0 from the
+    real kernel that Φ uses too (test_specfun checks both against mpmath).
 
     Symmetric in its two point arguments; x == y is a singularity.
     """

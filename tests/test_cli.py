@@ -472,6 +472,8 @@ def test_main_bad_nested_value_exit_2(tmp_path, capsys, monkeypatch, preset, pat
         ("figure6", "quad_points", 1e9),
         # 65 scatterers at rule_order 16: 16 640 Born nodes
         ("figure1", "scatterers", PRESETS["figure1"]["scatterers"][:1] * 65),
+        # the series evaluates order truncation + 1, and MAX_ORDER is 200
+        ("figure6", "truncation", 200),
     ],
 )
 def test_main_out_of_range_imaging_setting_exit_2(
@@ -508,6 +510,48 @@ def test_main_phi_error_in_grid_block_exit_3(tmp_path, capsys, monkeypatch, pres
     err_lines = captured.err.splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "numerical"
+
+
+def test_main_series_overflow_names_order_and_k_exit_3(tmp_path, capsys):
+    # |H_m(2k)|^2 passes the largest double near order 100 at k = 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"truncation": 120, "quad_points": 256,
+                               "grid": {"nx": 5, "ny": 5}}))
+    code = main(["run", "--preset", "figure6", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "numerical"
+    assert "order 100" in err["message"] and "k = 1.0" in err["message"]
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    # every preset runs with SciPy unimportable, and no scipy module loads,
+    # not even lazily inside a run
+    script = f"""
+import json, sys
+sys.modules["scipy"] = None
+from nearscat.cli import PRESETS, main
+codes = {{}}
+for preset in sorted(PRESETS):
+    cfg = {str(tmp_path)!r} + "/" + preset + ".json"
+    with open(cfg, "w") as fh:
+        json.dump({{"grid": {{"nx": 11, "ny": 11}}}} if "grid" in PRESETS[preset] else {{}}, fh)
+    out = {str(tmp_path)!r} + "/" + preset
+    codes[preset] = main(["run", "--preset", preset, "--config", cfg, "--out", out])
+loaded = sorted(name for name, mod in sys.modules.items()
+                if name.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({{"codes": codes, "scipy": loaded}}))
+"""
+    src = Path(nearscat.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == {preset: 0 for preset in PRESETS}
+    assert report["scipy"] == []
 
 
 def test_overflow_in_numerics_exits_3_with_one_stderr_line(tmp_path):

@@ -1,16 +1,24 @@
 """Special-function tests against extended-precision mpmath oracles and the
 classical Bessel identities."""
 
+import importlib.util
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 
+from nearscat import specfun
 from nearscat.errors import DomainError
 from nearscat.specfun import (
     MAX_ABS_ARG,
+    MAX_ORDER,
+    SEAM,
     bessel_j,
+    bessel_j_orders,
     bessel_j_prime,
     bessel_y,
+    bessel_y_orders,
     fundamental_solution_many,
     hankel1,
     hankel1_prime,
@@ -109,6 +117,12 @@ def test_y_against_oracle():
         assert abs(bessel_y(m, x) - oracle_y(m, x)) <= 1e-11 * max(
             abs(oracle_y(m, x)), 1.0
         )
+
+
+def test_y_orders_overflow_to_minus_inf():
+    ys = bessel_y_orders(MAX_ORDER, 0.5)
+    assert np.isfinite(ys[:100]).all()
+    assert ys[-1] == -np.inf and not np.isnan(ys).any()
 
 
 def test_y_domain_error():
@@ -268,3 +282,76 @@ def test_phi_many_domain_errors():
         fundamental_solution_many(1.0, origin, np.array([[1e-200, 0.0]]))
     with pytest.raises(DomainError):
         fundamental_solution_many(0.0, origin, edge)
+
+
+# ---------------------------------------------------------------------------
+# the NumPy kernels: generated coefficients, the branch seam, Miller's J_m
+
+
+def test_generator_reproduces_committed_coefficients():
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_specfun_coeffs.py"
+    spec = importlib.util.spec_from_file_location("gen_specfun_coeffs", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.SEAM == SEAM
+    assert gen.source() in Path(specfun.__file__).read_text()
+
+
+_SEAM_POINTS = [SEAM * f for f in (0.5, 0.9, 0.99, 0.999999)] + [
+    np.nextafter(SEAM, 0.0), SEAM, np.nextafter(SEAM, np.inf)
+] + [SEAM * f for f in (1.000001, 1.01, 1.1, 2.0)]
+
+
+def test_phi_across_the_seam_against_mpmath():
+    # one block holding both sides of the seam: the mixed path, which gathers
+    r = np.array(_SEAM_POINTS)
+    phi = fundamental_solution_many(1.0, np.zeros((1, 2)), np.column_stack([r, 0 * r]))[0]
+    ref = np.array([complex(0.25j * mpmath.hankel1(0, mpmath.mpf(x))) for x in r])
+    assert np.max(np.abs(phi - ref) / np.abs(ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("x", _SEAM_POINTS)
+def test_hankel01_across_the_seam_against_mpmath(order, x):
+    # one point at a time: each branch runs alone
+    ref = complex(mpmath.hankel1(order, mpmath.mpf(x)))
+    assert abs(hankel1(order, x) - ref) <= 1e-14 * abs(ref)
+
+
+def _complex_points():
+    """|z| up to MAX_ABS_ARG in every quadrant, with |Im z| >= 1 or |z| <= 2."""
+    points = [0.5 * np.exp(0.3j), 2.0 * np.exp(0.05j), 2.0 * np.exp(-2.0j), 1j]
+    for r in (8.0, 30.0, 120.0, 400.0, 0.999 * MAX_ABS_ARG):
+        for theta in (0.2, 1.3, np.pi / 2, 2.5, -0.6, -2.9):
+            z = r * np.exp(1j * theta)
+            if abs(z.imag) < 1.0:
+                z = complex(z.real, np.copysign(1.0, z.imag))
+            points.append(complex(z))
+    return points
+
+
+@pytest.mark.parametrize("z", _complex_points())
+def test_j_all_orders_against_mpmath(z):
+    js = bessel_j_orders(MAX_ORDER, z)
+    assert js.shape == (MAX_ORDER + 1,)
+    for m in list(range(0, MAX_ORDER, 7)) + [MAX_ORDER]:
+        ref = complex(mpmath.besselj(m, mpmath.mpc(z)))
+        # below 1e-300 J_m underflows: an absolute check there
+        assert abs(js[m] - ref) <= 1e-12 * max(abs(ref), 1e-300), m
+
+
+@pytest.mark.parametrize("x", [0.7, 37.5, 699.0])
+def test_j_all_orders_real_axis_against_mpmath(x):
+    # on the real axis J_m has zeros: the error is relative to |H_m(x)|
+    js = bessel_j_orders(MAX_ORDER, x)
+    assert js.dtype == float
+    for m in range(0, MAX_ORDER + 1, 9):
+        ref = mpmath.hankel1(m, mpmath.mpf(x))
+        assert abs(js[m] - float(ref.real)) <= 1e-12 * max(float(abs(ref)), 1e-300), m
+
+
+def test_single_orders_match_the_all_orders_pass():
+    # the recurrence start depends on |z| alone, so every path gives the same number
+    for z in (1.3, 2.5 + 0.5j, 650.0 - 40.0j):
+        js = bessel_j_orders(MAX_ORDER, z)
+        assert all(bessel_j(m, z) == js[m] for m in (0, 1, 17, MAX_ORDER))
