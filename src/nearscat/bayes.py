@@ -175,6 +175,11 @@ def run_mh(model, readings):
     next, rescoring the rest of the batch against the updated gradient.
     The proposal scale only moves between batches, so it is constant
     within one.
+
+    Most steps are rejected and repeat the state before them, so the chain
+    is kept as runs: each acceptance records the step it happens at and the
+    new (gamma, log_post), and the per-step chains are expanded from those
+    runs once, after the last batch.
     """
     if model.kept < 2:
         raise ChainError(
@@ -198,8 +203,11 @@ def run_mh(model, readings):
     grad = lin.copy()
 
     n = model.iterations
-    chain_gamma = np.empty(n)
-    chain_logpost = np.empty(n)
+    # run r holds (run_gamma[r], run_logpost[r]) from step run_start[r] on;
+    # an acceptance at step 0 leaves the first run empty
+    run_start = [0]
+    run_gamma = [gamma]
+    run_logpost = [logp]
     # global proposal scale, Robbins-Monro adapted toward 23% acceptance
     # during burn-in only (frozen afterwards, preserving detailed balance)
     log_scale = 0.0
@@ -213,8 +221,6 @@ def run_mh(model, readings):
         qd = d @ q.T  # q.T: row i is Q d_i, as Q is not bitwise symmetric
         half = (0.5 * (d * qd).sum(axis=1)).tolist()
         d_gamma = d[:, p].tolist()
-        chain_gamma[start:stop] = gamma
-        chain_logpost[start:stop] = logp
         accepted = 0
         t = 0
         while t < m:
@@ -230,14 +236,18 @@ def run_mh(model, readings):
             gamma += d_gamma[j]
             grad -= qd[j]
             logp += log_ratio
-            chain_gamma[start + j : stop] = gamma
-            chain_logpost[start + j : stop] = logp
+            run_start.append(start + j)
+            run_gamma.append(gamma)
+            run_logpost.append(logp)
             accepted += 1
             t = j + 1
         if start + batch_len <= model.burn_in:
             log_scale += 0.5 * (accepted / batch_len - 0.234)
             step = np.exp(log_scale) * sds
 
+    lengths = np.diff(run_start, append=n)
+    chain_gamma = np.repeat(run_gamma, lengths)
+    chain_logpost = np.repeat(run_logpost, lengths)
     post = model.iterations - model.burn_in
     rate = (
         np.count_nonzero(np.diff(chain_gamma[model.burn_in :]) != 0.0) / max(post - 1, 1)

@@ -8,7 +8,6 @@ mid-gray 128).
 
 import operator
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -24,10 +23,6 @@ class IndicatorField:
     def as_image(self):
         """(ny, nx) view of the values."""
         return self.values.reshape(self.grid.ny, self.grid.nx)
-
-    def argmax_point(self):
-        i = int(np.argmax(self.values))
-        return self.grid.points[i]
 
 
 def write_field_csv(fld, path):
@@ -47,30 +42,38 @@ def write_field_csv(fld, path):
             fh.write(template % tuple(args))
 
 
+# runs per chain.csv block: the text of one block is in memory at a time
+_CHAIN_BLOCK_RUNS = 256
+
+
 def write_chain_csv(chain_gamma, chain_logpost, path):
     """CSV with header "iteration,gamma,log_post", one row per chain entry.
 
-    A rejected Metropolis-Hastings step repeats the previous state, so each
-    run of repeated states is formatted once.  States are told apart by
-    their bit patterns: 0.0 and -0.0 differ there, and NaN equals NaN.
+    A rejected Metropolis-Hastings step repeats the previous state, so the
+    chain is written as runs of repeated states.  States are told apart by
+    their bit patterns: 0.0 and -0.0 differ there, and NaN equals NaN.  Each
+    run's state is formatted once into a row template with a `%d` slot for
+    the iteration; a block of runs repeats each template over its run, and
+    one `%` call fills in the block's iteration numbers.  Blocks keep the
+    text in memory at a few hundred runs, whatever the chain's length.
     """
     gamma = np.asarray(chain_gamma, dtype=float)
     logpost = np.asarray(chain_logpost, dtype=float)
     bits = np.stack([gamma, logpost]).view(np.int64)
     new = np.ones(gamma.size, dtype=bool)
     np.any(bits[:, 1:] != bits[:, :-1], axis=0, out=new[1:])
-    states = list(map(",{:.17g},{:.17g}\n".format,
-                      gamma[new].tolist(), logpost[new].tolist()))
+    starts = np.flatnonzero(new)
+    lengths = np.diff(starts, append=gamma.size).tolist()
+    edges = starts.tolist() + [gamma.size]
+    # float text holds no "%", so the iteration slot is the only one
+    rows = list(map("%d,{:.17g},{:.17g}\n".format,
+                    gamma[starts].tolist(), logpost[starts].tolist()))
     with open(path, "w") as fh:
         fh.write("iteration,gamma,log_post\n")
-        fh.writelines(map(operator.concat, map(str, range(gamma.size)),
-                          map(states.__getitem__, (np.cumsum(new) - 1).tolist())))
-
-
-def read_field_csv(path):
-    rows = Path(path).read_text().strip().splitlines()[1:]
-    out = np.array([[float(c) for c in r.split(",")] for r in rows])
-    return out  # columns x, y, value
+        for b in range(0, len(rows), _CHAIN_BLOCK_RUNS):
+            e = min(b + _CHAIN_BLOCK_RUNS, len(rows))
+            block = "".join(map(operator.mul, rows[b:e], lengths[b:e]))
+            fh.write(block % tuple(range(edges[b], edges[e])))
 
 
 def write_field_pgm(fld, path):
@@ -80,34 +83,7 @@ def write_field_pgm(fld, path):
         pix = np.rint((img - lo) / (hi - lo) * 255.0).astype(int)
     else:
         pix = np.full(img.shape, 128, dtype=int)
+    row = " ".join(["%d"] * img.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"P2\n{img.shape[1]} {img.shape[0]}\n255\n")
-        fh.writelines(" ".join(map(str, row)) + "\n" for row in pix.tolist())
-
-
-def local_maxima(fld, top=None):
-    """Grid points that beat their 8-neighborhood, sorted by value descending.
-
-    Returns (points, values).
-    """
-    img = fld.as_image()
-    ny, nx = img.shape
-    padded = np.full((ny + 2, nx + 2), -np.inf)
-    padded[1:-1, 1:-1] = img
-    neigh = np.full(img.shape, -np.inf)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            neigh = np.maximum(neigh, padded[1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx])
-    mask = img > neigh
-    ys, xs = np.nonzero(mask)
-    vals = img[ys, xs]
-    order = np.argsort(-vals)
-    ys, xs, vals = ys[order], xs[order], vals[order]
-    if top is not None:
-        ys, xs, vals = ys[:top], xs[:top], vals[:top]
-    xc = fld.grid.x_coords()
-    yc = fld.grid.y_coords()
-    pts = np.column_stack([xc[xs], yc[ys]])
-    return pts, vals
+        fh.writelines(map(row.__mod__, map(tuple, pix.tolist())))

@@ -6,6 +6,7 @@ which keeps the r = 0 Jacobian from degrading the rule's accuracy.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -165,8 +166,17 @@ class QuadratureRule:
     weights: np.ndarray  # (P,)
 
 
-def _gl(order, lo, hi):
+@lru_cache(maxsize=None)  # orders are capped at 64
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and read-only, as every caller shares them."""
     x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl(order, lo, hi):
+    x, w = _leggauss(order)
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     return mid + half * x, half * w
 

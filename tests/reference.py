@@ -5,11 +5,12 @@ needs them: each is the direct, slow form of a vectorised or algebraically
 reduced computation in `src/`.
 """
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from nearscat.bayes import PosteriorSummary, _histogram_mode, design_matrix
+from nearscat.bayes import PosteriorSummary, _histogram_mode, _quadratic_form, design_matrix
 from nearscat.errors import ChainError, DomainError
 from nearscat.specfun import fundamental_solution_many, hankel1
 
@@ -91,6 +92,68 @@ def reference_run_mh(model, readings):
         if it < model.burn_in and (it + 1) % batch_len == 0:
             log_scale += 0.5 * (batch_acc / batch_len - 0.234)
             batch_acc = 0
+    return SimpleNamespace(chain_gamma=chain_gamma, chain_logpost=chain_logpost)
+
+
+def tail_fill_run_mh(model, readings):
+    """`bayes.run_mh`'s batch loop with per-step chain arrays: every batch
+    fills both chains with the current state, and every acceptance refills
+    the tail of the batch from the accepted step on.  It takes the same random
+    numbers and does the same arithmetic as `run_mh`, so the two chains
+    must agree bit for bit.  Returns the chains.
+    """
+    q, lin, logp = _quadratic_form(model, readings)
+    dim = q.shape[0]
+    p = dim - 1
+    sd_eta = model.proposal_sd_eta
+    if sd_eta is None:
+        sd_eta = 2.4 * model.h / np.sqrt(dim)
+    sd_gamma = model.proposal_sd_gamma
+    if sd_gamma is None:
+        sd_gamma = sd_eta
+    sds = np.full(dim, float(sd_eta))
+    sds[p] = sd_gamma
+
+    rng = np.random.default_rng(model.seed)
+    gamma = 0.0
+    grad = lin.copy()
+
+    n = model.iterations
+    chain_gamma = np.empty(n)
+    chain_logpost = np.empty(n)
+    log_scale = 0.0
+    step = np.exp(log_scale) * sds
+    batch_len = 50
+    for start in range(0, n, batch_len):
+        stop = min(start + batch_len, n)
+        m = stop - start
+        d = rng.standard_normal((m, dim)) * step
+        log_u = np.log(rng.random(m)).tolist()
+        qd = d @ q.T
+        half = (0.5 * (d * qd).sum(axis=1)).tolist()
+        d_gamma = d[:, p].tolist()
+        chain_gamma[start:stop] = gamma
+        chain_logpost[start:stop] = logp
+        accepted = 0
+        t = 0
+        while t < m:
+            dots = (d @ grad).tolist()
+            for j in range(t, m):
+                log_ratio = dots[j] - half[j]
+                if log_u[j] < log_ratio:
+                    break
+            else:
+                break
+            gamma += d_gamma[j]
+            grad -= qd[j]
+            logp += log_ratio
+            chain_gamma[start + j : stop] = gamma
+            chain_logpost[start + j : stop] = logp
+            accepted += 1
+            t = j + 1
+        if start + batch_len <= model.burn_in:
+            log_scale += 0.5 * (accepted / batch_len - 0.234)
+            step = np.exp(log_scale) * sds
     return SimpleNamespace(chain_gamma=chain_gamma, chain_logpost=chain_logpost)
 
 
@@ -180,3 +243,45 @@ def run_mh_collapsed(model, readings, proposal_sd=None):
         chain_gamma=chain,
         chain_logpost=None,
     )
+
+
+# Field readers and image analysis that only the tests use.
+
+
+def read_field_csv(path):
+    """The (x, y, value) columns of a field CSV."""
+    rows = Path(path).read_text().strip().splitlines()[1:]
+    return np.array([[float(c) for c in r.split(",")] for r in rows])
+
+
+def argmax_point(fld):
+    """The grid point of the field's largest value."""
+    return fld.grid.points[int(np.argmax(fld.values))]
+
+
+def local_maxima(fld, top=None):
+    """Grid points that beat their 8-neighborhood, sorted by value descending.
+
+    Returns (points, values).
+    """
+    img = fld.as_image()
+    ny, nx = img.shape
+    padded = np.full((ny + 2, nx + 2), -np.inf)
+    padded[1:-1, 1:-1] = img
+    neigh = np.full(img.shape, -np.inf)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy == 0 and dx == 0:
+                continue
+            neigh = np.maximum(neigh, padded[1 + dy : 1 + dy + ny, 1 + dx : 1 + dx + nx])
+    mask = img > neigh
+    ys, xs = np.nonzero(mask)
+    vals = img[ys, xs]
+    order = np.argsort(-vals)
+    ys, xs, vals = ys[order], xs[order], vals[order]
+    if top is not None:
+        ys, xs, vals = ys[:top], xs[:top], vals[:top]
+    xc = fld.grid.x_coords()
+    yc = fld.grid.y_coords()
+    pts = np.column_stack([xc[xs], yc[ys]])
+    return pts, vals

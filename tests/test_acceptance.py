@@ -17,14 +17,13 @@ from nearscat.bayes import make_bayes_model, run_mh, synthesize_readings
 from nearscat.born import add_noise, assemble_multistatic, make_sensor_array
 from nearscat.cli import PRESETS, run
 from nearscat.disk import DiskMedium, assemble_nearfield_matrix, sigma_m
-from nearscat.fields import local_maxima
 from nearscat.geometry import Rectangle, ScattererSpec, constant_index
 from nearscat.linalg import hermitian_eig, nsharp
 from nearscat.music import build_music, music_field
 from nearscat.sampling import fm_mlsm_equivalence_check, fm_mlsm_fields
 from nearscat.specfun import bessel_j, bessel_y, fundamental_solution_many
 
-from reference import conjugate_posterior, run_mh_collapsed
+from reference import conjugate_posterior, local_maxima, run_mh_collapsed
 
 mpmath.mp.dps = 30
 

@@ -25,6 +25,7 @@ from reference import (
     predicted_mean,
     reference_run_mh,
     run_mh_collapsed,
+    tail_fill_run_mh,
 )
 
 
@@ -205,6 +206,36 @@ def test_run_mh_batch_edges_match_residual_reference(readings15, iterations, bur
     assert 0.05 <= got.acceptance_rate <= 0.6
     rel = np.abs(got.chain_logpost - ref.chain_logpost) / np.abs(ref.chain_logpost)
     assert rel.max() <= 1e-12
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "half_width, iterations, burn_in, seed, proposal",
+    [
+        (0.2, 20000, 5000, 3, {}),  # the figure4 chain length
+        (0.2, 1500, 500, 0, {}),
+        (0.2, 1500, 500, 1, {}),
+        (0.265, 1500, 500, 0, {}),  # the figure5 support
+        (0.265, 1500, 500, 7, {}),
+        (0.2, 1500, 500, 2, {"proposal_sd_gamma": 0.3, "proposal_sd_eta": 0.15}),
+        (0.2, 1537, 520, 4, {}),
+        (0.2, 1537, 0, 4, {}),
+        (0.2, 1501, 500, 4, {}),
+        (0.2, 1549, 549, 4, {}),
+    ],
+)
+def test_run_mh_chains_bitwise_equal_tail_fill(readings15, half_width, iterations,
+                                               burn_in, seed, proposal):
+    # chain.csv prints log_post to 17 digits, so its bits are pinned, not a tolerance
+    model = make_bayes_model(_square(half_width), 1.0, iterations=iterations,
+                             burn_in=burn_in, seed=seed, **proposal)
+    got = run_mh(model, readings15)
+    ref = tail_fill_run_mh(model, readings15)
+    assert _same_bits(got.chain_gamma, ref.chain_gamma)
+    assert _same_bits(got.chain_logpost, ref.chain_logpost)
 
 
 def _exact_gamma_posterior(model, readings):

@@ -16,8 +16,9 @@ import nearscat
 from nearscat import bayes, born, sampling
 from nearscat.cli import PRESETS, main, run, validate_config
 from nearscat.errors import ConfigError
-from nearscat.fields import read_field_csv
 from nearscat.geometry import make_grid
+
+from reference import read_field_csv
 
 
 def small_music_config():

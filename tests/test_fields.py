@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from nearscat.fields import (
-    IndicatorField,
-    local_maxima,
-    read_field_csv,
-    write_chain_csv,
-    write_field_csv,
-    write_field_pgm,
-)
-from nearscat.geometry import make_grid
+from nearscat.fields import IndicatorField, write_chain_csv, write_field_csv, write_field_pgm
+from nearscat.geometry import SamplingGrid, make_grid
 from nearscat.sampling import SENTINEL_CAP
+
+from reference import argmax_point, local_maxima, read_field_csv
 
 
 def small_field():
@@ -27,7 +22,7 @@ def test_as_image_row_major():
 
 def test_argmax_point():
     fld = small_field()
-    assert np.allclose(fld.argmax_point(), [1.0, 1.0])
+    assert np.allclose(argmax_point(fld), [1.0, 1.0])
 
 
 def test_csv_roundtrip(tmp_path):
@@ -109,13 +104,32 @@ def test_writers_match_per_cell_reference(tmp_path, values):
     assert (tmp_path / "f.pgm").read_text() == reference_pgm(fld)
 
 
-@pytest.mark.parametrize("nx, ny", [(2, 9), (9, 2)])
+def thin_grid(nx, ny):
+    """A grid one or two cells wide; make_grid stops at two, the writers do not."""
+    xs = np.linspace(-0.9, 1.0 / 3.0, nx)
+    ys = np.linspace(-1.8, 1e-7, ny)
+    gx, gy = np.meshgrid(xs, ys)
+    return SamplingGrid(-0.9, 1.0 / 3.0, -1.8, 1e-7, nx, ny,
+                        np.column_stack([gx.ravel(), gy.ravel()]))
+
+
+THIN = [(2, 9), (9, 2), (1, 9), (9, 1)]
+
+
+@pytest.mark.parametrize("nx, ny", THIN)
 def test_csv_matches_per_cell_reference_on_thin_grids(tmp_path, nx, ny):
-    grid = make_grid((-0.9, 1.0 / 3.0, -1.8, 1e-7), nx, ny)
     values = np.random.default_rng(42).normal(0.0, 1e3, nx * ny)
-    fld = IndicatorField(grid=grid, values=values)
+    fld = IndicatorField(grid=thin_grid(nx, ny), values=values)
     write_field_csv(fld, tmp_path / "f.csv")
     assert (tmp_path / "f.csv").read_text() == reference_csv(fld)
+
+
+@pytest.mark.parametrize("nx, ny", THIN)
+def test_pgm_matches_per_cell_reference_on_thin_grids(tmp_path, nx, ny):
+    values = np.random.default_rng(42).normal(0.0, 1e3, nx * ny)
+    fld = IndicatorField(grid=thin_grid(nx, ny), values=values)
+    write_field_pgm(fld, tmp_path / "f.pgm")
+    assert (tmp_path / "f.pgm").read_text() == reference_pgm(fld)
 
 
 def reference_chain_csv(gamma, logpost):
@@ -146,6 +160,31 @@ _NAN = float("nan")
 def test_chain_csv_matches_per_row_reference(tmp_path, gamma, logpost):
     write_chain_csv(np.array(gamma), np.array(logpost), tmp_path / "chain.csv")
     assert (tmp_path / "chain.csv").read_text() == reference_chain_csv(gamma, logpost)
+
+
+def _long_chain():
+    """About 3,000 runs of 1-12 steps, one run longer than a write block,
+    and NaN, signed-zero and infinite states among them."""
+    rng = np.random.default_rng(43)
+    lengths = rng.integers(1, 13, 3000)
+    lengths[1000] = 4000
+    gamma = rng.normal(0.0, 1.0, lengths.size)
+    logpost = rng.normal(-50.0, 10.0, lengths.size)
+    gamma[[7, 8, 300, 301]] = [_NAN, _NAN, 0.0, -0.0]
+    logpost[[7, 300, 301, 302, 303, 1500]] = [_NAN, 0.0, -0.0, np.inf, -np.inf, _NAN]
+    gamma[[302, 303]] = [np.inf, -np.inf]
+    return np.repeat(gamma, lengths), np.repeat(logpost, lengths)
+
+
+def test_chain_csv_matches_per_row_reference_across_blocks(tmp_path):
+    gamma, logpost = _long_chain()
+    write_chain_csv(gamma, logpost, tmp_path / "chain.csv")
+    got = (tmp_path / "chain.csv").read_text().splitlines()
+    want = reference_chain_csv(gamma, logpost).splitlines()
+    # the first differing line, not a diff of some 30,000 lines
+    first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert first is None, f"line {first}: {got[first]!r} != {want[first]!r}"
+    assert len(got) == len(want)
 
 
 def test_local_maxima_ordering():

@@ -192,3 +192,19 @@ def test_epsilon_scale_identity():
     base = gauss_quadrature(spec.shape, 8)
     assert np.array_equal(rule.nodes, base.nodes)
     assert np.array_equal(rule.weights, base.weights)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [Rectangle(corner_min=(-0.2, -0.3), corner_max=(0.4, 0.1)),
+     Disk(center=(0.1, -0.2), radius=0.3)],
+    ids=["rectangle", "disk"],
+)
+def test_mutating_a_rule_leaves_the_next_unchanged(shape):
+    first = gauss_quadrature(shape, 5)
+    nodes, weights = first.nodes.copy(), first.weights.copy()
+    first.nodes[:] = 7.0
+    first.weights[:] = -1.0
+    again = gauss_quadrature(shape, 5)
+    assert np.array_equal(again.nodes, nodes)
+    assert np.array_equal(again.weights, weights)
