@@ -2,7 +2,7 @@
 on a reconstructed support, via Gaussian random-walk Metropolis-Hastings.
 
 Model: readings u_i ~ N(mu_i, delta^2) circularly in the complex plane with
-mu_i = k^2 sum_p w_p eta(z_p) Phi(x_i, z_p) Phi(z_p, y_i), eta_p ~ N(gamma, h^2),
+mu_i = k^2 sum_p w_p eta(z_p) Phi(x_i, z_p) Phi(z_p, x_i), eta_p ~ N(gamma, h^2),
 and gamma given the wide normal prior N(0, prior_sd^2) standing in for a
 flat prior.
 """
@@ -13,14 +13,13 @@ import numpy as np
 
 from .born import DEFAULT_RULE_ORDER, assemble_multistatic
 from .errors import ChainError, DomainError
-from .geometry import QuadratureRule, gauss_quadrature
+from .geometry import Disk, Ellipse, QuadratureRule, Rectangle, gauss_quadrature
 from .specfun import fundamental_solution_many
 
 
 @dataclass(frozen=True)
 class Readings:
-    points_x: np.ndarray  # (R, 2) receivers on C
-    points_y: np.ndarray  # (R, 2) sources on C
+    points: np.ndarray  # (R, 2) co-located source and receiver of each reading, on C
     values: np.ndarray  # (R,) complex scattered-field readings
     delta: float  # noise standard deviation (per real component)
 
@@ -35,15 +34,13 @@ def synthesize_readings(scatterers, sensors, k, noise_frac, seed,
     RMS magnitude of the noiseless data (15% noise -> noise_frac = 0.15).
     """
     m = assemble_multistatic(scatterers, sensors, k, rule_order).data
-    px = sensors.points
-    py = sensors.points
     u = np.diag(m).copy()
     rms = float(np.sqrt(np.mean(np.abs(u) ** 2)))
     delta = noise_frac * rms
     if delta > 0.0:
         rng = np.random.default_rng(seed)
         u = u + delta * (rng.standard_normal(u.size) + 1j * rng.standard_normal(u.size))
-    return Readings(points_x=px, points_y=py, values=u, delta=float(delta))
+    return Readings(points=sensors.points, values=u, delta=float(delta))
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,6 @@ class BayesModel:
 
 def support_diameter(shape):
     """Default h = |D|: the diameter of the reconstructed support."""
-    from .geometry import Disk, Ellipse, Rectangle
-
     if isinstance(shape, Disk):
         return 2.0 * shape.radius
     if isinstance(shape, Ellipse):
@@ -107,11 +102,12 @@ def make_bayes_model(shape, k, rule_order=3, h=None, **kwargs):
 
 
 def design_matrix(model, readings):
-    """B with mu = B @ eta: B[i, p] = k^2 w_p Phi(x_i, z_p) Phi(z_p, y_i)."""
+    """B with mu = B @ eta: B[i, p] = k^2 w_p Phi(x_i, z_p) Phi(z_p, x_i) for
+    source and receiver at x_i.  Phi(z, x) is Phi(x, z) bit for bit, so one
+    evaluation serves both factors."""
     k = model.k
-    px = fundamental_solution_many(k, readings.points_x, model.rhat.nodes)
-    py = fundamental_solution_many(k, model.rhat.nodes, readings.points_y)
-    return k**2 * model.rhat.weights[None, :] * px * py.T
+    phi = fundamental_solution_many(k, readings.points, model.rhat.nodes)
+    return k**2 * model.rhat.weights[None, :] * phi * phi
 
 
 @dataclass(frozen=True)

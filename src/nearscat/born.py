@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .geometry import SensorArray, make_sensor_array, scatterer_contains, scatterer_quadrature
+from .geometry import SensorArray, gauss_quadrature, make_sensor_array
 from .specfun import fundamental_solution_many
 
 DEFAULT_RULE_ORDER = 16
@@ -32,7 +32,7 @@ def _gather_nodes(scatterers, rule_order):
     nodes = []
     cw = []  # (n(z_p) - 1) * omega_p
     for spec in scatterers:
-        rule = scatterer_quadrature(spec, rule_order)
+        rule = gauss_quadrature(spec.shape, rule_order)
         nvals = np.asarray(
             spec.index_fn(rule.nodes[:, 0], rule.nodes[:, 1]), dtype=complex
         )
@@ -41,23 +41,10 @@ def _gather_nodes(scatterers, rule_order):
     return np.vstack(nodes), np.concatenate(cw)
 
 
-def born_scattered_field(scatterers, rule_order, k, x, y):
-    """u_B^s(x, y) = k^2 sum_p w_p (n(z_p) - 1) Phi(x, z_p) Phi(z_p, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for spec in scatterers:
-        if scatterer_contains(spec, x) or scatterer_contains(spec, y):
-            raise DomainError("source/receiver point lies inside a scatterer")
-    nodes, cw = _gather_nodes(scatterers, rule_order)
-    px = fundamental_solution_many(k, x[None, :], nodes)[0]
-    py = fundamental_solution_many(k, nodes, y[None, :])[:, 0]
-    return complex(k**2 * np.sum(cw * px * py))
-
-
 def assemble_multistatic(scatterers, sensors, k, rule_order=DEFAULT_RULE_ORDER):
     """Matrix of Born fields over all source/receiver pairs of the array."""
     for spec in scatterers:
-        if np.any(scatterer_contains(spec, sensors.points)):
+        if np.any(spec.shape.contains(sensors.points)):
             raise DomainError("a sensor lies inside a scatterer")
     nodes, cw = _gather_nodes(scatterers, rule_order)
     a = fundamental_solution_many(k, sensors.points, nodes)  # (N, P)

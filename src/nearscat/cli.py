@@ -10,8 +10,9 @@ into typed run inputs before any numerics run.
 Outputs per run: field.csv + field.pgm + manifest.json (reconstruction
 modes; disk modes additionally write the companion indicator), or
 chain.csv + summary.json + manifest.json (bayes mode).  Exit codes:
-0 success, 2 configuration error, 3 numerical error, each error with one
-JSON line on stderr.
+0 success, 2 configuration error (an output directory that cannot be
+created or written included), 3 numerical error, each error with one JSON
+line on stderr.
 """
 
 import argparse
@@ -37,6 +38,7 @@ from .geometry import (
     make_grid,
     make_sensor_array,
     quadrature_order,
+    scaled,
 )
 from .linalg import REGIMES, nsharp
 from .music import build_music, music_field
@@ -166,7 +168,7 @@ PRESETS["figure5"]["bayes"]["support"] = {
 # raises ConfigError.  An absent or null key is read from its default, which
 # is written like a config value; a default of ... marks a required key and
 # None passes through.  Ranges that a library object checks (make_grid,
-# make_sensor_array, FilterSpec, ScattererSpec, DiskMedium, BayesModel, the
+# make_sensor_array, FilterSpec, scaled, DiskMedium, BayesModel, the
 # quadrature order) are left to it; the readers check only the others.
 
 # Size caps, checked before anything is allocated: 2048² grid points, 1024
@@ -309,7 +311,7 @@ _index = _variant("kind", {
 })
 _scatterers = _list_of(_object(
     {"shape": (_shape, ...), "index": (_index, ...), "epsilon_scale": (_real, 1.0)},
-    ScattererSpec,
+    lambda shape, index_fn, eps: ScattererSpec(scaled(shape, eps), index_fn),
 ))
 _sensors = _object({"count": (_sensor_count, ...), "radius": (_real, ...)}, make_sensor_array)
 _sampling_grid = _object({
@@ -432,15 +434,13 @@ def validate_config(cfg):
 
 
 def export_field(fld, out_dir, stem="field"):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_field_csv(fld, out_dir / f"{stem}.csv")
     write_field_pgm(fld, out_dir / f"{stem}.pgm")
 
 
 def _write_manifest(out_dir, cfg, t0):
     manifest = {"config": cfg, "wall_time_s": time.monotonic() - t0}
-    with open(Path(out_dir) / "manifest.json", "w") as fh:
+    with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
 
@@ -477,8 +477,6 @@ def _run_bayes(s, out_dir):
         noise_frac=delta, seed=seed, rule_order=s["rule_order"],
     )
     summary = bayes_mod.run_mh(s["bayes"], readings)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_chain_csv(summary.chain_gamma, summary.chain_logpost, out_dir / "chain.csv")
     stats = {
         "mean": summary.mean,
@@ -529,8 +527,11 @@ def run(config=None, preset=None, out_dir=None, seed=None):
             if block in table and isinstance(cfg.get(block), dict):  # else validation fails
                 cfg[block]["seed"] = int(seed)
     s = validate_config(cfg)
-    if out_dir is None:
-        out_dir = s["output_dir"]
+    out_dir = Path(s["output_dir"] if out_dir is None else out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir cannot be created: {exc}") from None
     t0 = time.monotonic()
     result = _RUNNERS[s["mode"]](s, out_dir)
     _write_manifest(out_dir, cfg, t0)
@@ -564,6 +565,9 @@ def main(argv=None):
     except (NearscatError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
         return 3
+    except OSError as exc:  # writing the outputs
+        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
+        return 2
     print(json.dumps(result))
     return 0
 

@@ -50,23 +50,14 @@ def _series_terms(medium, trunc):
     return num, den
 
 
-def _check_resonance(den, k, first=0):
-    """ResonanceError at the lowest order >= first whose denominator vanished."""
-    small = np.flatnonzero(np.abs(den[first:]) <= RESONANCE_TOL)
+def _check_resonance(den, k):
+    """ResonanceError at the lowest order whose denominator vanished."""
+    small = np.flatnonzero(np.abs(den) <= RESONANCE_TOL)
     if small.size:
         raise ResonanceError(
-            f"series denominator vanished at order {first + small[0]} (k = {k}); "
+            f"series denominator vanished at order {small[0]} (k = {k}); "
             "wavenumber is numerically a resonance"
         )
-
-
-def sigma_m(medium, m):
-    """Series coefficient of the scattered field for angular order m >= 0."""
-    if m < 0 or int(m) != m:
-        raise DomainError(f"order must be a nonnegative integer, got {m!r}")
-    num, den = _series_terms(medium, int(m))
-    _check_resonance(den, medium.k, first=m)
-    return complex((num / den)[m])
 
 
 def series_coefficients(medium, trunc):
@@ -91,18 +82,6 @@ def kernel_weights(medium, trunc):
     return series_coefficients(medium, trunc) * h2
 
 
-def disk_scattered_field(medium, trunc, x_angle, y_angle):
-    """u^s between the points on the measurement circle at polar angles
-    x_angle and y_angle: (i/4) sum over |m| <= trunc of
-    sigma_m |H^(1)_m(2k)|^2 e^{i m (x_angle - y_angle)}.
-    """
-    w = kernel_weights(medium, trunc)
-    d = float(x_angle) - float(y_angle)
-    m = np.arange(1, trunc + 1)
-    total = w[0] + np.sum(w[1:] * (np.exp(1j * m * d) + np.exp(-1j * m * d)))
-    return 0.25j * total
-
-
 def assemble_nearfield_matrix(medium, trunc, quad_points):
     """Discretized truncated near-field operator.
 
@@ -124,21 +103,3 @@ def assemble_nearfield_matrix(medium, trunc, quad_points):
     kernel = 0.25j * (2.0 * np.pi / q) * kernel  # value at angle difference d
     idx = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
     return kernel[idx]
-
-
-def circulant_symbol(medium, trunc, quad_points):
-    """Closed-form eigenvalues of the assembled circulant.
-
-    Mode m contributes 2 pi (i/4) sigma_|m| |H^(1)_m(2k)|^2 for |m| <= trunc
-    (each m >= 1 twice via +-m) and zero beyond; returned in DFT mode order
-    f = 0..Q-1 with m = f for f <= Q/2 and m = f - Q otherwise.
-    """
-    q = int(quad_points)
-    w = kernel_weights(medium, trunc)
-    f = np.arange(q)
-    m = np.minimum(f, q - f)  # |m| of DFT mode f
-    out = np.zeros(q, dtype=complex)
-    kept = m <= trunc
-    out[kept] = 2.0 * np.pi * 0.25j * w[m[kept]]
-    return out
-

@@ -7,7 +7,7 @@ mid-gray 128).
 """
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .geometry import SamplingGrid
 class IndicatorField:
     grid: SamplingGrid
     values: np.ndarray  # (nx*ny,), row-major, y outer loop
-    metadata: dict = field(default_factory=dict)
 
     def as_image(self):
         """(ny, nx) view of the values."""

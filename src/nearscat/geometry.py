@@ -46,16 +46,6 @@ class SamplingGrid:
     ny: int
     points: np.ndarray  # (nx*ny, 2), y is the outer loop
 
-    @property
-    def shape(self):
-        return (self.ny, self.nx)
-
-    def x_coords(self):
-        return np.linspace(self.xmin, self.xmax, self.nx)
-
-    def y_coords(self):
-        return np.linspace(self.ymin, self.ymax, self.ny)
-
 
 def make_grid(bounds, nx, ny):
     """bounds = (xmin, xmax, ymin, ymax).
@@ -84,10 +74,6 @@ class Disk:
     center: tuple
     radius: float
 
-    @property
-    def area(self):
-        return np.pi * self.radius**2
-
     def contains(self, p):
         p = np.asarray(p, dtype=float)
         d = p[..., 0] - self.center[0], p[..., 1] - self.center[1]
@@ -99,10 +85,6 @@ class Ellipse:
     center: tuple
     a: float  # semi-axis along x
     b: float  # semi-axis along y
-
-    @property
-    def area(self):
-        return np.pi * self.a * self.b
 
     def contains(self, p):
         p = np.asarray(p, dtype=float)
@@ -116,12 +98,6 @@ class Rectangle:
     corner_min: tuple
     corner_max: tuple
 
-    @property
-    def area(self):
-        return (self.corner_max[0] - self.corner_min[0]) * (
-            self.corner_max[1] - self.corner_min[1]
-        )
-
     def contains(self, p):
         p = np.asarray(p, dtype=float)
         return (
@@ -132,22 +108,28 @@ class Rectangle:
         )
 
 
+def scaled(shape, eps):
+    """The shape scaled by eps > 0 about its center, for small-size
+    convergence studies; the shape itself at eps = 1."""
+    if not eps > 0.0:  # NaN too
+        raise DomainError(f"epsilon_scale must be positive, got {eps}")
+    if eps == 1.0:
+        return shape
+    if isinstance(shape, Disk):
+        return Disk(shape.center, eps * shape.radius)
+    if isinstance(shape, Ellipse):
+        return Ellipse(shape.center, eps * shape.a, eps * shape.b)
+    lo, hi = np.asarray(shape.corner_min, float), np.asarray(shape.corner_max, float)
+    c = (lo + hi) / 2.0
+    return Rectangle(tuple(c + eps * (lo - c)), tuple(c + eps * (hi - c)))
+
+
 @dataclass(frozen=True)
 class ScattererSpec:
-    """A shape with a refractive index function n(x) -> complex.
-
-    epsilon_scale exists for small-size convergence studies; the figure
-    configurations specify absolute sizes, so it defaults to 1 and simply
-    rescales the shape about its center.
-    """
+    """A shape with a refractive index function n(x) -> complex."""
 
     shape: object
     index_fn: object  # callable (x1, x2) -> complex, vectorized
-    epsilon_scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.epsilon_scale > 0.0:  # NaN too
-            raise DomainError(f"epsilon_scale must be positive, got {self.epsilon_scale}")
 
 
 def constant_index(n):
@@ -221,36 +203,3 @@ def gauss_quadrature(shape, order):
         )
         return QuadratureRule(nodes=nodes, weights=ww.ravel())
     raise DomainError(f"unsupported shape {type(shape).__name__}")
-
-
-def scatterer_contains(spec, p):
-    """Containment test honoring epsilon_scale."""
-    eps = spec.epsilon_scale
-    if eps == 1.0:
-        return spec.shape.contains(p)
-    if isinstance(spec.shape, (Disk, Ellipse)):
-        c = np.asarray(spec.shape.center, dtype=float)
-    else:
-        c = (
-            np.asarray(spec.shape.corner_min, dtype=float)
-            + np.asarray(spec.shape.corner_max, dtype=float)
-        ) / 2.0
-    p = np.asarray(p, dtype=float)
-    return spec.shape.contains(c + (p - c) / eps)
-
-
-def scatterer_quadrature(spec, order):
-    """Quadrature over a ScattererSpec, honoring epsilon_scale."""
-    rule = gauss_quadrature(spec.shape, order)
-    eps = spec.epsilon_scale
-    if eps == 1.0:
-        return rule
-    if isinstance(spec.shape, (Disk, Ellipse)):
-        c = np.asarray(spec.shape.center, dtype=float)
-    else:
-        c = (
-            np.asarray(spec.shape.corner_min, dtype=float)
-            + np.asarray(spec.shape.corner_max, dtype=float)
-        ) / 2.0
-    nodes = c + eps * (rule.nodes - c)
-    return QuadratureRule(nodes=nodes, weights=rule.weights * eps**2)

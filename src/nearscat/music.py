@@ -12,13 +12,14 @@ import numpy as np
 
 from .errors import DomainError
 from .fields import IndicatorField
-from .linalg import EigenSystem, hermitian_eig, spectral_gap_rank
+from .linalg import hermitian_eig, spectral_gap_rank
 from .sampling import grid_indicators
 
 
 @dataclass(frozen=True)
 class MusicModel:
-    eig: EigenSystem  # of N N*
+    eigenvalues: np.ndarray  # of N N*, in hermitian_eig order
+    eigenvectors: np.ndarray
     rank: int
 
 
@@ -34,23 +35,23 @@ def build_music(matrix, rank_override=None):
     data = np.asarray(matrix.data, dtype=complex)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {data.shape}")
-    eig = hermitian_eig(data @ data.conj().T)
+    vals, vecs = hermitian_eig(data @ data.conj().T)
     if rank_override is not None:
         r = int(rank_override)
         if not 0 <= r <= data.shape[0]:
             raise DomainError(f"rank override {r} outside [0, {data.shape[0]}]")
-    elif np.max(np.abs(eig.eigenvalues)) == 0.0:
+    elif np.max(np.abs(vals)) == 0.0:
         r = 0
     else:
-        r = spectral_gap_rank(eig)
-    return MusicModel(eig=eig, rank=r)
+        r = spectral_gap_rank(vals)
+    return MusicModel(eigenvalues=vals, eigenvectors=vecs, rank=r)
 
 
 def music_field(model, sensors, k, grid):
     """I(z) = [sum_{j>r} |(phi_z, w_j)|^2]^{-1} over a sampling grid, for the
     steering vectors phi_z = Phi(sensors, z) at wavenumber k."""
-    noise_vecs = model.eig.eigenvectors[:, model.rank :]
+    noise_vecs = model.eigenvectors[:, model.rank :]
     (values,) = grid_indicators(
         noise_vecs, np.ones((1, noise_vecs.shape[1])), sensors, k, grid.points
     )
-    return IndicatorField(grid=grid, values=values, metadata={"mode": "music", "rank": model.rank})
+    return IndicatorField(grid=grid, values=values)

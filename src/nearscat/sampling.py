@@ -12,13 +12,13 @@ a single global factor, which leaves every relative classification
 untouched (scaling covariance).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, DomainError
 from .fields import IndicatorField
-from .linalg import EigenSystem, hermitian_eig, numerical_rank
+from .linalg import hermitian_eig, numerical_rank
 from .specfun import fundamental_solution_many
 
 SENTINEL_CAP = 1e12
@@ -73,44 +73,42 @@ class PicardData:
     eigenvalues: np.ndarray  # retained, descending, > 0
     eigenvectors: np.ndarray  # matching l2-orthonormal columns
     weight: float = 1.0
-    metadata: dict = field(default_factory=dict)
 
     @property
     def size(self):
         return self.eigenvalues.size
 
 
-def make_picard_data(nsharp_matrix, weight=1.0, clip_rel=CLIP_REL):
-    """Eigendecompose N_sharp and keep eigenvalues above clip_rel * lambda_1.
+def make_picard_data(nsharp_matrix, weight=1.0):
+    """Eigendecompose N_sharp and keep eigenvalues above CLIP_REL * lambda_1.
 
     Small negatives (hypothesis-tolerance violations) are discarded with the
     rest of the clipped spectrum.
     """
-    eig = hermitian_eig(nsharp_matrix)
-    vals = eig.eigenvalues
+    vals, vecs = hermitian_eig(nsharp_matrix)
     if vals.size == 0 or np.max(np.abs(vals)) == 0.0:
         raise DegenerateSpectrumError("N_sharp has no spectrum above the clip")
     lmax = float(np.max(vals))
     if lmax <= 0.0:
         raise DegenerateSpectrumError("N_sharp has no positive eigenvalues")
-    keep = vals > clip_rel * lmax
+    keep = vals > CLIP_REL * lmax
     if not np.any(keep):
         raise DegenerateSpectrumError("all eigenvalues fell below the clip")
     order = np.argsort(-vals[keep])
     return PicardData(
         eigenvalues=vals[keep][order],
-        eigenvectors=eig.eigenvectors[:, keep][:, order],
+        eigenvectors=vecs[:, keep][:, order],
         weight=float(weight),
     )
 
 
-def cutoff_at_rank(data, rel_tol=None):
+def cutoff_at_rank(data):
     """Spectral-cutoff filter retaining the numerically significant modes.
 
     The cutoff parameter sits just below lambda_rank^2, reproducing the
     rank-truncated solve of the discrete test problem.
     """
-    r = numerical_rank(EigenSystem(data.eigenvalues, data.eigenvectors), rel_tol)
+    r = numerical_rank(data.eigenvalues)
     r = max(1, min(r, data.size))
     lam_r = data.eigenvalues[r - 1]
     if r < data.size:
@@ -234,6 +232,6 @@ def fm_mlsm_fields(data, sensors, k, grid, f=None):
         f = cutoff_at_rank(data)
     w, p = grid_indicators(data.eigenvectors, picard_weights(data, f), sensors, k, grid.points)
     return (
-        IndicatorField(grid=grid, values=w, metadata={"mode": "fm"}),
-        IndicatorField(grid=grid, values=p, metadata={"mode": "mlsm", "filter": f.kind}),
+        IndicatorField(grid=grid, values=w),
+        IndicatorField(grid=grid, values=p),
     )

@@ -307,43 +307,11 @@ def derivative_orders(values):
     return out
 
 
-def bessel_j(order, z):
-    """Bessel function of the first kind J_order(z) for real or complex z.
-
-    For real z the result is returned as a real float (imaginary part is
-    exactly zero).
-    """
-    return bessel_j_orders(order, z)[-1].item()
-
-
-def bessel_y(order, x):
-    """Bessel function of the second kind Y_order(x), real x > 0."""
-    return float(bessel_y_orders(order, x)[-1])
-
-
-def hankel1(order, x):
-    """First-kind Hankel function H^(1)_order(x) = J + iY for real x > 0."""
-    return complex(hankel1_orders(order, x)[-1])
-
-
-def bessel_j_prime(order, z):
-    """Derivative of J_order via the two-term recurrence."""
-    _check_order(order)
-    return derivative_orders(bessel_j_orders(order + 1, z))[-1].item()
-
-
-def hankel1_prime(order, x):
-    """Derivative of H^(1)_order via the same recurrence as bessel_j_prime."""
-    _check_order(order)
-    return complex(derivative_orders(hankel1_orders(order + 1, x))[-1])
-
-
 def fundamental_solution_many(k, points_x, points_y):
     """Vectorized Φ over all pairs: returns matrix Φ(x_i, y_j).
 
     points_x: (Nx, 2), points_y: (Ny, 2).  No pair may coincide, and every
-    k|x_i - y_j| must lie inside the MAX_ABS_ARG envelope that bessel_j
-    enforces.  Φ = (i/4)(J_0 + iY_0) is filled from the real-argument
+    k|x_i - y_j| must lie inside the MAX_ABS_ARG envelope.  Φ = (i/4)(J_0 + iY_0) is filled from the real-argument
     Bessel functions, so Re Φ = -Y_0/4 and Im Φ = J_0/4 exactly.
     """
     if k <= 0.0:

@@ -11,8 +11,51 @@ from types import SimpleNamespace
 import numpy as np
 
 from nearscat.bayes import PosteriorSummary, _histogram_mode, _quadratic_form, design_matrix
+from nearscat.born import _gather_nodes
+from nearscat.disk import kernel_weights, series_coefficients
 from nearscat.errors import ChainError, DomainError
-from nearscat.specfun import fundamental_solution_many, hankel1
+from nearscat.specfun import (
+    _check_order,
+    bessel_j_orders,
+    bessel_y_orders,
+    derivative_orders,
+    fundamental_solution_many,
+    hankel1_orders,
+)
+
+# One-order special functions: each reads the last entry of the
+# all-orders pass in `specfun`.
+
+
+def bessel_j(order, z):
+    """Bessel function of the first kind J_order(z) for real or complex z.
+
+    For real z the result is returned as a real float (imaginary part is
+    exactly zero).
+    """
+    return bessel_j_orders(order, z)[-1].item()
+
+
+def bessel_y(order, x):
+    """Bessel function of the second kind Y_order(x), real x > 0."""
+    return float(bessel_y_orders(order, x)[-1])
+
+
+def hankel1(order, x):
+    """First-kind Hankel function H^(1)_order(x) = J + iY for real x > 0."""
+    return complex(hankel1_orders(order, x)[-1])
+
+
+def bessel_j_prime(order, z):
+    """Derivative of J_order via the two-term recurrence."""
+    _check_order(order)
+    return derivative_orders(bessel_j_orders(order + 1, z))[-1].item()
+
+
+def hankel1_prime(order, x):
+    """Derivative of H^(1)_order via the same recurrence as bessel_j_prime."""
+    _check_order(order)
+    return complex(derivative_orders(hankel1_orders(order + 1, x))[-1])
 
 
 def fundamental_solution(k, x, y):
@@ -30,6 +73,77 @@ def fundamental_solution(k, x, y):
     if r == 0.0:
         raise DomainError("fundamental_solution is singular at x = y")
     return 0.25j * hankel1(0, k * r)
+
+
+# Pointwise forward models: one entry of an assembled matrix each.
+
+
+def born_scattered_field(scatterers, rule_order, k, x, y):
+    """u_B^s(x, y) = k^2 sum_p w_p (n(z_p) - 1) Phi(x, z_p) Phi(z_p, y)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    for spec in scatterers:
+        if spec.shape.contains(x) or spec.shape.contains(y):
+            raise DomainError("source/receiver point lies inside a scatterer")
+    nodes, cw = _gather_nodes(scatterers, rule_order)
+    px = fundamental_solution_many(k, x[None, :], nodes)[0]
+    py = fundamental_solution_many(k, nodes, y[None, :])[:, 0]
+    return complex(k**2 * np.sum(cw * px * py))
+
+
+def sigma_m(medium, m):
+    """Series coefficient of the scattered field for angular order m >= 0;
+    a resonance at any order up to m raises."""
+    if m < 0 or int(m) != m:
+        raise DomainError(f"order must be a nonnegative integer, got {m!r}")
+    return complex(series_coefficients(medium, int(m))[m])
+
+
+def disk_scattered_field(medium, trunc, x_angle, y_angle):
+    """u^s between the points on the measurement circle at polar angles
+    x_angle and y_angle: (i/4) sum over |m| <= trunc of
+    sigma_m |H^(1)_m(2k)|^2 e^{i m (x_angle - y_angle)}.
+    """
+    w = kernel_weights(medium, trunc)
+    d = float(x_angle) - float(y_angle)
+    m = np.arange(1, trunc + 1)
+    total = w[0] + np.sum(w[1:] * (np.exp(1j * m * d) + np.exp(-1j * m * d)))
+    return 0.25j * total
+
+
+def circulant_symbol(medium, trunc, quad_points):
+    """Closed-form eigenvalues of the assembled circulant.
+
+    Mode m contributes 2 pi (i/4) sigma_|m| |H^(1)_m(2k)|^2 for |m| <= trunc
+    (each m >= 1 twice via +-m) and zero beyond; returned in DFT mode order
+    f = 0..Q-1 with m = f for f <= Q/2 and m = f - Q otherwise.
+    """
+    q = int(quad_points)
+    w = kernel_weights(medium, trunc)
+    f = np.arange(q)
+    m = np.minimum(f, q - f)  # |m| of DFT mode f
+    out = np.zeros(q, dtype=complex)
+    kept = m <= trunc
+    out[kept] = 2.0 * np.pi * 0.25j * w[m[kept]]
+    return out
+
+
+def sqrt_op_apply(values, vectors, g):
+    """Apply the spectral square root of a PSD eigensystem to a vector.
+
+    Eigenvalues in [-1e-8*lambda_max, 0) are clipped to zero; anything more
+    negative signals a wrong-regime N-sharp and is an error.
+    """
+    vals = np.asarray(values, dtype=float)
+    lmax = float(np.max(np.abs(vals))) if vals.size else 0.0
+    if lmax > 0 and np.min(vals) < -1e-8 * lmax:
+        raise DomainError(
+            f"eigenvalue {np.min(vals):.3e} is too negative for a square root "
+            f"(lambda_max = {lmax:.3e})"
+        )
+    clipped = np.clip(vals, 0.0, None)
+    coeff = vectors.conj().T @ np.asarray(g, dtype=complex)
+    return vectors @ (np.sqrt(clipped) * coeff)
 
 
 def _log_posterior_from_mu(model, readings, gamma, eta, mu):
@@ -281,7 +395,7 @@ def local_maxima(fld, top=None):
     ys, xs, vals = ys[order], xs[order], vals[order]
     if top is not None:
         ys, xs, vals = ys[:top], xs[:top], vals[:top]
-    xc = fld.grid.x_coords()
-    yc = fld.grid.y_coords()
+    xc = fld.grid.points[:nx, 0]
+    yc = fld.grid.points[::nx, 1]
     pts = np.column_stack([xc[xs], yc[ys]])
     return pts, vals

@@ -16,14 +16,22 @@ from scipy.stats import spearmanr
 from nearscat.bayes import make_bayes_model, run_mh, synthesize_readings
 from nearscat.born import add_noise, assemble_multistatic, make_sensor_array
 from nearscat.cli import PRESETS, run
-from nearscat.disk import DiskMedium, assemble_nearfield_matrix, sigma_m
+from nearscat.disk import DiskMedium, assemble_nearfield_matrix
 from nearscat.geometry import Rectangle, ScattererSpec, constant_index
 from nearscat.linalg import hermitian_eig, nsharp
 from nearscat.music import build_music, music_field
 from nearscat.sampling import fm_mlsm_equivalence_check, fm_mlsm_fields
-from nearscat.specfun import bessel_j, bessel_y, fundamental_solution_many
+from nearscat.specfun import fundamental_solution_many
 
-from reference import conjugate_posterior, local_maxima, run_mh_collapsed
+from reference import (
+    bessel_j,
+    bessel_y,
+    circulant_symbol,
+    conjugate_posterior,
+    local_maxima,
+    run_mh_collapsed,
+    sigma_m,
+)
 
 mpmath.mp.dps = 30
 
@@ -81,13 +89,13 @@ def test_criterion_2_eigensolver():
         size = int(rng.integers(2, 65))
         g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         a = (g + g.conj().T) / 2.0
-        eig = hermitian_eig(a)
-        recon = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.conj().T
+        vals, vecs = hermitian_eig(a)
+        recon = vecs @ np.diag(vals) @ vecs.conj().T
         worst_recon = max(
             worst_recon,
             np.linalg.norm(a - recon) / max(np.linalg.norm(a), 1e-300),
         )
-        gram = eig.eigenvectors.conj().T @ eig.eigenvectors
+        gram = vecs.conj().T @ vecs
         worst_orth = max(worst_orth, np.max(np.abs(gram - np.eye(size))))
     elapsed = _deadline(2, started, 30.0)
     ok = worst_recon <= 1e-9 and worst_orth <= 1e-10
@@ -144,8 +152,6 @@ def test_criterion_5_disk_diagonalization(fig6_medium):
     started = time.perf_counter()
     matrix = assemble_nearfield_matrix(fig6_medium, 20, 64)
     eigvals = np.linalg.eigvals(matrix)
-    from nearscat.disk import circulant_symbol
-
     symbol = circulant_symbol(fig6_medium, 20, 64)
     order_e = np.lexsort((eigvals.imag, eigvals.real))
     order_s = np.lexsort((symbol.imag, symbol.real))
@@ -188,7 +194,7 @@ def test_criterion_7_absorbing_regime(fig7_medium, disk_sensors64, disk_grid101)
     started = time.perf_counter()
     matrix = assemble_nearfield_matrix(fig7_medium, 20, 64)
     ns = nsharp(matrix, "absorbing")
-    vals = hermitian_eig(ns).eigenvalues
+    vals, _ = hermitian_eig(ns)
     lam_max, lam_min = vals.max(), vals.min()
     positive = lam_min >= -1e-10 * lam_max
 

@@ -14,11 +14,11 @@ from nearscat.bayes import (
     support_diameter,
     synthesize_readings,
 )
-from nearscat.born import born_scattered_field
 from nearscat.errors import ChainError, DomainError
 from nearscat.geometry import Disk, Ellipse, Rectangle, ScattererSpec
 
 from reference import (
+    born_scattered_field,
     conjugate_posterior,
     fundamental_solution,
     log_posterior,
@@ -80,8 +80,7 @@ def test_model_rejects_bad_settings(bayes_square, bad):
 
 def test_readings_are_backscatter(readings15, unit_sensors32):
     assert readings15.values.size == 32
-    assert np.array_equal(readings15.points_x, unit_sensors32.points)
-    assert np.array_equal(readings15.points_y, unit_sensors32.points)
+    assert np.array_equal(readings15.points, unit_sensors32.points)
     assert readings15.delta > 0
 
 
@@ -120,9 +119,7 @@ def test_log_posterior_perfect_fit_zero(model_true, readings15):
     p = model_true.rhat.nodes.shape[0]
     b = design_matrix(model_true, readings15)
     # construct readings that the zero state fits exactly
-    perfect = Readings(
-        readings15.points_x, readings15.points_y, b @ np.zeros(p), readings15.delta
-    )
+    perfect = Readings(readings15.points, b @ np.zeros(p), readings15.delta)
     assert log_posterior(model_true, perfect, 0.0, np.zeros(p)) == 0.0
 
 
@@ -130,18 +127,13 @@ def test_log_posterior_quadratic_scaling(model_true, readings15):
     p = model_true.rhat.nodes.shape[0]
     eta = np.zeros(p)
     lp1 = log_posterior(model_true, readings15, 0.0, eta)
-    doubled = Readings(
-        readings15.points_x,
-        readings15.points_y,
-        2.0 * readings15.values,
-        readings15.delta,
-    )
+    doubled = Readings(readings15.points, 2.0 * readings15.values, readings15.delta)
     lp2 = log_posterior(model_true, doubled, 0.0, eta)
     assert lp2 == pytest.approx(4.0 * lp1, rel=1e-12)
 
 
 def test_log_posterior_rejects_zero_delta(model_true, readings15):
-    bad = Readings(readings15.points_x, readings15.points_y, readings15.values, 0.0)
+    bad = Readings(readings15.points, readings15.values, 0.0)
     p = model_true.rhat.nodes.shape[0]
     with pytest.raises(DomainError):
         log_posterior(model_true, bad, 0.0, np.zeros(p))
@@ -249,7 +241,7 @@ def _exact_gamma_posterior(model, readings):
     b = np.array([
         [k**2 * w * fundamental_solution(k, x, z) * fundamental_solution(k, z, y)
          for z, w in zip(nodes, weights)]
-        for x, y in zip(readings.points_x, readings.points_y)
+        for x, y in zip(readings.points, readings.points)
     ])
     a = np.vstack([b.real, b.imag])
     y = np.concatenate([readings.values.real, readings.values.imag])
@@ -300,7 +292,7 @@ def test_zero_noise_recovery(bayes_square, unit_sensors32):
     )
     clean = synthesize_readings([spec], unit_sensors32, 1.0, 0.0, seed=0)
     rms = float(np.sqrt(np.mean(np.abs(clean.values) ** 2)))
-    r = Readings(clean.points_x, clean.points_y, clean.values, 0.01 * rms)
+    r = Readings(clean.points, clean.values, 0.01 * rms)
     model = make_bayes_model(bayes_square, 1.0, iterations=20000, burn_in=5000, seed=3)
     # the model recovers gamma (exact posterior), and the chain its posterior
     # mean to within Monte Carlo error

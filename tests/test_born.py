@@ -3,24 +3,18 @@
 import numpy as np
 import pytest
 
-from nearscat.born import (
-    add_noise,
-    assemble_multistatic,
-    born_scattered_field,
-    load_matrix,
-    save_matrix,
-)
+from nearscat.born import add_noise, assemble_multistatic, load_matrix, save_matrix
 from nearscat.errors import DomainError
 from nearscat.geometry import (
     Disk,
     ScattererSpec,
     constant_index,
+    gauss_quadrature,
     make_sensor_array,
-    scatterer_quadrature,
 )
 from nearscat.linalg import hermitian_eig
 
-from reference import fundamental_solution
+from reference import born_scattered_field, fundamental_solution
 
 
 def test_zero_contrast_is_exact_zero(unit_sensors32):
@@ -42,7 +36,7 @@ def test_field_symmetry():
 def test_against_brute_force_quadrature_sum():
     spec = ScattererSpec(Disk(center=(-0.5, 0.5), radius=0.2), constant_index(5.0))
     k, x, y = 1.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    rule = scatterer_quadrature(spec, 8)
+    rule = gauss_quadrature(spec.shape, 8)
     ref = 0.0 + 0.0j
     for (zx, zy), w in zip(rule.nodes, rule.weights):
         ref += (
@@ -88,8 +82,8 @@ def test_linearity_in_contrast(unit_sensors32):
 def test_pointlike_scatterer_rank_one(unit_sensors32):
     spec = ScattererSpec(Disk(center=(-0.5, 0.5), radius=0.01), constant_index(5.0))
     m = assemble_multistatic([spec], unit_sensors32, 1.0, 16)
-    eig = hermitian_eig(m.data @ m.data.conj().T)
-    assert eig.eigenvalues[1] <= 1e-4 * eig.eigenvalues[0]
+    vals, _ = hermitian_eig(m.data @ m.data.conj().T)
+    assert vals[1] <= 1e-4 * vals[0]
 
 
 def test_sensor_inside_scatterer_rejected():

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nearscat
-from nearscat import bayes, born, sampling
+from nearscat import bayes, born, cli, sampling
 from nearscat.cli import PRESETS, main, run, validate_config
 from nearscat.errors import ConfigError
 from nearscat.geometry import make_grid
@@ -667,3 +667,58 @@ def test_main_fuzzed_setting_exits_0_2_or_3(tmp_path, capsys, data):
     result = json.loads(line)
     if code:
         assert result["error"] == {2: "config", 3: "numerical"}[code]
+
+
+@pytest.mark.parametrize("setting", ["--out", "output_dir"])
+@pytest.mark.parametrize("below_file", [False, True], ids=["a-file", "below-a-file"])
+def test_unusable_output_dir_exit_2_before_the_numerics(
+    tmp_path, capsys, monkeypatch, setting, below_file
+):
+    # an existing file, or a path below one, cannot be created as the output
+    # directory: exit 2 with one JSON line, and no runner starts
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / "out" if below_file else blocker)
+
+    def no_runner(s, out_dir):
+        raise AssertionError("runner called with an unusable output directory")
+
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, no_runner))
+    if setting == "--out":
+        code = main(["run", "--preset", "figure2", "--out", out])
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_dir": out}))
+        code = main(["run", "--preset", "figure2", "--config", str(cfg)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "config"
+
+
+def test_output_write_error_exit_2(tmp_path, capsys, monkeypatch):
+    def disk_full(fld, path):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "write_field_csv", disk_full)
+    assert _main_on(tmp_path, small_disk_config()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "preset, shape",
+    [
+        ("figure1", {"type": "disk", "center": [-0.5, 0.5], "radius": 0.1}),
+        ("figure3", {"type": "rectangle", "corner_min": [-0.1, -0.1], "corner_max": [0.1, 0.1]}),
+    ],
+)
+def test_epsilon_scale_runs_the_scaled_shape(tmp_path, preset, shape):
+    # 0.5 * 0.2 == 0.1 exactly, so both runs see the same shape
+    run(config=_edited_preset(preset, "scatterers.0.epsilon_scale", 0.5), out_dir=tmp_path / "e")
+    run(config=_edited_preset(preset, "scatterers.0.shape", shape), out_dir=tmp_path / "s")
+    scaled = (tmp_path / "e" / "field.csv").read_bytes()
+    assert scaled == (tmp_path / "s" / "field.csv").read_bytes()

@@ -9,14 +9,20 @@ import pytest
 from nearscat.disk import (
     DiskMedium,
     assemble_nearfield_matrix,
-    circulant_symbol,
-    disk_scattered_field,
     kernel_weights,
     series_coefficients,
-    sigma_m,
 )
 from nearscat.errors import DomainError, ResonanceError
-from nearscat.specfun import bessel_j, bessel_j_prime, hankel1, hankel1_prime
+
+from reference import (
+    bessel_j,
+    bessel_j_prime,
+    circulant_symbol,
+    disk_scattered_field,
+    hankel1,
+    hankel1_prime,
+    sigma_m,
+)
 
 
 def sigma_oracle(medium, m):

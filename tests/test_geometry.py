@@ -8,13 +8,11 @@ from nearscat.geometry import (
     Disk,
     Ellipse,
     Rectangle,
-    ScattererSpec,
     constant_index,
     gauss_quadrature,
     make_grid,
     make_sensor_array,
-    scatterer_contains,
-    scatterer_quadrature,
+    scaled,
 )
 
 # ---------------------------------------------------------------------------
@@ -66,7 +64,7 @@ def test_grid_row_major_y_outer():
 
 def test_grid_spacing():
     g = make_grid((-0.9, 0.9, -0.9, 0.9), 101, 101)
-    xs = g.x_coords()
+    xs = g.points[: g.nx, 0]
     assert xs[1] - xs[0] == pytest.approx(1.8 / 100)
 
 
@@ -79,14 +77,6 @@ def test_grid_validation():
 
 # ---------------------------------------------------------------------------
 # shapes
-
-
-def test_shape_areas():
-    assert Disk(center=(0, 0), radius=0.2).area == pytest.approx(np.pi * 0.04)
-    assert Ellipse(center=(0, 0), a=0.2, b=0.1).area == pytest.approx(np.pi * 0.02)
-    assert Rectangle(corner_min=(-0.2, -0.2), corner_max=(0.2, 0.2)).area == (
-        pytest.approx(0.16)
-    )
 
 
 def test_shape_containment():
@@ -168,7 +158,7 @@ def test_quadrature_order_validation():
 
 
 # ---------------------------------------------------------------------------
-# scatterer specs / epsilon scaling
+# index functions / epsilon scaling
 
 
 def test_constant_index_broadcasts():
@@ -179,19 +169,27 @@ def test_constant_index_broadcasts():
 
 
 def test_epsilon_scale_shrinks_support():
-    spec = ScattererSpec(Disk(center=(0.5, 0.5), radius=0.2), constant_index(2.0), 0.5)
-    assert scatterer_contains(spec, (0.55, 0.5))
-    assert not scatterer_contains(spec, (0.65, 0.5))  # inside unscaled, outside scaled
-    rule = scatterer_quadrature(spec, 8)
+    shape = scaled(Disk(center=(0.5, 0.5), radius=0.2), 0.5)
+    assert shape.contains((0.55, 0.5))
+    assert not shape.contains((0.65, 0.5))  # inside unscaled, outside scaled
+    rule = gauss_quadrature(shape, 8)
     assert rule.weights.sum() == pytest.approx(np.pi * 0.1**2, rel=1e-12)
 
 
 def test_epsilon_scale_identity():
-    spec = ScattererSpec(Disk(center=(0, 0), radius=0.2), constant_index(2.0))
-    rule = scatterer_quadrature(spec, 8)
-    base = gauss_quadrature(spec.shape, 8)
-    assert np.array_equal(rule.nodes, base.nodes)
-    assert np.array_equal(rule.weights, base.weights)
+    disk = Disk(center=(0, 0), radius=0.2)
+    assert scaled(disk, 1.0) is disk
+
+
+def test_epsilon_scale_about_the_center():
+    assert scaled(Ellipse(center=(0.5, -0.5), a=0.2, b=0.1), 0.5) == Ellipse(
+        center=(0.5, -0.5), a=0.1, b=0.05
+    )
+    square = scaled(Rectangle(corner_min=(0.0, -0.5), corner_max=(1.0, 0.5)), 0.5)
+    assert square == Rectangle(corner_min=(0.25, -0.25), corner_max=(0.75, 0.25))
+    for eps in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError):
+            scaled(square, eps)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,42 @@
+"""The package keeps only what a run calls: every public top-level function
+and class in src/nearscat is referenced in src/nearscat outside its own
+definition.  Test oracles and one-value twins of vectorised functions live
+in tests/reference.py."""
+
+import ast
+from pathlib import Path
+
+import nearscat
+
+# Public names with no caller in the package yet, each kept for an open
+# ROADMAP item: save_matrix and load_matrix for item 5 (reconstruct from a
+# measured matrix), fm_mlsm_equivalence_check for item 1 (the manifest).
+ALLOWED_UNCALLED = {"save_matrix", "load_matrix", "fm_mlsm_equivalence_check"}
+
+
+def _referenced_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    defined = set()  # (module, name)
+    references = set()  # (module, top-level definition or None, name)
+    for path in sorted(Path(nearscat.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if not owner.startswith("_"):
+                    defined.add((path.stem, owner))
+            references.update((path.stem, owner, name) for name in _referenced_names(stmt))
+    uncalled = {
+        name
+        for module, name in defined
+        if not any(ref == name and (m, o) != (module, name) for m, o, ref in references)
+    }
+    assert uncalled - ALLOWED_UNCALLED == set(), "no caller in the package"
+    assert ALLOWED_UNCALLED - uncalled == set(), "allowed names that are gone or now called"

@@ -69,7 +69,7 @@ def test_projector_identity(figure1_scatterers, unit_sensors32):
     model = build_music(m)
     zs = [(0.31, -0.12), (0.0, 0.0), (0.7, 0.2), (-0.3, -0.6)]
     # explicit noise-space projector I - U_s U_s^H from the signal subspace
-    u_s = model.eig.eigenvectors[:, : model.rank]
+    u_s = model.eigenvectors[:, : model.rank]
     projector = np.eye(32) - u_s @ u_s.conj().T
     values = music_at(model, unit_sensors32, 1.0, zs)
     for z, value in zip(zs, values):

@@ -10,7 +10,7 @@ from scipy.stats import spearmanr
 from nearscat import sampling
 from nearscat.errors import DegenerateSpectrumError, DomainError
 from nearscat.geometry import make_sensor_array
-from nearscat.linalg import hermitian_eig, sqrt_op_apply
+from nearscat.linalg import hermitian_eig
 from nearscat.sampling import (
     SENTINEL_CAP,
     FilterSpec,
@@ -25,7 +25,7 @@ from nearscat.sampling import (
 )
 from nearscat.specfun import fundamental_solution_many
 
-from reference import fundamental_solution
+from reference import fundamental_solution, sqrt_op_apply
 
 
 FM, MLSM = 0, 1  # rows of picard_weights
@@ -260,7 +260,7 @@ def test_half_power_identity_against_sqrt_oracle(fig6_picard, disk_sensors64):
     eig = hermitian_eig(explicit_nsharp(fig6_picard))
     for j in range(len(zs)):
         g = explicit_mlsm_solve(fig6_picard, phis[:, j], f)
-        oracle = fig6_picard.weight * np.linalg.norm(sqrt_op_apply(eig, g)) ** 2
+        oracle = fig6_picard.weight * np.linalg.norm(sqrt_op_apply(*eig, g)) ** 2
         assert 1.0 / values[j] == pytest.approx(oracle, rel=1e-10)
 
 

@@ -10,21 +10,24 @@ import pytest
 
 from nearscat import specfun
 from nearscat.errors import DomainError
+from nearscat.geometry import Rectangle, gauss_quadrature, make_sensor_array
 from nearscat.specfun import (
     MAX_ABS_ARG,
     MAX_ORDER,
     SEAM,
-    bessel_j,
     bessel_j_orders,
-    bessel_j_prime,
-    bessel_y,
     bessel_y_orders,
     fundamental_solution_many,
+)
+
+from reference import (
+    bessel_j,
+    bessel_j_prime,
+    bessel_y,
+    fundamental_solution,
     hankel1,
     hankel1_prime,
 )
-
-from reference import fundamental_solution
 
 mpmath.mp.dps = 30
 
@@ -194,6 +197,17 @@ def test_phi_symmetry_random_pairs():
         if np.allclose(x, y):
             continue
         assert fundamental_solution(1.0, x, y) == fundamental_solution(1.0, y, x)
+    # the vectorised Φ is transpose-symmetric bit for bit: bayes.design_matrix
+    # takes Φ(z, x) from its one Φ(x, z) evaluation
+    sensors = make_sensor_array(32, 1.0).points
+    sets = [(rng.uniform(-2, 2, (40, 2)), rng.uniform(-2, 2, (25, 2)), k) for k in (0.5, 1.0, 3.7)]
+    for half in (0.2, 0.265):  # figure4 and figure5 supports at rule order 3
+        square = Rectangle(corner_min=(-half, -half), corner_max=(half, half))
+        sets.append((sensors, gauss_quadrature(square, 3).nodes, 1.0))
+    for a, b, k in sets:
+        ab = np.ascontiguousarray(fundamental_solution_many(k, a, b))
+        ba_t = np.ascontiguousarray(fundamental_solution_many(k, b, a).T)
+        assert np.array_equal(ab.view(np.int64), ba_t.view(np.int64))
 
 
 def test_phi_unit_distance_value():
