@@ -41,11 +41,17 @@ def _gather_nodes(scatterers, rule_order):
     return np.vstack(nodes), np.concatenate(cw)
 
 
+def check_sensors_outside(scatterers, sensors):
+    """Raise DomainError if a sensor lies inside a scatterer: the data are
+    the scattered field at sensors outside every scatterer."""
+    for i, spec in enumerate(scatterers):
+        if np.any(spec.shape.contains(sensors.points)):
+            raise DomainError(f"a sensor lies inside scatterer {i}")
+
+
 def assemble_multistatic(scatterers, sensors, k, rule_order=DEFAULT_RULE_ORDER):
     """Matrix of Born fields over all source/receiver pairs of the array."""
-    for spec in scatterers:
-        if np.any(spec.shape.contains(sensors.points)):
-            raise DomainError("a sensor lies inside a scatterer")
+    check_sensors_outside(scatterers, sensors)
     nodes, cw = _gather_nodes(scatterers, rule_order)
     a = fundamental_solution_many(k, sensors.points, nodes)  # (N, P)
     data = k**2 * ((a * cw[None, :]) @ a.T)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import bayes as bayes_mod
 from . import disk as disk_mod
-from .born import DEFAULT_RULE_ORDER, add_noise, assemble_multistatic
+from .born import DEFAULT_RULE_ORDER, add_noise, assemble_multistatic, check_sensors_outside
 from .errors import ConfigError, DomainError, NearscatError
 from .fields import write_chain_csv, write_field_csv, write_field_pgm
 from .geometry import (
@@ -168,8 +168,8 @@ PRESETS["figure5"]["bayes"]["support"] = {
 # raises ConfigError.  An absent or null key is read from its default, which
 # is written like a config value; a default of ... marks a required key and
 # None passes through.  Ranges that a library object checks (make_grid,
-# make_sensor_array, FilterSpec, scaled, DiskMedium, BayesModel, the
-# quadrature order) are left to it; the readers check only the others.
+# make_sensor_array, the shapes, FilterSpec, scaled, DiskMedium, BayesModel,
+# the quadrature order) are left to it; the readers check only the others.
 
 # Size caps, checked before anything is allocated: 2048² grid points, 1024
 # sensors or quadrature points, 16 384 Born quadrature nodes over all
@@ -252,11 +252,17 @@ def _read(obj, table, path):
 
 
 def _object(table, build=None):
-    """Reader of an object: build(*values in table order), or the values by key."""
+    """Reader of an object: build(*values in table order), or the values by
+    key.  A DomainError from build is a ConfigError naming the object."""
 
     def read(value, path):
         fields = _read(value, table, path)
-        return fields if build is None else build(*fields.values())
+        if build is None:
+            return fields
+        try:
+            return build(*fields.values())
+        except DomainError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     return read
 
@@ -407,6 +413,7 @@ def validate_config(cfg):
             nodes = len(s["scatterers"]) * s["rule_order"] ** 2
             _check(nodes <= MAX_BORN_NODES, "len(scatterers) * rule_order²",
                    f"at most {MAX_BORN_NODES}", nodes)
+            check_sensors_outside(s["scatterers"], s["sensors"])
         if mode == "born-music":
             rank, count = s["rank_override"], s["sensors"].count
             _check(rank is None or 0 <= rank <= count, "rank_override",

@@ -66,13 +66,22 @@ def make_grid(bounds, nx, ny):
 
 
 # ---------------------------------------------------------------------------
-# Shapes
+# Shapes: each rejects sizes that would turn it inside out (its quadrature
+# rule would mirror it into a valid shape while `contains` is False everywhere)
+
+
+def _check_size(name, value):
+    if not 0.0 < value < np.inf:  # NaN too
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
 class Disk:
     center: tuple
     radius: float
+
+    def __post_init__(self):
+        _check_size("radius", self.radius)
 
     def contains(self, p):
         p = np.asarray(p, dtype=float)
@@ -86,6 +95,10 @@ class Ellipse:
     a: float  # semi-axis along x
     b: float  # semi-axis along y
 
+    def __post_init__(self):
+        _check_size("a", self.a)
+        _check_size("b", self.b)
+
     def contains(self, p):
         p = np.asarray(p, dtype=float)
         u = (p[..., 0] - self.center[0]) / self.a
@@ -97,6 +110,14 @@ class Ellipse:
 class Rectangle:
     corner_min: tuple
     corner_max: tuple
+
+    def __post_init__(self):
+        (x0, y0), (x1, y1) = self.corner_min, self.corner_max
+        if not (x0 < x1 and y0 < y1):  # NaN too
+            raise DomainError(
+                f"corner_min {self.corner_min} must be below corner_max {self.corner_max} "
+                "on both axes"
+            )
 
     def contains(self, p):
         p = np.asarray(p, dtype=float)

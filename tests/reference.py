@@ -359,7 +359,25 @@ def run_mh_collapsed(model, readings, proposal_sd=None):
     )
 
 
-# Field readers and image analysis that only the tests use.
+# Field writers, readers and image analysis that only the tests use.
+
+
+def write_field_csv_rows(fld, path):
+    """The field CSV through Python's own '%.17g', one `%` call per grid
+    row: each distinct coordinate is formatted once, the nx x strings are
+    spliced into one row template, and each grid row fills it with the row's
+    y (formatted once) interleaved with its values."""
+    nx = fld.grid.nx
+    xs = map("{:.17g}".format, fld.grid.points[:nx, 0].tolist())
+    template = "".join(x + ",%s,%.17g\n" for x in xs)
+    ys = map("{:.17g}".format, fld.grid.points[::nx, 1].tolist())
+    args = [None] * (2 * nx)
+    with open(path, "w") as fh:
+        fh.write("x,y,value\n")
+        for y, row in zip(ys, fld.as_image().tolist()):
+            args[::2] = [y] * nx
+            args[1::2] = row
+            fh.write(template % tuple(args))
 
 
 def read_field_csv(path):

@@ -490,6 +490,61 @@ def test_main_out_of_range_imaging_setting_exit_2(
     assert json.loads(err_lines[0])["error"] == "config"
 
 
+_DISK = {"type": "disk", "center": [0.0, 0.0], "radius": 0.3}
+_SQUARE = {"type": "rectangle", "corner_min": [-0.2, -0.2], "corner_max": [0.2, 0.2]}
+
+
+@pytest.mark.parametrize(
+    "preset, path, value",
+    [
+        ("figure1", "scatterers.0.shape.radius", -1.5),
+        ("figure1", "scatterers.0.shape.radius", 0),
+        ("figure1", "scatterers.1.shape.a", -0.2),
+        ("figure1", "scatterers.1.shape.b", 0),
+        ("figure3", "scatterers.0.shape.corner_min", [0.2, 0.2]),
+        ("figure3", "scatterers.0.shape.corner_max", [0.2, -0.3]),
+        ("figure3", "scatterers.0.shape.corner_min", [0.3, -0.2]),
+        ("figure4", "scatterers.0.shape", {**_SQUARE, "corner_max": [-0.3, -0.3]}),
+        ("figure4", "bayes.support.corner_min", [0.2, 0.2]),
+        ("figure5", "bayes.support", {**_DISK, "radius": -0.3}),
+        ("figure4", "bayes.support", {"type": "ellipse", "center": [0, 0], "a": 0.3, "b": -0.1}),
+    ],
+)
+def test_main_inside_out_shape_exit_2(tmp_path, capsys, monkeypatch, preset, path, value):
+    # a negative size or swapped corners turn a shape inside out: at the
+    # parent its quadrature mirrored it into the valid shape and figure1 ran
+    _forbid_phi(monkeypatch)
+    code = _main_on(tmp_path, _edited_preset(preset, path, value))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config"
+    shape_path = path if path.endswith(("shape", "support")) else path.rsplit(".", 1)[0]
+    assert err["message"].startswith(shape_path + ": ")
+
+
+@pytest.mark.parametrize("preset", ["figure1", "figure4"])
+def test_main_sensor_inside_a_scatterer_exit_2_before_the_numerics(
+    tmp_path, capsys, monkeypatch, preset
+):
+    # every sensor of the unit circle lies inside a disk of radius 1.5
+    def no_runner(s, out_dir):
+        raise AssertionError("runner called with a sensor inside a scatterer")
+
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, no_runner))
+    disk = {**_DISK, "radius": 1.5}
+    code = _main_on(tmp_path, _edited_preset(preset, "scatterers.0.shape", disk))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config"
+    assert "scatterer 0" in err["message"]
+
+
 @pytest.mark.parametrize(
     "preset, override",
     [

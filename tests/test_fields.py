@@ -1,13 +1,26 @@
 """Indicator-field container and CSV/PGM format tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nearscat.fields import IndicatorField, write_chain_csv, write_field_csv, write_field_pgm
+import nearscat
+from nearscat import cli, fields
+from nearscat.fields import (
+    IndicatorField,
+    _g17,
+    write_chain_csv,
+    write_field_csv,
+    write_field_pgm,
+)
 from nearscat.geometry import SamplingGrid, make_grid
 from nearscat.sampling import SENTINEL_CAP
 
-from reference import argmax_point, local_maxima, read_field_csv
+from reference import argmax_point, local_maxima, read_field_csv, write_field_csv_rows
 
 
 def small_field():
@@ -185,6 +198,135 @@ def test_chain_csv_matches_per_row_reference_across_blocks(tmp_path):
     first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
     assert first is None, f"line {first}: {got[first]!r} != {want[first]!r}"
     assert len(got) == len(want)
+
+
+# ---------------------------------------------------------------------------
+# The '%.17g' text kernel
+
+
+def assert_g17_matches_printf(values):
+    values = np.asarray(values, dtype=float)
+    text = _g17(values)
+    lines = np.concatenate([text, np.full((values.size, 1), ord("\n"), np.uint8)], axis=1)
+    got = lines.tobytes().translate(None, b"\0").decode()
+    want = "".join(map("{:.17g}\n".format, values.tolist()))
+    if got != want:
+        pairs = zip(values.tolist(), got.splitlines(), want.splitlines())
+        value, g, w = next(p for p in pairs if p[1] != p[2])
+        raise AssertionError(f"{value!r}: kernel {g!r}, '%.17g' {w!r}")
+
+
+def _ulp_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def test_g17_random_bit_patterns():
+    bits = np.random.default_rng(44).integers(0, 2**64, 1_050_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert values.size >= 10**6
+    assert np.count_nonzero(values < 0) > 4 * 10**5
+    assert np.count_nonzero(values > 0) > 4 * 10**5
+    assert_g17_matches_printf(values)
+
+
+def test_g17_powers_of_two():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    assert_g17_matches_printf(np.concatenate([powers, -powers]))
+
+
+def test_g17_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    assert_g17_matches_printf(_ulp_neighbours(np.concatenate([powers, -powers])))
+
+
+def test_g17_form_and_range_edges():
+    # fixed form runs from 1e-4 to just below 1e17; 1e±250 bound the kernel's range
+    edges = [1e-5, 1e-4, 1e16, 1e17, 1e-250, 1e250, 0.5, 1.0, 9.5, 99999999999999999.0]
+    assert_g17_matches_printf(_ulp_neighbours(edges + [-e for e in edges]))
+
+
+def test_g17_special_values():
+    tiny = np.finfo(float).tiny
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+                np.nextafter(tiny, 0.0), tiny, -tiny, np.finfo(float).max, -np.finfo(float).max]
+    assert_g17_matches_printf(specials)
+
+
+def test_g17_exact_ties():
+    # m / 2**k with m odd is m * 5**k / 10**k exactly: 18 significant digits
+    # ending in 5 when 1e17 <= m * 5**k < 1e18, a tie for 17 digits
+    rng = np.random.default_rng(45)
+    ties = []
+    for k in range(2, 26):
+        lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        for m in rng.integers(lo, hi, 400).tolist():
+            m |= 1
+            if m * 5**k < 10**18:
+                ties.append(m / 2**k)
+    assert len(ties) > 8000
+    assert_g17_matches_printf(np.concatenate([ties, np.negative(ties)]))
+
+
+def test_g17_log_uniform_values():
+    rng = np.random.default_rng(46)
+    values = np.exp(rng.uniform(-700.0, 700.0, 200_000)) * rng.choice([-1.0, 1.0], 200_000)
+    assert_g17_matches_printf(values)
+
+
+def test_import_builds_no_text_tables():
+    script = (
+        "import sys, nearscat.cli\n"
+        "from nearscat import fields\n"
+        "print(fields._tables.cache_info().currsize, 'fractions' in sys.modules,"
+        " 'decimal' in sys.modules)\n"
+    )
+    src = Path(nearscat.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False"]
+
+
+@pytest.mark.parametrize("preset", ["figure1", "figure2", "figure3", "figure6", "figure7"])
+def test_csv_matches_row_template_on_preset_fields(tmp_path, monkeypatch, preset):
+    written = []
+
+    def both(fld, path):
+        write_field_csv(fld, path)
+        write_field_csv_rows(fld, path.with_suffix(".rows"))
+        written.append(path)
+
+    monkeypatch.setattr(cli, "write_field_csv", both)
+    cli.run(preset=preset, out_dir=tmp_path)
+    assert len(written) == (2 if preset in ("figure6", "figure7") else 1)
+    for path in written:
+        assert path.read_bytes() == path.with_suffix(".rows").read_bytes()
+
+
+def _fallback_values(size):
+    """Values the kernel leaves to '%.17g': zeros, non-finite values,
+    magnitudes beyond 1e±250 and exact ties."""
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-300, 1e300,
+                     -1.7976931348623157e308, 2.0**-25, 4000000000000001 / 4])
+    return pool[np.arange(size) % pool.size]
+
+
+@pytest.mark.parametrize("block", [None, 4, 5])
+@pytest.mark.parametrize("nx, ny", [(1, 9), (9, 1), (1, 1), (9, 7), (2, 9)])
+@pytest.mark.parametrize("kind", ["normal", "fallback"])
+def test_csv_matches_row_template_on_thin_grids_and_blocks(tmp_path, monkeypatch,
+                                                           block, nx, ny, kind):
+    # blocks of 4 or 5 values split the 9-wide rows and group the 1-wide ones
+    if block is not None:
+        monkeypatch.setattr(fields, "_TEXT_BLOCK", block)
+    values = (np.random.default_rng(47).normal(0.0, 1e3, nx * ny) if kind == "normal"
+              else _fallback_values(nx * ny))
+    fld = IndicatorField(grid=thin_grid(nx, ny), values=values)
+    write_field_csv(fld, tmp_path / "f.csv")
+    write_field_csv_rows(fld, tmp_path / "rows.csv")
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_local_maxima_ordering():

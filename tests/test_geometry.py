@@ -193,6 +193,32 @@ def test_epsilon_scale_about_the_center():
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: Disk(center=(0.0, 0.0), radius=bad),
+        lambda bad: Ellipse(center=(0.0, 0.0), a=bad, b=0.1),
+        lambda bad: Ellipse(center=(0.0, 0.0), a=0.2, b=bad),
+    ],
+    ids=["disk-radius", "ellipse-a", "ellipse-b"],
+)
+@pytest.mark.parametrize("bad", [-0.2, 0.0, -0.0, float("nan"), float("inf")])
+def test_shapes_reject_sizes_that_are_not_positive_and_finite(build, bad):
+    with pytest.raises(DomainError):
+        build(bad)
+
+
+@pytest.mark.parametrize(
+    "corner_min, corner_max",
+    [((0.2, 0.2), (-0.2, -0.2)), ((0.2, -0.2), (-0.2, 0.2)), ((-0.2, 0.2), (0.2, -0.2)),
+     ((0.0, -0.2), (0.0, 0.2)), ((float("nan"), -0.2), (0.2, 0.2))],
+    ids=["both-swapped", "x-swapped", "y-swapped", "zero-width", "nan"],
+)
+def test_rectangle_rejects_corners_not_below_on_both_axes(corner_min, corner_max):
+    with pytest.raises(DomainError):
+        Rectangle(corner_min=corner_min, corner_max=corner_max)
+
+
+@pytest.mark.parametrize(
     "shape",
     [Rectangle(corner_min=(-0.2, -0.3), corner_max=(0.4, 0.1)),
      Disk(center=(0.1, -0.2), radius=0.3)],
