@@ -46,7 +46,6 @@ def synthesize_readings(scatterers, sensors, k, noise_frac, seed,
 @dataclass(frozen=True)
 class BayesModel:
     rhat: QuadratureRule  # rule over the reconstructed support
-    support_shape: object  # the reconstructed shape itself (containment checks)
     k: float
     h: float  # Taylor spread of eta about gamma
     prior_sd: float = 1e5
@@ -98,7 +97,7 @@ def make_bayes_model(shape, k, rule_order=3, h=None, **kwargs):
     rule = gauss_quadrature(shape, rule_order)
     if h is None:
         h = support_diameter(shape)
-    return BayesModel(rhat=rule, support_shape=shape, k=k, h=float(h), **kwargs)
+    return BayesModel(rhat=rule, k=k, h=float(h), **kwargs)
 
 
 def design_matrix(model, readings):

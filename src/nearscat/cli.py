@@ -166,7 +166,8 @@ PRESETS["figure5"]["bayes"]["support"] = {
 # Config schema: one table per mode.  A row is key: (reader, default).  The
 # reader turns the JSON value at a dotted path into its typed value or
 # raises ConfigError.  An absent or null key is read from its default, which
-# is written like a config value; a default of ... marks a required key and
+# is written like a config value (a null key outside the table counts as
+# absent too); a default of ... marks a required key and
 # None passes through.  Ranges that a library object checks (make_grid,
 # make_sensor_array, the shapes, FilterSpec, scaled, DiskMedium, BayesModel,
 # the quadrature order) are left to it; the readers check only the others.
@@ -238,7 +239,7 @@ def _read(obj, table, path):
     """The typed values of an object's keys, in table order."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path or 'config'} must be an object, got {obj!r}")
-    unknown = set(obj) - set(table)
+    unknown = {key for key, val in obj.items() if val is not None} - set(table)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path or 'config'}")
     out = {}
@@ -502,11 +503,14 @@ _RUNNERS = {"born-music": _run_born_music, "disk-fm": _run_disk, "disk-mlsm": _r
 
 
 def _merge_into(base, override):
-    """Apply override to base in place: dicts merge key by key, recursively;
-    any other value (lists included) replaces the base value."""
+    """Apply override to base in place: dicts merge key by key, recursively,
+    unless their `type`s differ (a shape of another kind); any other value
+    (lists included) replaces the base value."""
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(base.get(key), dict):
-            _merge_into(base[key], val)
+        old = base.get(key)
+        if (isinstance(val, dict) and isinstance(old, dict)
+                and val.get("type", old.get("type")) == old.get("type")):
+            _merge_into(old, val)
         else:
             base[key] = val
 

@@ -1,5 +1,5 @@
-"""Hermitian eigendecomposition, numerical rank, and the spectral operator
-calculus (|B|, the N-sharp combinations).
+"""Hermitian eigendecomposition, the spectral-gap rank, and the spectral
+operator calculus (|B|, the N-sharp combinations).
 
 Matrices are plain complex numpy arrays.  The eigensolver is backed by
 LAPACK via numpy.linalg.eigh behind the module's contract: real spectrum
@@ -100,35 +100,21 @@ def nsharp(n, regime):
     return sigma * im
 
 
-def numerical_rank(values):
-    """Count of eigenvalues (descending by magnitude) above n * eps * |lambda_1|,
-    the usual max(m, n)*eps convention of dense rank commands."""
-    vals = np.abs(np.asarray(values, dtype=float))
-    if vals.size == 0 or vals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(vals > vals.size * np.finfo(float).eps * vals[0]))
-
-
 def spectral_gap_rank(values):
-    """Rank estimate at the largest multiplicative gap of the spectrum.
+    """Rank estimate at the largest multiplicative gap of a spectrum.
 
-    Scans |lambda_j| (descending) above the machine floor n * eps * |lambda_1|
-    and returns the index after which the ratio |lambda_j| / |lambda_{j+1}|
-    is largest.  Robust for effectively low-rank data whose trailing spectrum sits well
-    above machine precision (finite-size scatterers, noise floors).
+    Scans |s_j| (descending; singular values or eigenvalues) down to the
+    first one at or below the machine floor n * eps * |s_1|, the usual SVD
+    rank floor, and returns the index after which the ratio
+    |s_j| / |s_{j+1}| is largest.  Robust for effectively low-rank data
+    whose trailing spectrum sits well above machine precision (finite-size
+    scatterers, noise floors).
     """
     vals = np.abs(np.asarray(values, dtype=float))
     if vals.size == 0 or vals[0] == 0.0:
         return 0
-    floor = vals.size * np.finfo(float).eps * vals[0]
-    above = int(np.count_nonzero(vals > floor))
-    if above == 0:
-        return 0
-    if above == vals.size:
-        # no machine-floor cut; gap must come from the interior
-        tail = vals
-    else:
-        tail = vals[: above + 1]
+    above = int(np.count_nonzero(vals > vals.size * np.finfo(float).eps * vals[0]))
+    tail = vals[: above + 1]
     if tail.size < 2:
         return above
     ratios = tail[:-1] / np.maximum(tail[1:], 1e-300)

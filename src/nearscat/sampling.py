@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, DomainError
 from .fields import IndicatorField
-from .linalg import hermitian_eig, numerical_rank
+from .linalg import hermitian_eig
 from .specfun import fundamental_solution_many
 
 SENTINEL_CAP = 1e12
@@ -91,31 +91,21 @@ def make_picard_data(nsharp_matrix, weight=1.0):
     lmax = float(np.max(vals))
     if lmax <= 0.0:
         raise DegenerateSpectrumError("N_sharp has no positive eigenvalues")
+    # lambda_1 itself is kept, and the kept values are positive, so
+    # hermitian_eig's descending-|lambda| order is already descending
     keep = vals > CLIP_REL * lmax
-    if not np.any(keep):
-        raise DegenerateSpectrumError("all eigenvalues fell below the clip")
-    order = np.argsort(-vals[keep])
-    return PicardData(
-        eigenvalues=vals[keep][order],
-        eigenvectors=vecs[:, keep][:, order],
-        weight=float(weight),
-    )
+    return PicardData(eigenvalues=vals[keep], eigenvectors=vecs[:, keep], weight=float(weight))
 
 
 def cutoff_at_rank(data):
-    """Spectral-cutoff filter retaining the numerically significant modes.
+    """Spectral-cutoff filter that keeps every retained mode.
 
-    The cutoff parameter sits just below lambda_rank^2, reproducing the
-    rank-truncated solve of the discrete test problem.
+    The clip of make_picard_data is the only truncation of N_sharp: the
+    cutoff parameter sits just below lambda_min^2, so the filter is 1/t on
+    every retained lambda^2 and the MLSM weights lambda^3 f(lambda^2)^2
+    equal the FM weights 1/lambda up to rounding.
     """
-    r = numerical_rank(data.eigenvalues)
-    r = max(1, min(r, data.size))
-    lam_r = data.eigenvalues[r - 1]
-    if r < data.size:
-        eps = float(np.sqrt(lam_r**2 * data.eigenvalues[r] ** 2))
-    else:
-        eps = float(lam_r**2 * (1.0 - 1e-9))
-    return FilterSpec(kind="cutoff", eps=eps)
+    return FilterSpec(kind="cutoff", eps=float(data.eigenvalues[-1] ** 2 * (1.0 - 1e-9)))
 
 
 @dataclass(frozen=True)
@@ -226,7 +216,10 @@ def fm_mlsm_fields(data, sensors, k, grid, f=None):
     grid, for g_z = sum_j lambda_j f(lambda_j^2) (phi_z, psi_j) psi_j, from
     one projection of each steering vector.
 
-    Default filter is the spectral cutoff at the numerical rank of N_sharp.
+    The default filter (f None, a config's `filter: null`) is
+    cutoff_at_rank, which keeps every retained mode: the MLSM weights then
+    equal the FM weights up to rounding, so P is W to about 1e-15 relative.
+    A regularized MLSM needs an explicit f.
     """
     if f is None:
         f = cutoff_at_rank(data)

@@ -271,11 +271,12 @@ def tail_fill_run_mh(model, readings):
     return SimpleNamespace(chain_gamma=chain_gamma, chain_logpost=chain_logpost)
 
 
-def predicted_mean(model, gamma_field, x, y):
-    """mu(x, y) for node values eta(z_p) = gamma_field."""
+def predicted_mean(model, support, gamma_field, x, y):
+    """mu(x, y) for node values eta(z_p) = gamma_field on the model's rule
+    over the shape support."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if model.support_shape.contains(x) or model.support_shape.contains(y):
+    if support.contains(x) or support.contains(y):
         raise DomainError("evaluation point lies inside the reconstructed support")
     k = model.k
     px = fundamental_solution_many(k, x[None, :], model.rhat.nodes)[0]

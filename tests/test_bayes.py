@@ -84,35 +84,38 @@ def test_readings_are_backscatter(readings15, unit_sensors32):
     assert readings15.delta > 0
 
 
-def test_predicted_mean_zero_field(model_true):
+def test_predicted_mean_zero_field(model_true, bayes_square):
     x, y = (1.0, 0.0), (0.0, 1.0)
-    assert predicted_mean(model_true, np.zeros(model_true.rhat.nodes.shape[0]), x, y) == 0.0
+    zeros = np.zeros(model_true.rhat.nodes.shape[0])
+    assert predicted_mean(model_true, bayes_square, zeros, x, y) == 0.0
 
 
 def test_predicted_mean_matches_born(model_true, bayes_square):
     # eta = 1 over the square equals the Born field with n = 2 at the same rule
     x, y = (1.0, 0.0), (0.0, 1.0)
     p = model_true.rhat.nodes.shape[0]
-    mu = predicted_mean(model_true, np.ones(p), x, y)
+    mu = predicted_mean(model_true, bayes_square, np.ones(p), x, y)
     spec = ScattererSpec(bayes_square, lambda x1, x2: np.full_like(x1, 2.0, dtype=complex))
     order = int(round(np.sqrt(p)))
     ref = born_scattered_field([spec], order, 1.0, x, y)
     assert mu == pytest.approx(ref, rel=1e-12)
 
 
-def test_predicted_mean_linearity(model_true):
+def test_predicted_mean_linearity(model_true, bayes_square):
     rng = np.random.default_rng(30)
     p = model_true.rhat.nodes.shape[0]
     eta = rng.standard_normal(p)
     x, y = (1.0, 0.0), (0.0, 1.0)
-    assert predicted_mean(model_true, 2 * eta, x, y) == pytest.approx(
-        2 * predicted_mean(model_true, eta, x, y), rel=1e-12
+    assert predicted_mean(model_true, bayes_square, 2 * eta, x, y) == pytest.approx(
+        2 * predicted_mean(model_true, bayes_square, eta, x, y), rel=1e-12
     )
 
 
-def test_predicted_mean_rejects_interior_point(model_true):
+def test_predicted_mean_rejects_interior_point(model_true, bayes_square):
     with pytest.raises(DomainError):
-        predicted_mean(model_true, np.zeros(model_true.rhat.nodes.shape[0]), (0.0, 0.0), (1.0, 0.0))
+        predicted_mean(
+            model_true, bayes_square, np.zeros(model_true.rhat.nodes.shape[0]), (0.0, 0.0), (1.0, 0.0)
+        )
 
 
 def test_log_posterior_perfect_fit_zero(model_true, readings15):
@@ -350,9 +353,9 @@ def test_chain_error_on_one_retained_sample(readings15):
     assert run_mh(kept, readings15).samples.size == 2
 
 
-def test_chain_error_on_pathological_proposal(model_true, readings15):
+def test_chain_error_on_pathological_proposal(bayes_square, readings15):
     bad = make_bayes_model(
-        model_true.support_shape,
+        bayes_square,
         1.0,
         proposal_sd_gamma=1e9,
         proposal_sd_eta=1e9,

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 import nearscat
 from nearscat import bayes, born, cli, sampling
 from nearscat.cli import PRESETS, main, run, validate_config
+from nearscat.bayes import make_bayes_model
 from nearscat.errors import ConfigError
-from nearscat.geometry import make_grid
+from nearscat.geometry import Disk, make_grid
 
 from reference import read_field_csv
 
@@ -219,6 +220,56 @@ def test_preset_override_replaces_lists(tmp_path):
     assert cfg["scatterers"] == scatterers
     assert cfg["grid"] == {"bounds": [-0.9, 0.9, -0.9, 0.9], "nx": 11, "ny": 11}
     assert PRESETS["figure1"]["grid"]["nx"] == 101  # the preset itself is untouched
+
+
+_DISK_SUPPORT = {"type": "disk", "center": [0, 0], "radius": 0.3}
+_SHORT_CHAIN = {"iterations": 300, "burn_in": 100}
+
+
+@pytest.mark.parametrize(
+    "support",
+    [_DISK_SUPPORT, {**_DISK_SUPPORT, "corner_min": None, "corner_max": None}],
+    ids=["disk", "disk-nulling-the-corners"],
+)
+def test_preset_override_switches_the_support_shape(tmp_path, capsys, monkeypatch, support):
+    shapes = []
+
+    def recording(shape, *args, **kwargs):
+        shapes.append(shape)
+        return make_bayes_model(shape, *args, **kwargs)
+
+    monkeypatch.setattr(cli.bayes_mod, "make_bayes_model", recording)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bayes": {"support": support, **_SHORT_CHAIN}}))
+    out = tmp_path / "out"
+    code = main(["run", "--preset", "figure4", "--config", str(cfg), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert shapes == [Disk(center=(0.0, 0.0), radius=0.3)]
+    assert json.loads((out / "manifest.json").read_text())["config"]["bayes"]["support"] == support
+
+
+@pytest.mark.parametrize(
+    "support",
+    [{"type": "rectangle", "corner_max": [0.3, 0.3]}, {"corner_max": [0.3, 0.3]}],
+    ids=["same-type", "no-type"],
+)
+def test_preset_override_of_the_same_shape_merges(tmp_path, support):
+    run(preset="figure4", config={"bayes": {"support": support, **_SHORT_CHAIN}}, out_dir=tmp_path)
+    cfg = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert cfg["bayes"]["support"] == {
+        "type": "rectangle", "corner_min": [-0.2, -0.2], "corner_max": [0.3, 0.3]
+    }
+
+
+def test_preset_override_unknown_shape_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    support = {**_DISK_SUPPORT, "corner_min": [-0.2, -0.2]}
+    cfg.write_text(json.dumps({"bayes": {"support": support}}))
+    code = main(["run", "--preset", "figure4", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "unknown key(s) ['corner_min'] in bayes.support" in err["message"]
 
 
 def test_preset_override_must_be_an_object():

@@ -10,7 +10,6 @@ from nearscat.linalg import (
     hermitian_eig,
     imag_part_op,
     nsharp,
-    numerical_rank,
     real_part_op,
     spectral_gap_rank,
 )
@@ -198,18 +197,10 @@ def test_sqrt_rejects_indefinite():
 # rank
 
 
-def test_numerical_rank_identity_and_outer():
-    assert numerical_rank(hermitian_eig(np.eye(6, dtype=complex))[0]) == 6
-    v = np.arange(1.0, 5.0)
-    outer = np.outer(v, v).astype(complex)
-    assert numerical_rank(hermitian_eig(outer)[0]) == 1
-
-
-def test_numerical_rank_zero_matrix():
-    assert numerical_rank(hermitian_eig(np.zeros((4, 4), dtype=complex))[0]) == 0
-
-
 def test_spectral_gap_rank():
     assert spectral_gap_rank(np.array([1.0, 0.5, 1e-8, 1e-9])) == 2
     flat = np.array([1.0, 0.99, 0.98])
     assert spectral_gap_rank(flat) in (1, 2)  # no pronounced gap; small rank
+    # the scan stops at the first value below n * eps * s_1: no gap beyond it
+    assert spectral_gap_rank(np.array([1.0, 1e-3, 1e-20, 1e-300])) == 2
+    assert spectral_gap_rank(np.zeros(4)) == 0

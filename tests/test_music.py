@@ -6,7 +6,7 @@ import pytest
 
 from nearscat.born import MultistaticMatrix, add_noise, assemble_multistatic
 from nearscat.errors import DomainError
-from nearscat.geometry import Ellipse, SamplingGrid, ScattererSpec, constant_index
+from nearscat.geometry import Ellipse, SamplingGrid, ScattererSpec, constant_index, make_grid
 from nearscat.music import build_music, music_field
 from nearscat.sampling import SENTINEL_CAP
 from nearscat.specfun import fundamental_solution_many
@@ -47,6 +47,20 @@ def test_synthetic_rank_three_detected(unit_sensors32):
     assert model.rank == 3
 
 
+def test_weak_scatterer_below_sqrt_eps_gap_detected(unit_sensors32):
+    # sigma_2 / sigma_1 = 1e-6 sits below sqrt(eps): an eigensolve of N N*
+    # squares it to 1e-12 and loses the weak point in rounding, the SVD of N
+    # keeps it
+    centers = [(-0.5, 0.5), (0.4, -0.3)]
+    m = synthetic_rank_matrix(unit_sensors32, 1.0, centers, [1.0, 1e-6])
+    model = build_music(m)
+    assert model.rank == 2
+    fld = music_field(model, unit_sensors32, 1.0, make_grid((-0.9, 0.9, -0.9, 0.9), 37, 37))
+    pts, _ = local_maxima(fld, top=2)
+    for truth in centers:
+        assert np.abs(pts - np.asarray(truth)).max(axis=1).min() <= 1e-12
+
+
 def test_rank_override_and_validation(unit_sensors32):
     m = synthetic_rank_matrix(unit_sensors32, 1.0, [(-0.5, 0.5)], [1.0])
     assert build_music(m, rank_override=5).rank == 5
@@ -69,7 +83,7 @@ def test_projector_identity(figure1_scatterers, unit_sensors32):
     model = build_music(m)
     zs = [(0.31, -0.12), (0.0, 0.0), (0.7, 0.2), (-0.3, -0.6)]
     # explicit noise-space projector I - U_s U_s^H from the signal subspace
-    u_s = model.eigenvectors[:, : model.rank]
+    u_s = model.vectors[:, : model.rank]
     projector = np.eye(32) - u_s @ u_s.conj().T
     values = music_at(model, unit_sensors32, 1.0, zs)
     for z, value in zip(zs, values):

@@ -34,7 +34,7 @@ FM, MLSM = 0, 1  # rows of picard_weights
 def field_at(row, data, phis, f=None):
     """FM or MLSM values for explicit steering columns phis (one per point),
     through the per-block kernel of the grid pipeline; the MLSM filter
-    defaults to the rank cutoff, as in fm_mlsm_fields."""
+    defaults to cutoff_at_rank, as in fm_mlsm_fields."""
     weights = picard_weights(data, cutoff_at_rank(data) if f is None else f)
     return _indicator_block(data.eigenvectors.conj().T, weights, phis)[row]
 
@@ -390,3 +390,15 @@ def test_w_p_spearman_equivalence(fig6_fields):
     w = fig6_fields[FM].values
     p = fig6_fields[MLSM].values
     assert spearmanr(w, p).statistic >= 0.9
+
+
+@pytest.mark.parametrize("picard", ["fig6_picard", "fig7_picard"])
+def test_default_filter_mlsm_is_fm(request, picard, disk_sensors64, disk_grid101):
+    # the default cutoff keeps every mode the clip keeps, so the MLSM weights
+    # lambda^3 f(lambda^2)^2 are the FM weights 1/lambda up to rounding: with
+    # `filter: null` a disk run's MLSM field is its FM field
+    data = request.getfixturevalue(picard)
+    weights = picard_weights(data, cutoff_at_rank(data))
+    assert np.max(np.abs(weights[MLSM] / weights[FM] - 1.0)) <= 1e-14
+    w, p = fm_mlsm_fields(data, disk_sensors64, 1.0, disk_grid101)
+    assert np.max(np.abs(p.values / w.values - 1.0)) <= 1e-14
