@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .geometry import SamplingGrid
 
 
@@ -243,6 +244,9 @@ def write_chain_csv(chain_gamma, chain_logpost, path):
 
 def write_field_pgm(fld, path):
     img = fld.as_image()
+    bad = int(np.count_nonzero(~np.isfinite(img)))
+    if bad:
+        raise DomainError(f"cannot scale a PGM: the field has {bad} non-finite value(s)")
     lo, hi = float(np.min(img)), float(np.max(img))
     if hi > lo:
         pix = np.rint((img - lo) / (hi - lo) * 255.0).astype(int)

@@ -100,20 +100,23 @@ def nsharp(n, regime):
     return sigma * im
 
 
-def spectral_gap_rank(values):
+def spectral_gap_rank(values, delta=0.0):
     """Rank estimate at the largest multiplicative gap of a spectrum.
 
     Scans |s_j| (descending; singular values or eigenvalues) down to the
-    first one at or below the machine floor n * eps * |s_1|, the usual SVD
-    rank floor, and returns the index after which the ratio
-    |s_j| / |s_{j+1}| is largest.  Robust for effectively low-rank data
-    whose trailing spectrum sits well above machine precision (finite-size
+    first one at or below the floor max(n * eps, delta) * |s_1| and returns
+    the index after which the ratio |s_j| / |s_{j+1}| is largest.  n * eps
+    is the usual SVD rank floor; delta is the relative data noise level, as
+    no singular value below delta * s_1 can be told from a perturbation of
+    norm delta * s_1 (Weyl).  Robust for effectively low-rank data whose
+    trailing spectrum sits well above machine precision (finite-size
     scatterers, noise floors).
     """
     vals = np.abs(np.asarray(values, dtype=float))
     if vals.size == 0 or vals[0] == 0.0:
         return 0
-    above = int(np.count_nonzero(vals > vals.size * np.finfo(float).eps * vals[0]))
+    floor = max(vals.size * np.finfo(float).eps, delta) * vals[0]
+    above = int(np.count_nonzero(vals > floor))
     tail = vals[: above + 1]
     if tail.size < 2:
         return above

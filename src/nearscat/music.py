@@ -33,15 +33,16 @@ def build_music(matrix, rank_override=None):
     Default rank detection uses the largest multiplicative spectral gap:
     finite-size scatterers leave a physically low-rank signal subspace whose
     trailing spectrum sits orders of magnitude above machine precision, so
-    an eps-relative threshold badly overcounts.  Pass rank_override to pin
-    the cut by hand (the right call under heavy noise).
+    an eps-relative threshold badly overcounts.  The gap is sought only
+    above the matrix's noise level noise_delta * sigma_1, where signal can
+    be told from noise.  Pass rank_override to pin the cut by hand.
     """
     data = np.asarray(matrix.data, dtype=complex)
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {data.shape}")
     u, sigma, _ = np.linalg.svd(data)
     if rank_override is None:
-        r = spectral_gap_rank(sigma)
+        r = spectral_gap_rank(sigma, matrix.noise_delta)
     else:
         r = int(rank_override)
         if not 0 <= r <= data.shape[0]:
@@ -54,6 +55,6 @@ def music_field(model, sensors, k, grid):
     steering vectors phi_z = Phi(sensors, z) at wavenumber k."""
     noise_vecs = model.vectors[:, model.rank :]
     (values,) = grid_indicators(
-        noise_vecs, np.ones((1, noise_vecs.shape[1])), sensors, k, grid.points
+        noise_vecs, np.ones((1, noise_vecs.shape[1])), sensors, k, grid
     )
     return IndicatorField(grid=grid, values=values)

@@ -183,8 +183,10 @@ def test_preset_with_seed_override(tmp_path):
 
 
 def test_steering_matrix_built_once_per_run(tmp_path, monkeypatch):
-    # every grid point's steering vector is built once, in one block, and
-    # FM and MLSM share it
+    # the steering columns are built once per run, FM and MLSM sharing them,
+    # and only on the fundamental domain F = {x >= 0, 0 <= y <= x} of the
+    # square's mirror maps, which send these sensors and grids onto
+    # themselves; the images of F under those maps cover the whole grid
     original = sampling.fundamental_solution_many
     for preset in ("figure1", "figure6"):
         blocks = []
@@ -197,10 +199,23 @@ def test_steering_matrix_built_once_per_run(tmp_path, monkeypatch):
         run(preset=preset, out_dir=tmp_path / preset)
         g = PRESETS[preset]["grid"]
         grid = make_grid(g["bounds"], g["nx"], g["ny"])
-        covered = np.concatenate(blocks)
-        assert sum(map(len, blocks)) == len(grid.points)
-        assert len(np.unique(covered, axis=0)) == len(grid.points)
-        assert np.array_equal(np.unique(covered, axis=0), np.unique(grid.points, axis=0))
+        nx, ny = grid.nx, grid.ny
+        built = np.concatenate(blocks)
+        assert len(built) == len(np.unique(built, axis=0)) == 51 * 52 // 2
+        # every built point is a grid point, named by its centred lattice
+        # indices (u, v) = (2 ix - (nx - 1), 2 iy - (ny - 1))
+        ix = np.rint((built[:, 0] - grid.xmin) / (grid.xmax - grid.xmin) * (nx - 1)).astype(int)
+        iy = np.rint((built[:, 1] - grid.ymin) / (grid.ymax - grid.ymin) * (ny - 1)).astype(int)
+        assert np.array_equal(grid.points[iy * nx + ix], built)
+        u, v = 2 * ix - (nx - 1), 2 * iy - (ny - 1)
+        assert np.all((0 <= v) & (v <= u))
+        images = set()
+        for a, b in ((u, v), (v, u)):
+            for su in (1, -1):
+                for sv in (1, -1):
+                    images.update(zip((su * a).tolist(), (sv * b).tolist()))
+        lattice = {(2 * i - (nx - 1), 2 * j - (ny - 1)) for i in range(nx) for j in range(ny)}
+        assert images == lattice
 
 
 def test_preset_override_merges_nested_objects(tmp_path):

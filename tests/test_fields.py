@@ -10,6 +10,7 @@ import pytest
 
 import nearscat
 from nearscat import cli, fields
+from nearscat.errors import DomainError
 from nearscat.fields import (
     IndicatorField,
     _g17,
@@ -71,6 +72,16 @@ def test_pgm_constant_field_midgray(tmp_path):
     write_field_pgm(fld, path)
     pixels = [int(v) for row in path.read_text().splitlines()[3:] for v in row.split()]
     assert pixels == [128, 128, 128, 128]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_pgm_rejects_non_finite_fields(tmp_path, bad):
+    # inf used to cast to a negative pixel, nan to an all-128 picture
+    grid = make_grid((0, 1, 0, 1), 2, 2)
+    fld = IndicatorField(grid=grid, values=np.array([0.0, 1.0, 2.0, bad]))
+    with pytest.raises(DomainError, match="1 non-finite value"):
+        write_field_pgm(fld, tmp_path / "f.pgm")
+    assert not (tmp_path / "f.pgm").exists()
 
 
 def reference_csv(fld):

@@ -204,3 +204,8 @@ def test_spectral_gap_rank():
     # the scan stops at the first value below n * eps * s_1: no gap beyond it
     assert spectral_gap_rank(np.array([1.0, 1e-3, 1e-20, 1e-300])) == 2
     assert spectral_gap_rank(np.zeros(4)) == 0
+    # with a noise level delta the scan stops at delta * s_1: a larger gap
+    # in the noise tail no longer wins
+    noisy = np.array([1.0, 0.6, 0.02, 0.018, 0.0005])
+    assert spectral_gap_rank(noisy) == 4
+    assert spectral_gap_rank(noisy, delta=0.2) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nearscat.born import MultistaticMatrix, add_noise, assemble_multistatic
+from nearscat.cli import PRESETS, validate_config
 from nearscat.errors import DomainError
 from nearscat.geometry import Ellipse, SamplingGrid, ScattererSpec, constant_index, make_grid
 from nearscat.music import build_music, music_field
@@ -115,6 +116,29 @@ def test_figure1_noise_robustness(figure1_scatterers, unit_sensors32, grid101):
     for p in p_noisy:
         err = np.abs(p_clean - p).max(axis=1).min()
         assert err <= 2 * cell + 1e-12
+
+
+def test_figure1_noise_rank_scans_above_the_noise_level(figure1_scatterers, unit_sensors32):
+    # at delta = 0.2, seed 9 the tail gap sigma_31 / sigma_32 = 32.0 beats
+    # the signal gap sigma_2 / sigma_3 = 30.6; below delta * sigma_1 signal
+    # cannot be told from noise, so the scan stops there
+    m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
+    assert build_music(add_noise(m, 0.2, 9)).rank == 2
+    assert build_music(add_noise(m, 0.2, 3)).rank == 2
+
+
+@pytest.mark.parametrize("preset", ["figure1", "figure2", "figure3"])
+def test_preset_grids_match_direct_kernel(preset):
+    # each grid point's value agrees with the kernel on its own steering
+    # column, whichever mirror image of the fundamental domain it lies in
+    s = validate_config(PRESETS[preset])
+    matrix = assemble_multistatic(s["scatterers"], s["sensors"], s["k"], s["rule_order"])
+    model = build_music(matrix)
+    fld = music_field(model, s["sensors"], s["k"], s["grid"])
+    noise = model.vectors[:, model.rank :]
+    phis = fundamental_solution_many(s["k"], s["sensors"].points, s["grid"].points)
+    direct = 1.0 / np.sum(np.abs(noise.conj().T @ phis) ** 2, axis=0)
+    np.testing.assert_allclose(fld.values, direct, rtol=1e-10, atol=0.0)
 
 
 def test_figure1_discrimination(figure1_scatterers, unit_sensors32, grid101):

@@ -9,7 +9,7 @@ from scipy.stats import spearmanr
 
 from nearscat import sampling
 from nearscat.errors import DegenerateSpectrumError, DomainError
-from nearscat.geometry import make_sensor_array
+from nearscat.geometry import SamplingGrid, make_grid, make_sensor_array
 from nearscat.linalg import hermitian_eig
 from nearscat.sampling import (
     SENTINEL_CAP,
@@ -60,15 +60,16 @@ def test_steering_matrix_matches_phi():
 def test_blocked_pipeline_matches_single_shot(
     monkeypatch, fig6_picard, disk_sensors64, disk_grid101, block
 ):
-    # 101^2 points are not a multiple of any block here but the last
+    # the reference is the same pipeline run as one block; the 1,326 points
+    # of the fundamental domain are not a multiple of any block here but the
+    # last
     weights = picard_weights(fig6_picard, cutoff_at_rank(fig6_picard))
-    phis = fundamental_solution_many(1.0, disk_sensors64.points, disk_grid101.points)
-    single = _indicator_block(fig6_picard.eigenvectors.conj().T, weights, phis)
+    args = (fig6_picard.eigenvectors, weights, disk_sensors64, 1.0, disk_grid101)
     exact = block in (sampling._BLOCK, len(disk_grid101.points))
+    monkeypatch.setattr(sampling, "_BLOCK", len(disk_grid101.points))
+    single = sampling.grid_indicators(*args)
     monkeypatch.setattr(sampling, "_BLOCK", block)
-    blocked = sampling.grid_indicators(
-        fig6_picard.eigenvectors, weights, disk_sensors64, 1.0, disk_grid101.points
-    )
+    blocked = sampling.grid_indicators(*args)
     if exact:
         # the shipped block size and a single block give byte-identical output
         assert np.array_equal(blocked, single)
@@ -77,6 +78,93 @@ def test_blocked_pipeline_matches_single_shot(
         # (OpenBLAS zgemm unrolls 4 columns), which rounds differently; the
         # Picard sums amplify that to a few 1e-12
         np.testing.assert_allclose(blocked, single, rtol=1e-11, atol=0.0)
+
+
+def direct_indicators(vecs, weights, sensors, grid):
+    """The spectral kernel on the full steering matrix of every grid point,
+    at k = 1: no symmetry, no blocks."""
+    phis = fundamental_solution_many(1.0, sensors.points, grid.points)
+    return _indicator_block(vecs.conj().T, weights, phis)
+
+
+def random_system(q, seed):
+    """Orthonormal vectors (q, q - 3) and two positive weight rows."""
+    rng = np.random.default_rng(seed)
+    vecs = np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))[0]
+    weights = np.stack([rng.uniform(0.5, 2.0, q - 3), np.ones(q - 3)])
+    return vecs[:, 3:], weights
+
+
+def group_of(sensors, grid):
+    return [m for m, _ in sampling._symmetry_group(sensors, grid)]
+
+
+Y_MIRROR = (1, 0, 0, -1)
+
+
+def test_grid_without_shared_symmetry_is_the_direct_kernel():
+    # no mirror map of the square sends this grid onto itself, so the
+    # pipeline is the plain blocked loop and equals the one-shot kernel
+    sensors = make_sensor_array(32, 1.0)
+    grid = make_grid((-0.9, 0.8, -0.9, 0.7), 101, 101)
+    assert len(group_of(sensors, grid)) == 1
+    vecs, weights = random_system(32, 1)
+    values = sampling.grid_indicators(vecs, weights, sensors, 1.0, grid)
+    assert np.array_equal(values, direct_indicators(vecs, weights, sensors, grid))
+
+
+@pytest.mark.parametrize("picard", ["fig6_picard", "fig7_picard"])
+def test_figure6_7_grids_match_direct_kernel(request, picard, disk_sensors64, disk_grid101):
+    data = request.getfixturevalue(picard)
+    assert len(group_of(disk_sensors64, disk_grid101)) == 8
+    weights = picard_weights(data, cutoff_at_rank(data))
+    values = sampling.grid_indicators(
+        data.eigenvectors, weights, disk_sensors64, 1.0, disk_grid101
+    )
+    direct = direct_indicators(data.eigenvectors, weights, disk_sensors64, disk_grid101)
+    np.testing.assert_allclose(values, direct, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "count, bounds, nx, ny, size",
+    [
+        (32, (-0.9, 0.9, -0.9, 0.9), 41, 31, 4),  # nx != ny: no x <-> y
+        (33, (-0.9, 0.9, -0.9, 0.9), 41, 41, 2),  # odd Q: only y -> -y
+        (34, (-0.9, 0.9, -0.9, 0.9), 41, 41, 4),  # Q/4 not an integer
+        (36, (-0.9, 0.9, -0.9, 0.9), 41, 41, 8),  # Q/4 odd
+        (32, (-0.9, 0.8, -0.9, 0.9), 41, 41, 2),  # off centre in x
+    ],
+)
+def test_partial_groups_match_direct_kernel(count, bounds, nx, ny, size):
+    sensors = make_sensor_array(count, 1.0)
+    grid = make_grid(bounds, nx, ny)
+    maps = group_of(sensors, grid)
+    assert len(maps) == size and Y_MIRROR in maps
+    vecs, weights = random_system(count, count)
+    values = sampling.grid_indicators(vecs, weights, sensors, 1.0, grid)
+    direct = direct_indicators(vecs, weights, sensors, grid)
+    np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0.0)
+
+
+def test_grid_whose_points_do_not_fill_nx_by_ny_is_rejected():
+    points = make_grid((-0.9, 0.9, -0.9, 0.9), 5, 5).points
+    grid = SamplingGrid(-0.9, 0.9, -0.9, 0.9, 5, 6, points)
+    vecs, weights = random_system(32, 3)
+    with pytest.raises(DomainError, match="not \\(nx \\* ny, 2\\)"):
+        sampling.grid_indicators(vecs, weights, make_sensor_array(32, 1.0), 1.0, grid)
+
+
+def test_row_that_is_no_lattice_gets_no_mirror():
+    # a one-row SamplingGrid whose bounds do not describe its points, as
+    # tests/test_music.py's music_at builds: its first point lies on y = 0,
+    # but the points are no lattice, so no map is used
+    sensors = make_sensor_array(32, 1.0)
+    points = np.array([[0.3, 0.0], [0.5, 0.4], [-0.2, 0.1]])
+    grid = SamplingGrid(0.0, 1.0, 0.0, 1.0, len(points), 1, points)
+    assert group_of(sensors, grid) == [sampling._MAPS[0]]
+    vecs, weights = random_system(32, 2)
+    values = sampling.grid_indicators(vecs, weights, sensors, 1.0, grid)
+    assert np.array_equal(values, direct_indicators(vecs, weights, sensors, grid))
 
 
 # ---------------------------------------------------------------------------
