@@ -18,6 +18,7 @@ line on stderr.
 import argparse
 import copy
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -474,7 +475,11 @@ def _run_disk(s, out_dir):
         (w_field, p_field, "mlsm") if s["mode"] == "disk-fm" else (p_field, w_field, "fm")
     )
     export_field(primary, out_dir)
-    export_field(companion, out_dir, stem=stem)
+    if companion is primary:  # `filter: null`: P is W, so its files are W's
+        for ext in ("csv", "pgm"):
+            shutil.copyfile(out_dir / f"field.{ext}", out_dir / f"{stem}.{ext}")
+    else:
+        export_field(companion, out_dir, stem=stem)
     return {"retained_modes": int(data.size)}
 
 

@@ -4,6 +4,8 @@ shared by MUSIC (unit weights) and by the factorization-method indicator
 W(z) (Picard sum, w_j = 1/lambda_j) and the modified linear sampling method
 P(z) (regularized solutions of N_sharp g_z = Phi(., z),
 w_j = lambda_j^3 f(lambda_j^2)^2), which share one projection per block.
+Each weight row is reduced on its own, as one product with |c|^2 =
+Re(c)^2 + Im(c)^2; without a filter P is W, and only W is reduced.
 
 The steering columns are built once per orbit of the mirror maps of the
 square (x -> -x, y -> -y, x <-> y and their products) that send both the
@@ -112,17 +114,6 @@ def make_picard_data(nsharp_matrix, weight=1.0):
     return PicardData(eigenvalues=vals[keep], eigenvectors=vecs[:, keep], weight=float(weight))
 
 
-def cutoff_at_rank(data):
-    """Spectral-cutoff filter that keeps every retained mode.
-
-    The clip of make_picard_data is the only truncation of N_sharp: the
-    cutoff parameter sits just below lambda_min^2, so the filter is 1/t on
-    every retained lambda^2 and the MLSM weights lambda^3 f(lambda^2)^2
-    equal the FM weights 1/lambda up to rounding.
-    """
-    return FilterSpec(kind="cutoff", eps=float(data.eigenvalues[-1] ** 2 * (1.0 - 1e-9)))
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     eps_sequence: tuple
@@ -192,20 +183,28 @@ def fm_mlsm_equivalence_check(data, phi_z, m_terms, eps_sequence, f_kind="tikhon
     )
 
 
-def picard_weights(data, f):
-    """Weight rows (FM, MLSM) of the spectral kernel for a Picard system and
-    an MLSM filter f: weight/lambda_j and weight * lambda_j^3 f(lambda_j^2)^2."""
+def picard_weights(data, f=None):
+    """Weight rows of the spectral kernel for a Picard system: FM's
+    weight/lambda_j, then, for an MLSM filter f, weight * lambda_j^3
+    f(lambda_j^2)^2.  A filter that cuts every retained mode leaves P(z)
+    with nothing to sum and is rejected."""
     lam = data.eigenvalues
-    return np.stack(
-        [data.weight / lam, data.weight * lam**3 * filter_value(f, lam**2) ** 2]
-    )
+    rows = [data.weight / lam]
+    if f is not None:
+        rows.append(data.weight * lam**3 * filter_value(f, lam**2) ** 2)
+        if not rows[1].any():
+            raise DegenerateSpectrumError(f"the {f.kind} filter with eps = {f.eps:g} cuts every "
+                                          f"retained mode (lambda_1^2 = {lam[0] ** 2:g})")
+    return np.stack(rows)
 
 
 def _indicator_block(vecs_h, weights, phis):
     """Row i: 1 / sum_j weights[i, j] |(phi_z, v_j)|^2 per column phi_z of
-    phis, sentinel-capped; vecs_h holds the conjugated v_j as rows."""
-    a = np.abs(vecs_h @ phis) ** 2  # (modes, points)
-    sums = np.stack([np.sum(w[:, None] * a, axis=0) for w in weights])
+    phis, sentinel-capped; vecs_h holds the conjugated v_j as rows.  A row's
+    bits do not depend on the other rows."""
+    c = vecs_h @ phis  # (modes, points)
+    a = c.real * c.real + c.imag * c.imag
+    sums = np.stack([w @ a for w in weights])
     return np.where(sums <= 1.0 / SENTINEL_CAP, SENTINEL_CAP, 1.0 / np.maximum(sums, 1e-300))
 
 
@@ -369,15 +368,11 @@ def fm_mlsm_fields(data, sensors, k, grid, f=None):
     grid, for g_z = sum_j lambda_j f(lambda_j^2) (phi_z, psi_j) psi_j, from
     one projection of each steering vector.
 
-    The default filter (f None, a config's `filter: null`) is
-    cutoff_at_rank, which keeps every retained mode: the MLSM weights then
-    equal the FM weights up to rounding, so P is W to about 1e-15 relative.
-    A regularized MLSM needs an explicit f.
+    The default filter (f None, a config's `filter: null`) keeps every
+    retained mode, f(t) = 1/t: the MLSM weights lambda^3 f(lambda^2)^2 are
+    then the FM weights 1/lambda, so only W is reduced and the same field
+    is returned for both.  A regularized MLSM needs an explicit f.
     """
-    if f is None:
-        f = cutoff_at_rank(data)
-    w, p = grid_indicators(data.eigenvectors, picard_weights(data, f), sensors, k, grid)
-    return (
-        IndicatorField(grid=grid, values=w),
-        IndicatorField(grid=grid, values=p),
-    )
+    rows = grid_indicators(data.eigenvectors, picard_weights(data, f), sensors, k, grid)
+    fields = [IndicatorField(grid=grid, values=values) for values in rows]
+    return fields[0], fields[-1]

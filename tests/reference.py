@@ -5,6 +5,7 @@ needs them: each is the direct, slow form of a vectorised or algebraically
 reduced computation in `src/`.
 """
 
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from nearscat.bayes import PosteriorSummary, _histogram_mode, _quadratic_form, d
 from nearscat.born import _gather_nodes
 from nearscat.disk import kernel_weights, series_coefficients
 from nearscat.errors import ChainError, DomainError
+from nearscat.sampling import SENTINEL_CAP, FilterSpec
 from nearscat.specfun import (
     _check_order,
     bessel_j_orders,
@@ -144,6 +146,33 @@ def sqrt_op_apply(values, vectors, g):
     clipped = np.clip(vals, 0.0, None)
     coeff = vectors.conj().T @ np.asarray(g, dtype=complex)
     return vectors @ (np.sqrt(clipped) * coeff)
+
+
+def cutoff_at_rank(data):
+    """Spectral-cutoff filter that keeps every retained mode.
+
+    The clip of make_picard_data is the only truncation of N_sharp: the
+    cutoff parameter sits just below lambda_min^2, so the filter is 1/t on
+    every retained lambda^2 and the MLSM weights lambda^3 f(lambda^2)^2
+    equal the FM weights 1/lambda up to rounding.
+    """
+    return FilterSpec(kind="cutoff", eps=float(data.eigenvalues[-1] ** 2 * (1.0 - 1e-9)))
+
+
+def indicators_per_point(vecs_h, weights, phis):
+    """The spectral kernel's reduction one point and one weight row at a
+    time: 1 / fsum_j w_j (Re(c_j)^2 + Im(c_j)^2), sentinel-capped as in the
+    package.  The projections c = vecs_h @ phis come from the package's own
+    single product: a product per point rounds differently, and the Picard
+    weights amplify that to about 1e-12, which would hide the reduction."""
+    projections = (vecs_h @ phis).T.tolist()
+    out = np.empty((len(weights), len(projections)))
+    for z, c in enumerate(projections):
+        power = [v.real * v.real + v.imag * v.imag for v in c]
+        for i, w in enumerate(weights.tolist()):
+            total = math.fsum(wj * pj for wj, pj in zip(w, power))
+            out[i, z] = SENTINEL_CAP if total <= 1.0 / SENTINEL_CAP else 1.0 / total
+    return out
 
 
 def _log_posterior_from_mu(model, readings, gamma, eta, mu):

@@ -649,6 +649,24 @@ def test_main_series_overflow_names_order_and_k_exit_3(tmp_path, capsys):
     assert "order 100" in err["message"] and "k = 1.0" in err["message"]
 
 
+@pytest.mark.parametrize("preset", ["figure6", "figure7"])
+def test_main_filter_that_cuts_every_mode_exit_3(tmp_path, capsys, preset):
+    # eps above lambda_1^2 leaves P(z) nothing to sum: such a run used to exit
+    # 0 with an mlsm.csv of 1e12 everywhere and an all-128 mlsm.pgm
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"filter": {"kind": "cutoff", "eps": 1e300}}))
+    out = tmp_path / "out"
+    code = main(["run", "--preset", preset, "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "numerical"
+    assert "eps = 1e+300" in err["message"] and "lambda_1^2 = " in err["message"]
+    assert not any(out.iterdir())
+
+
 def test_run_path_imports_no_scipy(tmp_path):
     # every preset runs with SciPy unimportable, and no scipy module loads,
     # not even lazily inside a run

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,14 +291,14 @@ def test_import_builds_no_text_tables():
     script = (
         "import sys, nearscat.cli\n"
         "from nearscat import fields\n"
-        "print(fields._tables.cache_info().currsize, 'fractions' in sys.modules,"
-        " 'decimal' in sys.modules)\n"
+        "print(fields._tables.cache_info().currsize, fields._pgm_cells.cache_info().currsize,"
+        " 'fractions' in sys.modules, 'decimal' in sys.modules)\n"
     )
     src = Path(nearscat.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False", "False"]
+    assert proc.stdout.split() == ["0", "0", "False", "False"]
 
 
 @pytest.mark.parametrize("preset", ["figure1", "figure2", "figure3", "figure6", "figure7"])
@@ -311,9 +312,44 @@ def test_csv_matches_row_template_on_preset_fields(tmp_path, monkeypatch, preset
 
     monkeypatch.setattr(cli, "write_field_csv", both)
     cli.run(preset=preset, out_dir=tmp_path)
-    assert len(written) == (2 if preset in ("figure6", "figure7") else 1)
-    for path in written:
-        assert path.read_bytes() == path.with_suffix(".rows").read_bytes()
+    # a disk run's MLSM field is its FM field under `filter: null`: one CSV
+    # is formatted, and mlsm.csv is a copy of its bytes
+    assert written == [tmp_path / "field.csv"]
+    assert written[0].read_bytes() == written[0].with_suffix(".rows").read_bytes()
+    if preset in ("figure6", "figure7"):
+        assert (tmp_path / "mlsm.csv").read_bytes() == written[0].read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("preset", ["figure1", "figure2", "figure3", "figure6", "figure7"])
+def test_pgm_matches_per_cell_reference_on_preset_fields(tmp_path, monkeypatch, preset, seed):
+    written = []
+
+    def checked(fld, path):
+        write_field_pgm(fld, path)
+        written.append(path.read_text() == reference_pgm(fld))
+
+    monkeypatch.setattr(cli, "write_field_pgm", checked)
+    cli.run(preset=preset, out_dir=tmp_path, seed=seed)
+    assert written == [True]
+
+
+def test_pgm_ramp_hits_every_level(tmp_path):
+    fld = IndicatorField(grid=thin_grid(256, 1), values=np.linspace(-3.0, 5.0, 256))
+    write_field_pgm(fld, tmp_path / "f.pgm")
+    text = (tmp_path / "f.pgm").read_text()
+    assert text == reference_pgm(fld)
+    assert text.splitlines()[3].split() == [str(v) for v in range(256)]
+
+
+def test_pgm_scales_a_finite_range_wider_than_a_float(tmp_path):
+    # max - min overflows to inf: the range is scaled through its halves
+    # instead of writing the pixel -9223372036854775808
+    fld = IndicatorField(grid=thin_grid(4, 1), values=np.array([-1e308, 0.0, 1.0, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_field_pgm(fld, tmp_path / "f.pgm")
+    assert (tmp_path / "f.pgm").read_text() == "P2\n4 1\n255\n0 128 128 255\n"
 
 
 def _fallback_values(size):

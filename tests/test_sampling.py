@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from nearscat import sampling
+from nearscat import cli, sampling
 from nearscat.errors import DegenerateSpectrumError, DomainError
 from nearscat.geometry import SamplingGrid, make_grid, make_sensor_array
 from nearscat.linalg import hermitian_eig
@@ -15,7 +15,6 @@ from nearscat.sampling import (
     SENTINEL_CAP,
     FilterSpec,
     PicardData,
-    cutoff_at_rank,
     _indicator_block,
     filter_value,
     fm_mlsm_equivalence_check,
@@ -25,7 +24,7 @@ from nearscat.sampling import (
 )
 from nearscat.specfun import fundamental_solution_many
 
-from reference import fundamental_solution, sqrt_op_apply
+from reference import cutoff_at_rank, fundamental_solution, indicators_per_point, sqrt_op_apply
 
 
 FM, MLSM = 0, 1  # rows of picard_weights
@@ -481,12 +480,57 @@ def test_w_p_spearman_equivalence(fig6_fields):
 
 
 @pytest.mark.parametrize("picard", ["fig6_picard", "fig7_picard"])
-def test_default_filter_mlsm_is_fm(request, picard, disk_sensors64, disk_grid101):
-    # the default cutoff keeps every mode the clip keeps, so the MLSM weights
-    # lambda^3 f(lambda^2)^2 are the FM weights 1/lambda up to rounding: with
-    # `filter: null` a disk run's MLSM field is its FM field
+def test_default_filter_mlsm_is_fm(request, tmp_path, picard, disk_sensors64, disk_grid101):
+    # the default filter keeps every mode the clip keeps, so the MLSM weights
+    # lambda^3 f(lambda^2)^2 are the FM weights 1/lambda: with `filter: null`
+    # a disk run's MLSM field is its FM field, value for value and byte for
+    # byte on disk; an explicit cutoff just below lambda_min^2 reduces a
+    # second row that agrees with it up to rounding
     data = request.getfixturevalue(picard)
+    w, p = fm_mlsm_fields(data, disk_sensors64, 1.0, disk_grid101)
+    assert np.array_equal(p.values, w.values)
     weights = picard_weights(data, cutoff_at_rank(data))
     assert np.max(np.abs(weights[MLSM] / weights[FM] - 1.0)) <= 1e-14
-    w, p = fm_mlsm_fields(data, disk_sensors64, 1.0, disk_grid101)
-    assert np.max(np.abs(p.values / w.values - 1.0)) <= 1e-14
+    _, p_cut = fm_mlsm_fields(data, disk_sensors64, 1.0, disk_grid101, cutoff_at_rank(data))
+    assert np.max(np.abs(p_cut.values / w.values - 1.0)) <= 1e-14
+    cli.run(preset={"fig6_picard": "figure6", "fig7_picard": "figure7"}[picard], out_dir=tmp_path)
+    for ext in ("csv", "pgm"):
+        assert (tmp_path / f"mlsm.{ext}").read_bytes() == (tmp_path / f"field.{ext}").read_bytes()
+
+
+def block_system(data, sensors, points):
+    """Conjugated eigenvectors, the (FM, MLSM) weights of a Tikhonov filter
+    and the steering columns of the given points, at k = 1."""
+    weights = picard_weights(data, FilterSpec(kind="tikhonov", eps=1e-4))
+    phis = fundamental_solution_many(1.0, sensors.points, np.asarray(points, dtype=float))
+    return data.eigenvectors.conj().T, weights, phis
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("picard", ["fig6_picard", "fig7_picard"])
+def test_indicator_block_matches_per_point_sums(request, picard, rows, disk_sensors64,
+                                                disk_grid101):
+    data = request.getfixturevalue(picard)
+    points = disk_grid101.points[::37]  # inside, near and outside the disk
+    vecs_h, weights, phis = block_system(data, disk_sensors64, points)
+    got = _indicator_block(vecs_h, weights[:rows], phis)
+    want = indicators_per_point(vecs_h, weights[:rows], phis)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_fm_row_bits_do_not_depend_on_an_mlsm_row(fig6_picard, disk_sensors64, disk_grid101):
+    vecs_h, weights, phis = block_system(fig6_picard, disk_sensors64, disk_grid101.points)
+    alone = _indicator_block(vecs_h, weights[:FM + 1], phis)[FM]
+    assert np.array_equal(alone, _indicator_block(vecs_h, weights, phis)[FM])
+    w_alone, _ = fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101)
+    w_beside, _ = fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101,
+                                 FilterSpec(kind="tikhonov", eps=1e-4))
+    assert np.array_equal(w_alone.values, w_beside.values)
+
+
+@pytest.mark.parametrize("f", [FilterSpec(kind="cutoff", eps=1e300),
+                               FilterSpec(kind="tikhonov", eps=1e300)])
+def test_filter_that_cuts_every_mode_is_rejected(fig6_picard, f):
+    lam1_sq = f"{fig6_picard.eigenvalues[0] ** 2:g}"
+    with pytest.raises(DegenerateSpectrumError, match=f"eps = 1e\\+300.*{lam1_sq}"):
+        picard_weights(fig6_picard, f)
