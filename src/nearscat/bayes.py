@@ -7,6 +7,7 @@ and gamma given the wide normal prior N(0, prior_sd^2) standing in for a
 flat prior.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,9 @@ def synthesize_readings(scatterers, sensors, k, noise_frac, seed,
     return Readings(points=sensors.points, values=u, delta=float(delta))
 
 
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal positive floats
+
+
 @dataclass(frozen=True)
 class BayesModel:
     rhat: QuadratureRule  # rule over the reconstructed support
@@ -57,11 +61,19 @@ class BayesModel:
     seed: int = 0
 
     def __post_init__(self):
-        # `not x > 0` also rejects NaN
+        # `not x > 0` also rejects NaN.  The posterior and the proposals use
+        # the squares, which must neither underflow to 0 nor overflow.
         for name in ("h", "prior_sd", "proposal_sd_gamma", "proposal_sd_eta"):
             value = getattr(self, name)
-            if value is not None and not value > 0.0:
+            if value is None:
+                continue
+            if not value > 0.0:
                 raise DomainError(f"{name} must be positive, got {value}")
+            if not _TINY <= float(value) * float(value) <= _HUGE:
+                raise DomainError(
+                    f"{name} = {value} has a square outside the float range "
+                    f"[{_TINY:.3g}, {_HUGE:.3g}]"
+                )
         if self.burn_in < 0:
             raise DomainError(f"burn_in must be nonnegative, got {self.burn_in}")
         if self.iterations <= self.burn_in:
@@ -165,16 +177,19 @@ def run_mh(model, readings):
     chain goes one adaptation batch of m <= 50 steps at a time.  A batch
     takes its random numbers in two calls: an (m, P + 1) standard normal
     block, whose row i holds step i's P eta increments and then gamma's,
-    followed by m accept uniforms.  It forms every Q d and d.(Q d) of the
-    batch in one matrix product, then jumps from one acceptance to the
-    next, rescoring the rest of the batch against the updated gradient.
-    The proposal scale only moves between batches, so it is constant
-    within one.
+    followed by m accept uniforms.  The proposal scale only moves between
+    batches, so it is constant within one.  The batch is scored from its
+    Gram matrix G[i, j] = d_j.(Q d_i): its log ratios start as
+    r = d.g - 1/2 diag(G), and an acceptance at step j moves them by
+    -G[j], one m-vector update, after which the scan goes on from j + 1.
+    The gradient moves once per batch, by the sum of the accepted Q d.
 
     Most steps are rejected and repeat the state before them, so the chain
-    is kept as runs: each acceptance records the step it happens at and the
-    new (gamma, log_post), and the per-step chains are expanded from those
-    runs once, after the last batch.
+    is kept as runs: each acceptance records only the step it happens at
+    and its log ratio.  After the last batch, the runs' gamma and log_post
+    are the cumulative sums of the accepted increments and log ratios
+    (`np.cumsum` adds in sequence, as a running total would), and the
+    per-step chains are expanded from those runs.
     """
     if model.kept < 2:
         raise ChainError(
@@ -194,15 +209,16 @@ def run_mh(model, readings):
     sds[p] = sd_gamma
 
     rng = np.random.default_rng(model.seed)
-    gamma = 0.0
     grad = lin.copy()
 
     n = model.iterations
-    # run r holds (run_gamma[r], run_logpost[r]) from step run_start[r] on;
-    # an acceptance at step 0 leaves the first run empty
+    # run k holds (gamma, log_post) from step run_start[k] on: the sums of
+    # increments[:k + 1] and ratios[:k + 1], whose entry 0 is the start state
+    # and whose entry k is the acceptance that began run k.  An acceptance
+    # at step 0 leaves the first run empty.
     run_start = [0]
-    run_gamma = [gamma]
-    run_logpost = [logp]
+    ratios = [logp]
+    increments = [0.0]
     # global proposal scale, Robbins-Monro adapted toward 23% acceptance
     # during burn-in only (frozen afterwards, preserving detailed balance)
     log_scale = 0.0
@@ -214,32 +230,33 @@ def run_mh(model, readings):
         d = rng.standard_normal((m, dim)) * step
         log_u = np.log(rng.random(m)).tolist()
         qd = d @ q.T  # q.T: row i is Q d_i, as Q is not bitwise symmetric
-        half = (0.5 * (d * qd).sum(axis=1)).tolist()
-        d_gamma = d[:, p].tolist()
-        accepted = 0
+        gram = qd @ d.T
+        r = d @ grad - 0.5 * gram.diagonal()
+        scores = r.tolist()
+        accepted = []  # the batch's accepted steps
         t = 0
-        while t < m:
-            # the whole batch against the current gradient: cheaper than a
-            # slice of it; the scan reads only the steps from t on
-            dots = (d @ grad).tolist()
+        while True:
             for j in range(t, m):
-                log_ratio = dots[j] - half[j]
-                if log_u[j] < log_ratio:
+                if log_u[j] < scores[j]:
                     break
             else:
                 break
-            gamma += d_gamma[j]
-            grad -= qd[j]
-            logp += log_ratio
-            run_start.append(start + j)
-            run_gamma.append(gamma)
-            run_logpost.append(logp)
-            accepted += 1
+            accepted.append(j)
+            ratios.append(scores[j])
+            r -= gram[j]
+            scores = r.tolist()
             t = j + 1
+        if accepted:
+            grad -= np.add.reduce(qd.take(accepted, axis=0))
+            d_gamma = d[:, p].tolist()
+            increments += [d_gamma[j] for j in accepted]
+            run_start += [start + j for j in accepted]
         if start + batch_len <= model.burn_in:
-            log_scale += 0.5 * (accepted / batch_len - 0.234)
+            log_scale += 0.5 * (len(accepted) / batch_len - 0.234)
             step = np.exp(log_scale) * sds
 
+    run_gamma = np.cumsum(increments)
+    run_logpost = np.cumsum(ratios)
     lengths = np.diff(run_start, append=n)
     chain_gamma = np.repeat(run_gamma, lengths)
     chain_logpost = np.repeat(run_logpost, lengths)

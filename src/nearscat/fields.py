@@ -6,8 +6,8 @@ written as Python's '%.17g' writes it.  Chain CSV: header
 linear min-to-max scaling (constant fields render as mid-gray 128), the
 pixel text taken from a table of the 256 levels' '%d ' cells.
 
-Field CSV text comes from `_g17`, which makes the '%.17g' bytes of a float64
-array in NumPy.  For |v| in [1e-250, 1e250] it takes the decimal exponent x
+Field and chain CSV text is made by `_g17`: the '%.17g' bytes of a float64
+array, in NumPy.  For |v| in [1e-250, 1e250] it takes the decimal exponent x
 from floor(log10|v|), so that P = |v| * 10**(16 - x) lies in [1e16, 1e17)
 and the 17 digits are round(P); log10 can be one off near a power of ten,
 so x is corrected, and P formed again, where the computed P falls outside.
@@ -26,7 +26,6 @@ that power itself.
 """
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,8 +208,11 @@ def write_field_csv(fld, path):
                 fh.write(block.tobytes().translate(None, b"\0"))
 
 
-# runs per chain.csv block: the text of one block is in memory at a time
-_CHAIN_BLOCK_RUNS = 256
+# rows per chain.csv block: the text of one block is in memory at a time,
+# whatever the chain's length.  2048 rows are about 120 kB of row text and at
+# most 4096 values through _g17, one kernel block; 4096 rows raised the peak
+# RSS of a figure4/5 pass by about 1 MB for no measurable speed
+_CHAIN_BLOCK = 2048
 
 
 def write_chain_csv(chain_gamma, chain_logpost, path):
@@ -218,29 +220,51 @@ def write_chain_csv(chain_gamma, chain_logpost, path):
 
     A rejected Metropolis-Hastings step repeats the previous state, so the
     chain is written as runs of repeated states.  States are told apart by
-    their bit patterns: 0.0 and -0.0 differ there, and NaN equals NaN.  Each
-    run's state is formatted once into a row template with a `%d` slot for
-    the iteration; a block of runs repeats each template over its run, and
-    one `%` call fills in the block's iteration numbers.  Blocks keep the
-    text in memory at a few hundred runs, whatever the chain's length.
+    their bit patterns: 0.0 and -0.0 differ there, and NaN equals NaN.  A
+    block of _CHAIN_BLOCK rows is a uint8 matrix: the iteration numbers
+    from the kernel's 4-digit groups, their leading zeros made pad bytes,
+    then each run's "gamma,log_post" text, made by `_g17` once per run that
+    meets the block and repeated over the run's rows.  The block is written
+    as one buffer once its pad bytes are dropped.
     """
     gamma = np.asarray(chain_gamma, dtype=float)
     logpost = np.asarray(chain_logpost, dtype=float)
+    n = gamma.size
     bits = np.stack([gamma, logpost]).view(np.int64)
-    new = np.ones(gamma.size, dtype=bool)
+    new = np.ones(n, dtype=bool)
     np.any(bits[:, 1:] != bits[:, :-1], axis=0, out=new[1:])
     starts = np.flatnonzero(new)
-    lengths = np.diff(starts, append=gamma.size).tolist()
-    edges = starts.tolist() + [gamma.size]
-    # float text holds no "%", so the iteration slot is the only one
-    rows = list(map("%d,{:.17g},{:.17g}\n".format,
-                    gamma[starts].tolist(), logpost[starts].tolist()))
-    with open(path, "w") as fh:
-        fh.write("iteration,gamma,log_post\n")
-        for b in range(0, len(rows), _CHAIN_BLOCK_RUNS):
-            e = min(b + _CHAIN_BLOCK_RUNS, len(rows))
-            block = "".join(map(operator.mul, rows[b:e], lengths[b:e]))
-            fh.write(block % tuple(range(edges[b], edges[e])))
+    groups = _tables()[1]
+    quads = -(-len(str(max(n - 1, 0))) // 4)
+    w = 4 * quads  # the iteration's text, led by zero pad bytes
+    g, c = w + 1, w + _WIDTH + 1  # the columns of gamma and of its comma
+    line = np.empty((min(n, _CHAIN_BLOCK), c + _WIDTH + 2), dtype=np.uint8)
+    line[:, w] = line[:, c] = ord(",")
+    line[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(b"iteration,gamma,log_post\n")
+        for b in range(0, n, _CHAIN_BLOCK):
+            e = min(b + _CHAIN_BLOCK, n)
+            block = line[: e - b]
+            rest = np.arange(b, e)
+            quad = np.empty((e - b, quads), dtype=np.intp)
+            for i in range(quads - 1, 0, -1):
+                rest, quad[:, i] = np.divmod(rest, 10**4)
+            quad[:, 0] = rest
+            block[:, :w] = np.take(groups, quad).view(np.uint8)
+            # column k holds a leading zero of every number below 10**(w-1-k)
+            for k in range(w - 1):
+                block[: max(10 ** (w - 1 - k) - b, 0), k] = 0
+            r0 = np.searchsorted(starts, b, side="right") - 1
+            r1 = np.searchsorted(starts, e)
+            first = starts[r0:r1]
+            text = _g17(np.stack([gamma[first], logpost[first]], axis=1)).reshape(-1, 2, _WIDTH)
+            edges = np.append(first, e)
+            edges[0] = b
+            run = np.repeat(np.arange(r1 - r0), np.diff(edges))
+            block[:, g:c] = text[run, 0]
+            block[:, c + 1 : -1] = text[run, 1]
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 @functools.cache

@@ -6,6 +6,7 @@ reduced computation in `src/`.
 """
 
 import math
+import operator
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -241,9 +242,11 @@ def reference_run_mh(model, readings):
 def tail_fill_run_mh(model, readings):
     """`bayes.run_mh`'s batch loop with per-step chain arrays: every batch
     fills both chains with the current state, and every acceptance refills
-    the tail of the batch from the accepted step on.  It takes the same random
-    numbers and does the same arithmetic as `run_mh`, so the two chains
-    must agree bit for bit.  Returns the chains.
+    the tail of the batch from the accepted step on, adding the step's gamma
+    increment and log ratio to running totals.  It takes the same random
+    numbers and does the same arithmetic as `run_mh` (Gram scoring, one
+    gradient update per batch), so the two chains must agree bit for bit.
+    Returns the chains.
     """
     q, lin, logp = _quadratic_form(model, readings)
     dim = q.shape[0]
@@ -273,29 +276,24 @@ def tail_fill_run_mh(model, readings):
         d = rng.standard_normal((m, dim)) * step
         log_u = np.log(rng.random(m)).tolist()
         qd = d @ q.T
-        half = (0.5 * (d * qd).sum(axis=1)).tolist()
-        d_gamma = d[:, p].tolist()
+        gram = qd @ d.T
+        r = d @ grad - 0.5 * gram.diagonal()
         chain_gamma[start:stop] = gamma
         chain_logpost[start:stop] = logp
-        accepted = 0
-        t = 0
-        while t < m:
-            dots = (d @ grad).tolist()
-            for j in range(t, m):
-                log_ratio = dots[j] - half[j]
-                if log_u[j] < log_ratio:
-                    break
-            else:
-                break
-            gamma += d_gamma[j]
-            grad -= qd[j]
-            logp += log_ratio
-            chain_gamma[start + j : stop] = gamma
-            chain_logpost[start + j : stop] = logp
-            accepted += 1
-            t = j + 1
+        accepted = []
+        for j in range(m):
+            log_ratio = float(r[j])
+            if log_u[j] < log_ratio:
+                gamma += float(d[j, p])
+                logp += log_ratio
+                r -= gram[j]
+                chain_gamma[start + j : stop] = gamma
+                chain_logpost[start + j : stop] = logp
+                accepted.append(j)
+        if accepted:
+            grad -= np.add.reduce(qd.take(accepted, axis=0))
         if start + batch_len <= model.burn_in:
-            log_scale += 0.5 * (accepted / batch_len - 0.234)
+            log_scale += 0.5 * (len(accepted) / batch_len - 0.234)
             step = np.exp(log_scale) * sds
     return SimpleNamespace(chain_gamma=chain_gamma, chain_logpost=chain_logpost)
 
@@ -408,6 +406,40 @@ def write_field_csv_rows(fld, path):
             args[::2] = [y] * nx
             args[1::2] = row
             fh.write(template % tuple(args))
+
+
+# runs per chain.csv block: the text of one block is in memory at a time
+_CHAIN_BLOCK_RUNS = 256
+
+
+def write_chain_csv_rows(chain_gamma, chain_logpost, path):
+    """CSV with header "iteration,gamma,log_post", one row per chain entry.
+
+    A rejected Metropolis-Hastings step repeats the previous state, so the
+    chain is written as runs of repeated states.  States are told apart by
+    their bit patterns: 0.0 and -0.0 differ there, and NaN equals NaN.  Each
+    run's state is formatted once into a row template with a `%d` slot for
+    the iteration; a block of runs repeats each template over its run, and
+    one `%` call fills in the block's iteration numbers.  Blocks keep the
+    text in memory at a few hundred runs, whatever the chain's length.
+    """
+    gamma = np.asarray(chain_gamma, dtype=float)
+    logpost = np.asarray(chain_logpost, dtype=float)
+    bits = np.stack([gamma, logpost]).view(np.int64)
+    new = np.ones(gamma.size, dtype=bool)
+    np.any(bits[:, 1:] != bits[:, :-1], axis=0, out=new[1:])
+    starts = np.flatnonzero(new)
+    lengths = np.diff(starts, append=gamma.size).tolist()
+    edges = starts.tolist() + [gamma.size]
+    # float text holds no "%", so the iteration slot is the only one
+    rows = list(map("%d,{:.17g},{:.17g}\n".format,
+                    gamma[starts].tolist(), logpost[starts].tolist()))
+    with open(path, "w") as fh:
+        fh.write("iteration,gamma,log_post\n")
+        for b in range(0, len(rows), _CHAIN_BLOCK_RUNS):
+            e = min(b + _CHAIN_BLOCK_RUNS, len(rows))
+            block = "".join(map(operator.mul, rows[b:e], lengths[b:e]))
+            fh.write(block % tuple(range(edges[b], edges[e])))
 
 
 def read_field_csv(path):

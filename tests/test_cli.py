@@ -465,6 +465,34 @@ def test_main_out_of_range_bayes_setting_exit_2(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [
+        ("prior_sd", 1e-300),
+        ("h", 1e-200),
+        ("h", 1e200),
+        ("prior_sd", 1e200),
+        ("proposal_sd_eta", 1e300),
+        ("proposal_sd_gamma", 1e300),
+    ],
+)
+def test_main_bayes_setting_whose_square_leaves_the_float_range_exit_2(
+        tmp_path, capsys, key, value):
+    # h^2, prior_sd^2 and the proposal variances would be 0 or inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bayes": {key: value}}))
+    code = main(["run", "--preset", "figure4", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"{key} = ")
+
+
+@pytest.mark.parametrize(
     "preset, path, value",
     [
         ("figure1", "scatterers.0.shape.radius", ...),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nearscat
-from nearscat import cli, fields
+from nearscat import bayes, cli, fields
 from nearscat.errors import DomainError
 from nearscat.fields import (
     IndicatorField,
@@ -22,7 +22,13 @@ from nearscat.fields import (
 from nearscat.geometry import SamplingGrid, make_grid
 from nearscat.sampling import SENTINEL_CAP
 
-from reference import argmax_point, local_maxima, read_field_csv, write_field_csv_rows
+from reference import (
+    argmax_point,
+    local_maxima,
+    read_field_csv,
+    write_chain_csv_rows,
+    write_field_csv_rows,
+)
 
 
 def small_field():
@@ -210,6 +216,67 @@ def test_chain_csv_matches_per_row_reference_across_blocks(tmp_path):
     first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
     assert first is None, f"line {first}: {got[first]!r} != {want[first]!r}"
     assert len(got) == len(want)
+
+
+def assert_chain_csv_matches_rows_writer(tmp_path, gamma, logpost):
+    write_chain_csv(gamma, logpost, tmp_path / "chain.csv")
+    write_chain_csv_rows(gamma, logpost, tmp_path / "rows.csv")
+    got = (tmp_path / "chain.csv").read_bytes()
+    want = (tmp_path / "rows.csv").read_bytes()
+    if got != want:
+        # the first differing line, not a diff of up to a million lines
+        pairs = zip(got.splitlines(), want.splitlines())
+        i, (g, w) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        raise AssertionError(f"line {i}: {g!r} != {w!r}")
+
+
+def _random_runs(size, seed):
+    """A chain of `size` steps in runs of 1-12 repeated states."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 13, size // 6 + 1)
+    gamma = rng.normal(1.0, 0.2, lengths.size)
+    logpost = rng.normal(-40.0, 5.0, lengths.size)
+    return np.repeat(gamma, lengths)[:size], np.repeat(logpost, lengths)[:size]
+
+
+@pytest.mark.parametrize("size", [11, 10_001, 100_001, 1_000_001],
+                         ids=["9-10", "9999-10000", "99999-100000", "999999-1000000"])
+def test_chain_csv_matches_rows_writer_across_iteration_digits(tmp_path, size):
+    assert_chain_csv_matches_rows_writer(tmp_path, *_random_runs(size, size))
+
+
+@pytest.mark.parametrize("size", [1, fields._CHAIN_BLOCK - 1, fields._CHAIN_BLOCK,
+                                  fields._CHAIN_BLOCK + 1, 2 * fields._CHAIN_BLOCK + 1])
+def test_chain_csv_matches_rows_writer_about_a_block(tmp_path, size):
+    assert_chain_csv_matches_rows_writer(tmp_path, *_random_runs(size, size))
+
+
+def test_chain_csv_matches_rows_writer_on_special_values(tmp_path):
+    special = [0.0, -0.0, _NAN, np.inf, -np.inf, 5e-324, -5e-324,
+               1e300, -1e300, 1e-300, -1e-300]
+    rng = np.random.default_rng(44)
+    gamma = rng.choice(special, 400)
+    logpost = rng.choice(special, 400)
+    lengths = rng.integers(1, 5, 400)
+    assert_chain_csv_matches_rows_writer(tmp_path, np.repeat(gamma, lengths),
+                                         np.repeat(logpost, lengths))
+
+
+@pytest.mark.parametrize("preset", ["figure4", "figure5"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_chain_csv_matches_rows_writer_on_preset_chains(tmp_path, monkeypatch, preset, seed):
+    original = bayes.run_mh
+    summaries = []
+
+    def capturing(model, readings):
+        summaries.append(original(model, readings))
+        return summaries[-1]
+
+    monkeypatch.setattr(bayes, "run_mh", capturing)
+    cli.run(preset=preset, out_dir=tmp_path / "run", seed=seed)
+    (summary,) = summaries
+    write_chain_csv_rows(summary.chain_gamma, summary.chain_logpost, tmp_path / "rows.csv")
+    assert (tmp_path / "run" / "chain.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
