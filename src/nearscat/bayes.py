@@ -45,6 +45,7 @@ def synthesize_readings(scatterers, sensors, k, noise_frac, seed,
 
 
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal positive floats
+_DRAW_SD = 10.0  # |z| of a standard normal draw exceeds 10 with probability 1.5e-23
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,17 @@ def run_mh(model, readings):
         sd_gamma = sd_eta
     sds = np.full(dim, float(sd_eta))
     sds[p] = sd_gamma
+    # A batch's Gram entries d_j.(Q d_i) stay below _DRAW_SD^2 (sds.|Q| sds)
+    # for draws within _DRAW_SD standard deviations; past the float range
+    # they overflow, and the chain would score infinities.
+    with np.errstate(over="ignore"):
+        reach = _DRAW_SD**2 * (sds @ np.abs(q) @ sds)
+    if not reach <= _HUGE:
+        raise ChainError(
+            f"proposal_sd_eta = {sd_eta:g} and proposal_sd_gamma = {sd_gamma:g} "
+            f"overflow the proposal's quadratic form d.(Q d): it reaches "
+            f"{reach:.3g} for draws within {_DRAW_SD:g} sd, past {_HUGE:.3g}"
+        )
 
     rng = np.random.default_rng(model.seed)
     grad = lin.copy()

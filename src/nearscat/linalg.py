@@ -95,8 +95,14 @@ def nsharp(n, regime):
     if regime == "nonabsorbing":
         return abs_op(real_part_op(n)) + abs_op(imag_part_op(n))
     im = imag_part_op(n)
-    vals, _ = hermitian_eig(im)
-    sigma = 1.0 if (vals.size and vals[0] >= 0.0) else -1.0
+    # only the sign of the eigenvalue of largest |lambda| is read, ties going
+    # to the positive one as in hermitian_eig's order: the ascending values
+    # of eigvalsh suffice, and no eigenvectors are formed
+    try:
+        vals = np.linalg.eigvalsh(im)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
+    sigma = 1.0 if (vals.size and vals[-1] >= -vals[0]) else -1.0
     return sigma * im
 
 

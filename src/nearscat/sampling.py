@@ -4,23 +4,26 @@ shared by MUSIC (unit weights) and by the factorization-method indicator
 W(z) (Picard sum, w_j = 1/lambda_j) and the modified linear sampling method
 P(z) (regularized solutions of N_sharp g_z = Phi(., z),
 w_j = lambda_j^3 f(lambda_j^2)^2), which share one projection per block.
-Each weight row is reduced on its own, as one product with |c|^2 =
-Re(c)^2 + Im(c)^2; without a filter P is W, and only W is reduced.
+Each weight row is reduced on its own, over the squared float view of the
+projections, whose Re(c)^2 and Im(c)^2 sums are then added; without a
+filter P is W, and only W is reduced.
 
 The steering columns are built once per orbit of the mirror maps of the
 square (x -> -x, y -> -y, x <-> y and their products) that send both the
 sensor set and the grid onto themselves: Phi(x_i, g z) = Phi(g^-1 x_i, z),
 so Phi is evaluated on a fundamental domain F only, and the image points
-g(F) reuse it with the sensor order permuted.  The maps are found from the
-coordinates: the grid's points must be exactly a lattice xs x ys, and each
-map must move no coordinate of xs, ys or the sensors further than
-_SYM_ULPS = 16 ulp of the largest |coordinate| from its image.  A uniform
-circle of Q sensors and a centred square grid share all 8 maps (Q a
-multiple of 4), so Phi is built at about 1/8 of the points.  Values at the
-image points sum the same terms in another order, so they agree with a
-direct evaluation to the last few digits (1e-13 relative on figure1-3,
-2e-11 on figure6/7); a grid that shares no map is evaluated exactly as by
-the plain blocked loop.
+g(F) reuse it with the sensor order permuted.  The eigenvectors are stacked
+once, one sensor-permuted copy per map, so each block of F takes one
+product, one reduction per weight row and one scatter for the whole group.
+The maps are found from the coordinates: the grid's points must be exactly
+a lattice xs x ys, and each map must move no coordinate of xs, ys or the
+sensors further than _SYM_ULPS = 16 ulp of the largest |coordinate| from
+its image.  A uniform circle of Q sensors and a centred square grid share
+all 8 maps (Q a multiple of 4), so Phi is built at about 1/8 of the points.
+Values at the image points sum the same terms in another order, so they
+agree with a direct evaluation to the last few digits (1e-13 relative on
+figure1-3, 2e-11 on figure6/7); a grid that shares no map is evaluated
+exactly as by the plain blocked loop.
 
 Discrete inner products on the measurement curve carry a uniform
 arc-length weight so sums approximate L2(C) pairings.  Eigenvectors are
@@ -40,10 +43,13 @@ from .specfun import fundamental_solution_many
 
 SENTINEL_CAP = 1e12
 CLIP_REL = 1e-12
-# Points of F per block of the indicator pipeline: 1 MB of steering columns
-# for 64 sensors.  Blocks that start on the BLAS kernel's column boundaries
-# reproduce the single-shot projection bit for bit, as 1024 does.
-_BLOCK = 1024
+# Points of F per block of the indicator pipeline: for 64 sensors and 35
+# modes, 256 KB of steering columns and a 1.1 MB product with the stack of
+# the 8 mirror maps.  Blocks that start on the BLAS kernel's column
+# boundaries reproduce the single-shot projection bit for bit, as 256 does.
+_BLOCK = 256
+# Lattice points per row chunk of the scan for F, independent of _BLOCK.
+_SCAN = 8192
 
 
 @dataclass(frozen=True)
@@ -200,11 +206,19 @@ def picard_weights(data, f=None):
 
 def _indicator_block(vecs_h, weights, phis):
     """Row i: 1 / sum_j weights[i, j] |(phi_z, v_j)|^2 per column phi_z of
-    phis, sentinel-capped; vecs_h holds the conjugated v_j as rows.  A row's
-    bits do not depend on the other rows."""
-    c = vecs_h @ phis  # (modes, points)
-    a = c.real * c.real + c.imag * c.imag
-    sums = np.stack([w @ a for w in weights])
+    phis, sentinel-capped.  vecs_h holds the conjugated v_j as rows, one
+    stack of weights.shape[1] rows per mirror map, and the values come map
+    by map.  The product is squared in place through its float view, and a
+    weight row sums Re(c)^2 and Im(c)^2 of every map in one einsum, whose
+    loops, unlike a threaded BLAS gemv, round each column alike whatever
+    the block's width; the two sums are added after.  A row's bits depend
+    neither on the other rows nor on the other maps."""
+    modes, points = weights.shape[1], phis.shape[1]
+    c = (vecs_h @ phis).view(float)  # (maps * modes, 2 points): Re, Im interleaved
+    np.square(c, out=c)
+    a = c.reshape(-1, modes, 2 * points)
+    parts = np.stack([np.einsum("j,gjp->gp", w, a) for w in weights])
+    sums = (parts[..., ::2] + parts[..., 1::2]).reshape(len(weights), -1)
     return np.where(sums <= 1.0 / SENTINEL_CAP, SENTINEL_CAP, 1.0 / np.maximum(sums, 1e-300))
 
 
@@ -222,12 +236,6 @@ _MAPS = (
 _SYM_ULPS = 16
 
 
-def _mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def _lattice_axes(grid):
     """(xs, ys) when grid.points is exactly the row-major lattice xs x ys,
     else None."""
@@ -238,93 +246,98 @@ def _lattice_axes(grid):
     return None
 
 
-def _maps_lattice(m, axes, tol):
-    """Whether m maps the lattice xs x ys onto itself within tol."""
-    a, b, c, d = m
-    for target, (col, sign) in zip(axes, ((0, a) if a else (1, b), (0, c) if c else (1, d))):
-        src = axes[col]
-        if src.size != target.size or not (np.abs(sign * src - target[::sign]) <= tol).all():
-            return False
-    return True
+def _lattice_maps(maps, axes, tol):
+    """Which of the maps (|G|, 4) send the lattice xs x ys onto itself
+    within tol.  A map's new x is a x or b y, its new y c x or d y; so each
+    is one of the four (source axis, sign) fits of an axis, read from a
+    table of all eight."""
+    def fits(src, sign, target):
+        return src.size == target.size and bool((np.abs(sign * src - target[::sign]) <= tol).all())
+
+    table = np.array([[[fits(src, sign, target) for target in axes] for sign in (-1, 1)]
+                      for src in axes])  # [source axis, (sign + 1) // 2, target axis]
+    a, b, c, d = maps.T
+    return table[(a == 0) * 1, (a + b + 1) // 2, 0] & table[(c == 0) * 1, (c + d + 1) // 2, 1]
 
 
-def _sensor_permutation(m, sensors, tol):
-    """p with m(sensor j) = sensor p[j] within tol, or None.
+def _sensor_permutations(maps, sensors, tol):
+    """(perms, ok): perms[g, j] is the sensor that map g sends sensor j to,
+    and ok[g] whether that holds within tol for every sensor.
 
     On a uniform circle starting at angle 0, m sends sensor j to
     det(m) * j + t Q/4 (mod Q), where t is the quarter turn that takes (1, 0)
     to m's first column; a t Q/4 that is not an integer drops the map.
     """
-    a, b, c, d = m
     q = len(sensors)
-    turn = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(a, c)]
-    if turn * q % 4:
-        return None
-    perm = ((a * d - b * c) * np.arange(q) + turn * q // 4) % q
-    image = sensors @ np.array(m, dtype=float).reshape(2, 2).T
-    return perm if (np.abs(image - sensors[perm]) <= tol).all() else None
+    a, b, c, d = maps.T[..., None]
+    turn = np.where(c == 0, 1 - a, 2 - c)  # (a, c) = (1, 0), (0, 1), (-1, 0), (0, -1)
+    perms = ((a * d - b * c) * np.arange(q) + turn * q // 4) % q
+    x, y = sensors.T
+    image = np.stack([a * x + b * y, c * x + d * y], axis=-1)
+    ok = (turn[:, 0] * q % 4 == 0) & (np.abs(image - sensors[perms]) <= tol).all(axis=(1, 2))
+    return perms, ok
 
 
 def _symmetry_group(sensors, grid):
-    """The maps of _MAPS that send both the sensor set and the grid onto
-    themselves, as (map, sensor permutation) pairs, identity first.
+    """(maps, perms): the maps of _MAPS that send both the sensor set and the
+    grid onto themselves, as rows (a, b, c, d), identity first, and the
+    sensor permutation of each, perms[g, j] the image of sensor j.
 
     The grid counts only when its points are exactly a lattice xs x ys, and
     each map is checked against xs, ys and the sensors.
     """
-    identity = [(_MAPS[0], None)]
+    pts = sensors.points
+    maps = np.array(_MAPS)
     axes = _lattice_axes(grid)
     if axes is None:
-        return identity
-    pts = sensors.points
+        return maps[:1], np.arange(len(pts))[None]
     scale = max(np.max(np.abs(axes[0])), np.max(np.abs(axes[1])), np.max(np.abs(pts)))
     tol = _SYM_ULPS * np.finfo(float).eps * scale
-    perms = {m: _sensor_permutation(m, pts, tol) for m in _MAPS[1:] if _maps_lattice(m, axes, tol)}
-    maps = [_MAPS[0]] + [m for m, p in perms.items() if p is not None]
+    perms, ok = _sensor_permutations(maps, pts, tol)
+    keep = ok & _lattice_maps(maps, axes, tol)  # the identity passes
     # two maps that each pass within tol may have a product that misses it:
     # F is a fundamental domain only for a group
-    if any(_mul(m, n) not in maps for m in maps for n in maps):
-        return identity
-    return identity + [(m, perms[m]) for m in maps[1:]]
+    kept = maps[keep]
+    square = kept.reshape(-1, 1, 2, 2) @ kept.reshape(1, -1, 2, 2)
+    if not (square.reshape(-1, 1, 4) == kept).all(axis=-1).any(axis=-1).all():
+        keep = np.arange(len(maps)) == 0
+    return maps[keep], perms[keep]
 
 
-def _centred(grid, idx):
-    """Lattice indices of flat grid indices as centred integers
-    (u, v) = (2 ix - (nx - 1), 2 iy - (ny - 1)), on which the maps act
-    exactly."""
-    iy, ix = np.divmod(idx, grid.nx)
-    return 2 * ix - (grid.nx - 1), 2 * iy - (grid.ny - 1)
-
-
-def _image(grid, m, u, v):
-    """Flat grid indices of the map m applied to the centred points (u, v)."""
-    a, b, c, d = m
-    gu, gv = a * u + b * v, c * u + d * v
-    return (gv + (grid.ny - 1)) // 2 * grid.nx + (gu + (grid.nx - 1)) // 2
+def _image_rule(grid, maps):
+    """Columns (alpha, beta, gamma) over the maps (|G|, 4) such that the map
+    g sends the lattice point (ix, iy) to the flat grid index
+    alpha_g ix + beta_g iy + gamma_g.  The maps act on the centred integers
+    (2 ix - (nx - 1), 2 iy - (ny - 1)), so the rule is exact; a map that
+    swaps x and y is only in the group when nx = ny."""
+    a, b, c, d = maps.T[..., None]
+    mx, my = grid.nx - 1, grid.ny - 1
+    shift_x = ((1 - a) * mx - b * my) // 2
+    shift_y = ((1 - d) * my - c * mx) // 2
+    return a + c * grid.nx, b + d * grid.nx, shift_x + shift_y * grid.nx
 
 
 def _domain_blocks(grid, maps):
-    """Flat indices of the fundamental domain F of the group maps, _BLOCK at
-    a time (the last block may be shorter) and in index order.
+    """Flat indices of the fundamental domain F of the group maps (an
+    (|G|, 4) array, identity first), _BLOCK at a time (the last block may be
+    shorter) and in index order.
 
     A point belongs to F when its centred indices (u, v) are the
     lexicographic maximum, u first, of its orbit: for the whole group
     F = {x >= 0, 0 <= y <= x}.  The positive x-axis, where sensor 0 lies,
-    is always in F.  The grid is scanned about _BLOCK * |G| points at a
-    time, so memory stays O(_BLOCK).
+    is always in F.  The grid is scanned in rows of about _SCAN points, the
+    keys of all maps at once, so memory stays O(_SCAN |G| + _BLOCK).
     """
     nx, ny = grid.nx, grid.ny
     w = 2 * max(nx, ny)  # u * w + v orders (u, v) lexicographically, as |v| < w / 2
+    a, b, c, d = maps.T[..., None, None]
     u = 2 * np.arange(nx) - (nx - 1)
-    rows = max(1, _BLOCK * len(maps) // nx)
+    rows = max(1, _SCAN // nx)
     pending = np.empty(0, dtype=np.intp)
     for y0 in range(0, ny, rows):
         v = 2 * np.arange(y0, min(y0 + rows, ny))[:, None] - (ny - 1)
-        key = w * u + v
-        top = key
-        for a, b, c, d in maps[1:]:  # the key of g(u, v) is (a w + c) u + (b w + d) v
-            top = np.maximum(top, (a * w + c) * u + (b * w + d) * v)
-        pending = np.concatenate([pending, y0 * nx + np.flatnonzero(key == top)])
+        keys = (a * w + c) * u + (b * w + d) * v  # keys[g] is the key of g(u, v)
+        pending = np.concatenate([pending, y0 * nx + np.flatnonzero(keys[0] == keys.max(axis=0))])
         while pending.size >= _BLOCK:
             yield pending[:_BLOCK]
             pending = pending[_BLOCK:]
@@ -339,27 +352,32 @@ def grid_indicators(vecs, weights, sensors, k, grid):
     Phi(x_i, g z) = Phi(g^-1 x_i, z) for every mirror map g of the square
     that sends the sensor set and the grid onto themselves (their group G,
     see _symmetry_group), so the steering columns are built only on the
-    fundamental domain F of G, in blocks of _BLOCK points.  Each block is
-    projected once per g, onto the vectors with their sensor rows permuted
-    by g, and reduced with every weight row; the results go to the points
-    g(F).  Memory stays O(_BLOCK) as the grid grows.  The identity is
-    projected last, so every point of F keeps its direct value; a point of
-    g(F) gets its sums in another order and agrees with the direct kernel
-    to the last few digits.  With G = {identity} this is the plain loop over
-    grid blocks.
+    fundamental domain F of G, in blocks of _BLOCK points.  The vectors are
+    stacked once, one copy per g with its sensor rows permuted by g, so a
+    block takes one product with the stack, one reduction per weight row
+    and one scatter to the points g(F).  Memory stays O(_BLOCK) as the grid
+    grows.  A point reached by several maps (on a mirror axis or a
+    diagonal) takes the value of the first of them in group order, so every
+    point of F keeps the identity's, its direct value; a point of g(F) gets
+    its sums in another order and agrees with the direct kernel to the last
+    few digits.  With G = {identity} this is the plain loop over grid
+    blocks.
     """
     if grid.points.shape != (grid.nx * grid.ny, 2):
         raise DomainError(f"grid points have shape {grid.points.shape}, not (nx * ny, 2)")
-    group = _symmetry_group(sensors, grid)
-    vecs_h = vecs.conj().T
-    # the identity last, so that its values are the ones the points of F keep
-    projections = [(m, vecs_h if perm is None else vecs_h[:, perm]) for m, perm in group[::-1]]
+    maps, perms = _symmetry_group(sensors, grid)
+    # row block g of the stack holds the conjugated vectors with their sensor
+    # rows permuted by g: the transpose of their side-by-side columns
+    stacked = np.concatenate(vecs[perms].conj(), axis=1).T
+    alpha, beta, gamma = _image_rule(grid, maps)
+    earlier = np.tri(len(maps), k=-1, dtype=bool)[..., None]  # earlier[g, h]: h before g
     out = np.empty((weights.shape[0], len(grid.points)))
-    for block in _domain_blocks(grid, [m for m, _ in group]):
+    for block in _domain_blocks(grid, maps):
         phis = fundamental_solution_many(k, sensors.points, grid.points[block])
-        u, v = _centred(grid, block)
-        for m, vh in projections:
-            out[:, _image(grid, m, u, v)] = _indicator_block(vh, weights, phis)
+        iy, ix = np.divmod(block, grid.nx)
+        images = alpha * ix + beta * iy + gamma  # row g: the points g(block)
+        first = ~((images[:, None] == images) & earlier).any(axis=1)
+        out[:, images[first]] = _indicator_block(stacked, weights, phis)[:, first.ravel()]
     return out
 
 

@@ -16,7 +16,7 @@ from nearscat.bayes import PosteriorSummary, _histogram_mode, _quadratic_form, d
 from nearscat.born import _gather_nodes
 from nearscat.disk import kernel_weights, series_coefficients
 from nearscat.errors import ChainError, DomainError
-from nearscat.sampling import SENTINEL_CAP, FilterSpec
+from nearscat.sampling import SENTINEL_CAP, FilterSpec, _symmetry_group
 from nearscat.specfun import (
     _check_order,
     bessel_j_orders,
@@ -173,6 +173,85 @@ def indicators_per_point(vecs_h, weights, phis):
         for i, w in enumerate(weights.tolist()):
             total = math.fsum(wj * pj for wj, pj in zip(w, power))
             out[i, z] = SENTINEL_CAP if total <= 1.0 / SENTINEL_CAP else 1.0 / total
+    return out
+
+
+def _indicator_block_per_map(vecs_h, weights, phis):
+    """Row i: 1 / sum_j weights[i, j] |(phi_z, v_j)|^2 per column phi_z of
+    phis, sentinel-capped; vecs_h holds the conjugated v_j as rows.  A row's
+    bits do not depend on the other rows."""
+    c = vecs_h @ phis  # (modes, points)
+    a = c.real * c.real + c.imag * c.imag
+    sums = np.stack([w @ a for w in weights])
+    return np.where(sums <= 1.0 / SENTINEL_CAP, SENTINEL_CAP, 1.0 / np.maximum(sums, 1e-300))
+
+
+def _centred(grid, idx):
+    """Lattice indices of flat grid indices as centred integers
+    (u, v) = (2 ix - (nx - 1), 2 iy - (ny - 1)), on which the maps act
+    exactly."""
+    iy, ix = np.divmod(idx, grid.nx)
+    return 2 * ix - (grid.nx - 1), 2 * iy - (grid.ny - 1)
+
+
+def _image(grid, m, u, v):
+    """Flat grid indices of the map m applied to the centred points (u, v)."""
+    a, b, c, d = m
+    gu, gv = a * u + b * v, c * u + d * v
+    return (gv + (grid.ny - 1)) // 2 * grid.nx + (gu + (grid.nx - 1)) // 2
+
+
+_PER_MAP_BLOCK = 1024
+
+
+def _domain_blocks_per_map(grid, maps):
+    """Flat indices of the fundamental domain F of the group maps,
+    _PER_MAP_BLOCK at a time (the last block may be shorter) and in index
+    order.
+
+    A point belongs to F when its centred indices (u, v) are the
+    lexicographic maximum, u first, of its orbit: for the whole group
+    F = {x >= 0, 0 <= y <= x}.  The positive x-axis, where sensor 0 lies,
+    is always in F.  The grid is scanned about _PER_MAP_BLOCK * |G| points
+    at a time, so memory stays O(_PER_MAP_BLOCK).
+    """
+    nx, ny = grid.nx, grid.ny
+    w = 2 * max(nx, ny)  # u * w + v orders (u, v) lexicographically, as |v| < w / 2
+    u = 2 * np.arange(nx) - (nx - 1)
+    rows = max(1, _PER_MAP_BLOCK * len(maps) // nx)
+    pending = np.empty(0, dtype=np.intp)
+    for y0 in range(0, ny, rows):
+        v = 2 * np.arange(y0, min(y0 + rows, ny))[:, None] - (ny - 1)
+        key = w * u + v
+        top = key
+        for a, b, c, d in maps[1:]:  # the key of g(u, v) is (a w + c) u + (b w + d) v
+            top = np.maximum(top, (a * w + c) * u + (b * w + d) * v)
+        pending = np.concatenate([pending, y0 * nx + np.flatnonzero(key == top)])
+        while pending.size >= _PER_MAP_BLOCK:
+            yield pending[:_PER_MAP_BLOCK]
+            pending = pending[_PER_MAP_BLOCK:]
+    if pending.size:
+        yield pending
+
+
+def grid_indicators_per_map(vecs, weights, sensors, k, grid):
+    """The grid pipeline one mirror map at a time: each block of the
+    fundamental domain F is projected once per map g, onto the vectors with
+    their sensor rows permuted by g, reduced as w @ (Re(c)^2 + Im(c)^2) and
+    scattered to g(F).  The identity is projected last, so every point of F
+    keeps its direct value; among the other maps, a point that several of
+    them reach keeps the value of the one first in group order."""
+    maps, perms = _symmetry_group(sensors, grid)
+    group = [(tuple(m), perm) for m, perm in zip(maps.tolist(), perms)]
+    vecs_h = vecs.conj().T
+    # the identity last, so that its values are the ones the points of F keep
+    projections = [(m, vecs_h[:, perm]) for m, perm in group[::-1]]
+    out = np.empty((weights.shape[0], len(grid.points)))
+    for block in _domain_blocks_per_map(grid, [m for m, _ in group]):
+        phis = fundamental_solution_many(k, sensors.points, grid.points[block])
+        u, v = _centred(grid, block)
+        for m, vh in projections:
+            out[:, _image(grid, m, u, v)] = _indicator_block_per_map(vh, weights, phis)
     return out
 
 

@@ -16,7 +16,7 @@ import nearscat
 from nearscat import bayes, born, cli, sampling
 from nearscat.cli import PRESETS, main, run, validate_config
 from nearscat.bayes import make_bayes_model
-from nearscat.errors import ConfigError
+from nearscat.errors import ChainError, ConfigError
 from nearscat.geometry import Disk, make_grid
 
 from reference import read_field_csv
@@ -490,6 +490,27 @@ def test_main_bayes_setting_whose_square_leaves_the_float_range_exit_2(
     err = json.loads(err_lines[0])
     assert err["error"] == "config"
     assert err["message"].startswith(f"{key} = ")
+
+
+def test_proposal_sds_that_overflow_the_gram_matrix_are_named(tmp_path, capsys):
+    # each square is a normal float, but d.(Q d) passes the largest double:
+    # the chain is refused before it starts, with and without the CLI's
+    # floating-point traps
+    bayes_cfg = {"bayes": {"proposal_sd_eta": 1e154, "proposal_sd_gamma": 1e154}}
+    with pytest.raises(ChainError, match=r"proposal_sd_eta = 1e\+154 and proposal_sd_gamma = 1e\+154"):
+        run(preset="figure4", config=bayes_cfg, out_dir=tmp_path / "run")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bayes_cfg))
+    code = main(["run", "--preset", "figure4", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "numerical"
+    assert "proposal_sd_eta = 1e+154" in err["message"]
+    assert "proposal_sd_gamma = 1e+154" in err["message"]
 
 
 @pytest.mark.parametrize(

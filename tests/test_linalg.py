@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nearscat import linalg
 from nearscat.disk import assemble_nearfield_matrix
 from nearscat.errors import DomainError, NotHermitianError
 from nearscat.linalg import (
@@ -135,13 +136,22 @@ def test_nsharp_zero_and_psd():
     assert np.allclose(nsharp(psd, "nonabsorbing"), psd, atol=1e-10)
 
 
-def test_nsharp_absorbing_sign_resolution():
-    # sigma is chosen so the result is the positive combination of +-Im(N)
+def test_nsharp_absorbing_sign_resolution(monkeypatch):
+    # sigma is chosen so the result is the positive combination of +-Im(N);
+    # only the spectrum is read, so no eigenvectors are formed, and a tie of
+    # |lambda| goes to the positive eigenvalue, as in hermitian_eig's order
+    def no_eigenvectors(a):
+        raise AssertionError("nsharp formed eigenvectors")
+
+    monkeypatch.setattr(linalg, "hermitian_eig", no_eigenvectors)
     d = np.diag([2.0, 1.0]).astype(complex)
     up = nsharp(1j * d, "absorbing")
     down = nsharp(-1j * d, "absorbing")
     assert np.allclose(up, d)
     assert np.allclose(down, d)
+    tie = np.diag([1.0, -1.0]).astype(complex)
+    assert np.array_equal(nsharp(1j * tie, "absorbing"), tie)
+    assert np.array_equal(nsharp(-1j * tie, "absorbing"), -tie)
 
 
 def test_nsharp_unknown_regime():

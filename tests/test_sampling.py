@@ -3,6 +3,8 @@ and MLSM fields against explicit Picard sums and explicit regularized
 solves, the equivalence bracketing, and the disk-figure classification
 quality."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -24,7 +26,15 @@ from nearscat.sampling import (
 )
 from nearscat.specfun import fundamental_solution_many
 
-from reference import cutoff_at_rank, fundamental_solution, indicators_per_point, sqrt_op_apply
+from reference import (
+    _centred,
+    _image,
+    cutoff_at_rank,
+    fundamental_solution,
+    grid_indicators_per_map,
+    indicators_per_point,
+    sqrt_op_apply,
+)
 
 
 FM, MLSM = 0, 1  # rows of picard_weights
@@ -55,7 +65,7 @@ def test_steering_matrix_matches_phi():
             )
 
 
-@pytest.mark.parametrize("block", [1, 7, 16, 1024, 10201])
+@pytest.mark.parametrize("block", sorted({1, 7, 16, sampling._BLOCK, 1024, 10201}))
 def test_blocked_pipeline_matches_single_shot(
     monkeypatch, fig6_picard, disk_sensors64, disk_grid101, block
 ):
@@ -95,7 +105,7 @@ def random_system(q, seed):
 
 
 def group_of(sensors, grid):
-    return [m for m, _ in sampling._symmetry_group(sensors, grid)]
+    return [tuple(m) for m in sampling._symmetry_group(sensors, grid)[0].tolist()]
 
 
 Y_MIRROR = (1, 0, 0, -1)
@@ -124,16 +134,16 @@ def test_figure6_7_grids_match_direct_kernel(request, picard, disk_sensors64, di
     np.testing.assert_allclose(values, direct, rtol=1e-10, atol=0.0)
 
 
-@pytest.mark.parametrize(
-    "count, bounds, nx, ny, size",
-    [
-        (32, (-0.9, 0.9, -0.9, 0.9), 41, 31, 4),  # nx != ny: no x <-> y
-        (33, (-0.9, 0.9, -0.9, 0.9), 41, 41, 2),  # odd Q: only y -> -y
-        (34, (-0.9, 0.9, -0.9, 0.9), 41, 41, 4),  # Q/4 not an integer
-        (36, (-0.9, 0.9, -0.9, 0.9), 41, 41, 8),  # Q/4 odd
-        (32, (-0.9, 0.8, -0.9, 0.9), 41, 41, 2),  # off centre in x
-    ],
-)
+PARTIAL_GROUPS = [
+    (32, (-0.9, 0.9, -0.9, 0.9), 41, 31, 4),  # nx != ny: no x <-> y
+    (33, (-0.9, 0.9, -0.9, 0.9), 41, 41, 2),  # odd Q: only y -> -y
+    (34, (-0.9, 0.9, -0.9, 0.9), 41, 41, 4),  # Q/4 not an integer
+    (36, (-0.9, 0.9, -0.9, 0.9), 41, 41, 8),  # Q/4 odd
+    (32, (-0.9, 0.8, -0.9, 0.9), 41, 41, 2),  # off centre in x
+]
+
+
+@pytest.mark.parametrize("count, bounds, nx, ny, size", PARTIAL_GROUPS)
 def test_partial_groups_match_direct_kernel(count, bounds, nx, ny, size):
     sensors = make_sensor_array(count, 1.0)
     grid = make_grid(bounds, nx, ny)
@@ -143,6 +153,84 @@ def test_partial_groups_match_direct_kernel(count, bounds, nx, ny, size):
     values = sampling.grid_indicators(vecs, weights, sensors, 1.0, grid)
     direct = direct_indicators(vecs, weights, sensors, grid)
     np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0.0)
+
+
+# The pipeline against the per-map loop it replaced (tests/reference.py):
+# the same products and the same rule for points that several maps reach,
+# but the loop reduces w.(Re^2 + Im^2) where the pipeline adds w.Re^2 and
+# w.Im^2.  Each is a sum of positive terms, so a value moves by a few ulp.
+PER_MAP_RTOL = 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("picard", ["fig6_picard", "fig7_picard"])
+def test_full_group_matches_per_map_loop(request, picard, disk_sensors64, disk_grid101):
+    # two weight rows: FM and a Tikhonov MLSM
+    data = request.getfixturevalue(picard)
+    assert len(group_of(disk_sensors64, disk_grid101)) == 8
+    weights = picard_weights(data, FilterSpec(kind="tikhonov", eps=1e-4))
+    args = (data.eigenvectors, weights, disk_sensors64, 1.0, disk_grid101)
+    np.testing.assert_allclose(sampling.grid_indicators(*args), grid_indicators_per_map(*args),
+                               rtol=PER_MAP_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("count, bounds, nx, ny, size", PARTIAL_GROUPS)
+def test_partial_groups_match_per_map_loop(count, bounds, nx, ny, size):
+    sensors = make_sensor_array(count, 1.0)
+    grid = make_grid(bounds, nx, ny)
+    assert len(group_of(sensors, grid)) == size
+    vecs, weights = random_system(count, count)
+    args = (vecs, weights, sensors, 1.0, grid)
+    np.testing.assert_allclose(sampling.grid_indicators(*args), grid_indicators_per_map(*args),
+                               rtol=PER_MAP_RTOL, atol=0.0)
+
+
+def test_points_reached_by_several_maps_keep_the_first_maps_value():
+    # on a centred 41 x 41 grid both axes and both diagonals are grid lines:
+    # their points are fixed by a mirror, so two maps (all eight at the
+    # origin) send a point of F to the same image.  The first of them in
+    # group order sets it, bit for bit, so every point of F keeps the
+    # identity's value.  F has 231 points, one block: the expected values
+    # come from the same product, written map by map
+    sensors = make_sensor_array(32, 1.0)
+    grid = make_grid((-0.9, 0.9, -0.9, 0.9), 41, 41)
+    maps, perms = sampling._symmetry_group(sensors, grid)
+    assert len(maps) == 8
+    vecs, weights = random_system(32, 5)
+    values = sampling.grid_indicators(vecs, weights, sensors, 1.0, grid)
+
+    domain = np.concatenate(list(sampling._domain_blocks(grid, maps)))
+    assert domain.size == 231 <= sampling._BLOCK
+    phis = fundamental_solution_many(1.0, sensors.points, grid.points[domain])
+    stacked = np.concatenate([vecs.conj().T[:, perm] for perm in perms])
+    per_map = _indicator_block(stacked, weights, phis).reshape(len(weights), len(maps), -1)
+    assert np.array_equal(values[:, domain], per_map[:, 0])
+    u, v = _centred(grid, domain)
+    want = np.full_like(values, np.nan)
+    differ = 0
+    for g in reversed(range(len(maps))):  # the first map last
+        image = _image(grid, maps[g], u, v)
+        differ += np.count_nonzero(~np.isnan(want[:, image]) & (want[:, image] != per_map[:, g]))
+        want[:, image] = per_map[:, g]
+    assert np.array_equal(values, want)
+    assert differ > 0  # the maps' values at a shared point differ, so the rule shows
+
+
+@pytest.mark.parametrize("n", [201, 1001])
+def test_grid_pipeline_memory_stays_flat_as_the_grid_grows(fig6_picard, n):
+    # 64 sensors, 35 modes: the traced peak beyond the output is the
+    # blocks' own (about 2.4 MB with a 1.1 MB stacked product), whatever
+    # the grid.  Budget: 3 MiB
+    grid = make_grid((-1.8, 1.8, -1.8, 1.8), n, n)
+    sensors = make_sensor_array(64, 2.0)
+    weights = picard_weights(fig6_picard)
+    assert fig6_picard.size == 35
+    tracemalloc.start()
+    try:
+        values = sampling.grid_indicators(fig6_picard.eigenvectors, weights, sensors, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - values.nbytes < 3 * 2**20
 
 
 def test_grid_whose_points_do_not_fill_nx_by_ny_is_rejected():
