@@ -4,26 +4,24 @@ shared by MUSIC (unit weights) and by the factorization-method indicator
 W(z) (Picard sum, w_j = 1/lambda_j) and the modified linear sampling method
 P(z) (regularized solutions of N_sharp g_z = Phi(., z),
 w_j = lambda_j^3 f(lambda_j^2)^2), which share one projection per block.
-Each weight row is reduced on its own, over the squared float view of the
-projections, whose Re(c)^2 and Im(c)^2 sums are then added; without a
-filter P is W, and only W is reduced.
+Each weight row is reduced on its own, as the sum of its Re(c)^2 and
+Im(c)^2 sums; without a filter P is W, and only W is reduced.
 
 The steering columns are built once per orbit of the mirror maps of the
 square (x -> -x, y -> -y, x <-> y and their products) that send both the
 sensor set and the grid onto themselves: Phi(x_i, g z) = Phi(g^-1 x_i, z),
 so Phi is evaluated on a fundamental domain F only, and the image points
-g(F) reuse it with the sensor order permuted.  The eigenvectors are stacked
-once, one sensor-permuted copy per map, so each block of F takes one
-product, one reduction per weight row and one scatter for the whole group.
-The maps are found from the coordinates: the grid's points must be exactly
-a lattice xs x ys, and each map must move no coordinate of xs, ys or the
-sensors further than _SYM_ULPS = 16 ulp of the largest |coordinate| from
-its image.  A uniform circle of Q sensors and a centred square grid share
-all 8 maps (Q a multiple of 4), so Phi is built at about 1/8 of the points.
-Values at the image points sum the same terms in another order, so they
-agree with a direct evaluation to the last few digits (1e-13 relative on
-figure1-3, 2e-11 on figure6/7); a grid that shares no map is evaluated
-exactly as by the plain blocked loop.
+g(F) reuse it with the sensor order permuted: each block of F takes one
+product with the eigenvectors stacked once per map.  The maps are found
+from the coordinates: the grid's points must be exactly a lattice xs x ys,
+and each map must move no coordinate of xs, ys or the sensors further than
+_SYM_ULPS = 16 ulp of the largest |coordinate| from its image.  A uniform
+circle of Q sensors and a centred square grid share all 8 maps (Q a
+multiple of 4), so Phi is built at about 1/8 of the points.  Values at the
+image points sum the same terms in another order, so they agree with a
+direct evaluation to the last few digits (1e-13 relative on figure1-3,
+2e-11 on figure6/7); a grid that shares no map is evaluated exactly as by
+the plain blocked loop.
 
 Discrete inner products on the measurement curve carry a uniform
 arc-length weight so sums approximate L2(C) pairings.  Eigenvectors are
@@ -43,13 +41,11 @@ from .specfun import fundamental_solution_many
 
 SENTINEL_CAP = 1e12
 CLIP_REL = 1e-12
-# Points of F per block of the indicator pipeline: for 64 sensors and 35
-# modes, 256 KB of steering columns and a 1.1 MB product with the stack of
-# the 8 mirror maps.  Blocks that start on the BLAS kernel's column
-# boundaries reproduce the single-shot projection bit for bit, as 256 does.
-_BLOCK = 256
-# Lattice points per row chunk of the scan for F, independent of _BLOCK.
-_SCAN = 8192
+# Points of F per block of the indicator pipeline: a 1.1 MB product for 64
+# sensors, 35 modes and 8 mirror maps.  Blocks that start on the BLAS
+# kernel's column boundaries reproduce the single-shot projection bit for
+# bit, as 256 does.  _SCAN: lattice points per row chunk of the scan for F.
+_BLOCK, _SCAN = 256, 8192
 
 
 @dataclass(frozen=True)
@@ -204,19 +200,16 @@ def picard_weights(data, f=None):
     return np.stack(rows)
 
 
-def _indicator_block(vecs_h, weights, phis):
+def _indicator_block(vecs_h, weights, phis, maps=1):
     """Row i: 1 / sum_j weights[i, j] |(phi_z, v_j)|^2 per column phi_z of
-    phis, sentinel-capped.  vecs_h holds the conjugated v_j as rows, one
-    stack of weights.shape[1] rows per mirror map, and the values come map
-    by map.  The product is squared in place through its float view, and a
-    weight row sums Re(c)^2 and Im(c)^2 of every map in one einsum, whose
-    loops, unlike a threaded BLAS gemv, round each column alike whatever
-    the block's width; the two sums are added after.  A row's bits depend
-    neither on the other rows nor on the other maps."""
+    phis, sentinel-capped, map by map; vecs_h stacks the conjugated v_j as
+    rows once per map.  The einsum over the squared float view, unlike a
+    threaded BLAS gemv, rounds a column alike at any block width, and a
+    row's bits depend on no other row or map.  No modes read the cap."""
     modes, points = weights.shape[1], phis.shape[1]
     c = (vecs_h @ phis).view(float)  # (maps * modes, 2 points): Re, Im interleaved
     np.square(c, out=c)
-    a = c.reshape(-1, modes, 2 * points)
+    a = c.reshape(maps, modes, 2 * points)
     parts = np.stack([np.einsum("j,gjp->gp", w, a) for w in weights])
     sums = (parts[..., ::2] + parts[..., 1::2]).reshape(len(weights), -1)
     return np.where(sums <= 1.0 / SENTINEL_CAP, SENTINEL_CAP, 1.0 / np.maximum(sums, 1e-300))
@@ -236,6 +229,12 @@ _MAPS = (
 _SYM_ULPS = 16
 
 
+def _mul(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 def _lattice_axes(grid):
     """(xs, ys) when grid.points is exactly the row-major lattice xs x ys,
     else None."""
@@ -246,36 +245,31 @@ def _lattice_axes(grid):
     return None
 
 
-def _lattice_maps(maps, axes, tol):
-    """Which of the maps (|G|, 4) send the lattice xs x ys onto itself
-    within tol.  A map's new x is a x or b y, its new y c x or d y; so each
-    is one of the four (source axis, sign) fits of an axis, read from a
-    table of all eight."""
-    def fits(src, sign, target):
-        return src.size == target.size and bool((np.abs(sign * src - target[::sign]) <= tol).all())
-
-    table = np.array([[[fits(src, sign, target) for target in axes] for sign in (-1, 1)]
-                      for src in axes])  # [source axis, (sign + 1) // 2, target axis]
-    a, b, c, d = maps.T
-    return table[(a == 0) * 1, (a + b + 1) // 2, 0] & table[(c == 0) * 1, (c + d + 1) // 2, 1]
+def _maps_lattice(m, axes, tol):
+    """Whether m maps the lattice xs x ys onto itself within tol."""
+    a, b, c, d = m
+    for target, (col, sign) in zip(axes, ((0, a) if a else (1, b), (0, c) if c else (1, d))):
+        src = axes[col]
+        if src.size != target.size or not (np.abs(sign * src - target[::sign]) <= tol).all():
+            return False
+    return True
 
 
-def _sensor_permutations(maps, sensors, tol):
-    """(perms, ok): perms[g, j] is the sensor that map g sends sensor j to,
-    and ok[g] whether that holds within tol for every sensor.
+def _sensor_permutation(m, sensors, tol):
+    """p with m(sensor j) = sensor p[j] within tol, or None.
 
     On a uniform circle starting at angle 0, m sends sensor j to
     det(m) * j + t Q/4 (mod Q), where t is the quarter turn that takes (1, 0)
     to m's first column; a t Q/4 that is not an integer drops the map.
     """
+    a, b, c, d = m
     q = len(sensors)
-    a, b, c, d = maps.T[..., None]
-    turn = np.where(c == 0, 1 - a, 2 - c)  # (a, c) = (1, 0), (0, 1), (-1, 0), (0, -1)
-    perms = ((a * d - b * c) * np.arange(q) + turn * q // 4) % q
-    x, y = sensors.T
-    image = np.stack([a * x + b * y, c * x + d * y], axis=-1)
-    ok = (turn[:, 0] * q % 4 == 0) & (np.abs(image - sensors[perms]) <= tol).all(axis=(1, 2))
-    return perms, ok
+    turn = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(a, c)]
+    if turn * q % 4:
+        return None
+    perm = ((a * d - b * c) * np.arange(q) + turn * q // 4) % q
+    image = sensors @ np.array(m, dtype=float).reshape(2, 2).T
+    return perm if (np.abs(image - sensors[perm]) <= tol).all() else None
 
 
 def _symmetry_group(sensors, grid):
@@ -287,21 +281,19 @@ def _symmetry_group(sensors, grid):
     each map is checked against xs, ys and the sensors.
     """
     pts = sensors.points
-    maps = np.array(_MAPS)
+    group = [(_MAPS[0], np.arange(len(pts)))]
     axes = _lattice_axes(grid)
-    if axes is None:
-        return maps[:1], np.arange(len(pts))[None]
-    scale = max(np.max(np.abs(axes[0])), np.max(np.abs(axes[1])), np.max(np.abs(pts)))
-    tol = _SYM_ULPS * np.finfo(float).eps * scale
-    perms, ok = _sensor_permutations(maps, pts, tol)
-    keep = ok & _lattice_maps(maps, axes, tol)  # the identity passes
-    # two maps that each pass within tol may have a product that misses it:
-    # F is a fundamental domain only for a group
-    kept = maps[keep]
-    square = kept.reshape(-1, 1, 2, 2) @ kept.reshape(1, -1, 2, 2)
-    if not (square.reshape(-1, 1, 4) == kept).all(axis=-1).any(axis=-1).all():
-        keep = np.arange(len(maps)) == 0
-    return maps[keep], perms[keep]
+    if axes is not None:
+        scale = max(np.max(np.abs(axes[0])), np.max(np.abs(axes[1])), np.max(np.abs(pts)))
+        tol = _SYM_ULPS * np.finfo(float).eps * scale
+        perms = {m: _sensor_permutation(m, pts, tol)
+                 for m in _MAPS[1:] if _maps_lattice(m, axes, tol)}
+        maps = [_MAPS[0]] + [m for m, p in perms.items() if p is not None]
+        # two maps that each pass within tol may have a product that misses it:
+        # F is a fundamental domain only for a group
+        if all(_mul(m, n) in maps for m in maps for n in maps):
+            group += [(m, perms[m]) for m in maps[1:]]
+    return np.array([m for m, _ in group]), np.array([p for _, p in group])
 
 
 def _image_rule(grid, maps):
@@ -325,19 +317,25 @@ def _domain_blocks(grid, maps):
     A point belongs to F when its centred indices (u, v) are the
     lexicographic maximum, u first, of its orbit: for the whole group
     F = {x >= 0, 0 <= y <= x}.  The positive x-axis, where sensor 0 lies,
-    is always in F.  The grid is scanned in rows of about _SCAN points, the
-    keys of all maps at once, so memory stays O(_SCAN |G| + _BLOCK).
+    is always in F.  Under the key u w + v, the key of (u, v) less that of
+    g(u, v) is p_g u + q_g v with p_g >= 0 for each map of the square, so
+    on row v, F holds the u >= -q_g v / p_g of every g with p_g > 0, and
+    nothing if a g with p_g = 0 has q_g v < 0.  Rows are gathered about
+    _SCAN points at a time, so memory stays O(_SCAN + _BLOCK).
     """
     nx, ny = grid.nx, grid.ny
     w = 2 * max(nx, ny)  # u * w + v orders (u, v) lexicographically, as |v| < w / 2
-    a, b, c, d = maps.T[..., None, None]
-    u = 2 * np.arange(nx) - (nx - 1)
+    a, b, c, d = maps.T[..., None]
+    p, qv = (1 - a) * w - c, (1 - b * w - d) * (2 * np.arange(ny) - (ny - 1))
+    # per row, the least u in F (w: none) and its ix, as u = 2 ix - (nx - 1)
+    least = np.where(p > 0, -(qv // np.maximum(p, 1)), np.where(qv < 0, w, -w)).max(axis=0)
+    start = (least + nx) // 2
+    ix = np.arange(nx)
     rows = max(1, _SCAN // nx)
     pending = np.empty(0, dtype=np.intp)
     for y0 in range(0, ny, rows):
-        v = 2 * np.arange(y0, min(y0 + rows, ny))[:, None] - (ny - 1)
-        keys = (a * w + c) * u + (b * w + d) * v  # keys[g] is the key of g(u, v)
-        pending = np.concatenate([pending, y0 * nx + np.flatnonzero(keys[0] == keys.max(axis=0))])
+        inside = np.flatnonzero(ix >= start[y0 : y0 + rows, None])
+        pending = np.concatenate([pending, y0 * nx + inside])
         while pending.size >= _BLOCK:
             yield pending[:_BLOCK]
             pending = pending[_BLOCK:]
@@ -366,19 +364,20 @@ def grid_indicators(vecs, weights, sensors, k, grid):
     if grid.points.shape != (grid.nx * grid.ny, 2):
         raise DomainError(f"grid points have shape {grid.points.shape}, not (nx * ny, 2)")
     maps, perms = _symmetry_group(sensors, grid)
-    # row block g of the stack holds the conjugated vectors with their sensor
-    # rows permuted by g: the transpose of their side-by-side columns
+    # row block g: the conjugated vectors with their sensor rows permuted by g
     stacked = np.concatenate(vecs[perms].conj(), axis=1).T
     alpha, beta, gamma = _image_rule(grid, maps)
     earlier = np.tri(len(maps), k=-1, dtype=bool)[..., None]  # earlier[g, h]: h before g
-    out = np.empty((weights.shape[0], len(grid.points)))
+    n = len(grid.points)
+    # a map that is not the first at a point writes to the spare last column
+    out = np.empty((weights.shape[0], n + 1))
     for block in _domain_blocks(grid, maps):
         phis = fundamental_solution_many(k, sensors.points, grid.points[block])
         iy, ix = np.divmod(block, grid.nx)
         images = alpha * ix + beta * iy + gamma  # row g: the points g(block)
-        first = ~((images[:, None] == images) & earlier).any(axis=1)
-        out[:, images[first]] = _indicator_block(stacked, weights, phis)[:, first.ravel()]
-    return out
+        images[((images[:, None] == images) & earlier).any(axis=1)] = n
+        out[:, images.ravel()] = _indicator_block(stacked, weights, phis, len(maps))
+    return out[:, :n]
 
 
 def fm_mlsm_fields(data, sensors, k, grid, f=None):

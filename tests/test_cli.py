@@ -683,6 +683,21 @@ def test_main_phi_error_in_grid_block_exit_3(tmp_path, capsys, monkeypatch, pres
     assert json.loads(err_lines[0])["error"] == "numerical"
 
 
+def test_main_rank_override_equal_to_sensor_count_writes_the_sentinel_field(tmp_path, capsys):
+    # every singular vector is signal: the noise space is empty, the MUSIC
+    # sums are 0, and every point, on F and its mirror images alike, reads
+    # the sentinel cap
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rank_override": 32, "grid": {"nx": 21, "ny": 21}}))
+    out = tmp_path / "out"
+    code = main(["run", "--preset", "figure1", "--config", str(cfg), "--out", str(out)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"rank": 32}
+    values = np.loadtxt(out / "field.csv", delimiter=",", skiprows=1)[:, 2]
+    assert values.size == 21 * 21
+    assert (values == sampling.SENTINEL_CAP).all()
+
+
 def test_main_series_overflow_names_order_and_k_exit_3(tmp_path, capsys):
     # |H_m(2k)|^2 passes the largest double near order 100 at k = 1
     cfg = tmp_path / "cfg.json"

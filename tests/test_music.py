@@ -41,6 +41,16 @@ def test_zero_matrix_rank_zero(unit_sensors32):
     assert music_at(model, unit_sensors32, 1.0, (0.1, 0.2))[0] < SENTINEL_CAP
 
 
+@pytest.mark.parametrize("nx, ny", [(21, 21), (21, 17)])  # 8 and 4 mirror maps
+def test_empty_noise_space_gives_the_sentinel_everywhere(unit_sensors32, nx, ny):
+    centers = [(-0.5, 0.5)]
+    m = synthetic_rank_matrix(unit_sensors32, 1.0, centers, [1.0])
+    model = build_music(m, rank_override=32)
+    fld = music_field(model, unit_sensors32, 1.0, make_grid((-0.9, 0.9, -0.9, 0.9), nx, ny))
+    assert fld.values.shape == (nx * ny,)
+    assert (fld.values == SENTINEL_CAP).all()
+
+
 def test_synthetic_rank_three_detected(unit_sensors32):
     centers = [(-0.5, 0.5), (0.5, -0.5), (0.0, 0.3)]
     m = synthetic_rank_matrix(unit_sensors32, 1.0, centers, [1.0, 0.7, 0.4])

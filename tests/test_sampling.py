@@ -3,6 +3,7 @@ and MLSM fields against explicit Picard sums and explicit regularized
 solves, the equivalence bracketing, and the disk-figure classification
 quality."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from nearscat.specfun import fundamental_solution_many
 
 from reference import (
     _centred,
+    _domain_blocks_per_map,
     _image,
     cutoff_at_rank,
     fundamental_solution,
@@ -155,6 +157,42 @@ def test_partial_groups_match_direct_kernel(count, bounds, nx, ny, size):
     np.testing.assert_allclose(values, direct, rtol=1e-12, atol=0.0)
 
 
+def subgroups_of_the_square():
+    """Every subgroup of the 8 mirror maps, identity first."""
+    maps = sampling._MAPS
+    for r in range(len(maps)):
+        for rest in itertools.combinations(maps[1:], r):
+            group = [maps[0], *rest]
+            if all(sampling._mul(m, n) in group for m in group for n in group):
+                yield group
+
+
+@pytest.mark.parametrize("block, scan", [(sampling._BLOCK, sampling._SCAN), (7, 40)])
+def test_domain_rows_match_the_orbit_key_scan(monkeypatch, block, scan):
+    # F read row by row from one bound per row is the set of points that
+    # are the lexicographic maximum of their orbit, found by comparing the
+    # keys of every map (the earlier scan, tests/reference.py), for each of
+    # the 10 subgroups, odd and even sides, and grids that are not square;
+    # small blocks and row chunks cut F across rows
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    monkeypatch.setattr(sampling, "_SCAN", scan)
+    groups = list(subgroups_of_the_square())
+    assert len(groups) == 10
+    checked = 0
+    for nx, ny in [(2, 2), (3, 3), (6, 6), (7, 7), (4, 7), (7, 4), (2, 9), (41, 41), (41, 31)]:
+        grid = make_grid((-1.0, 1.0, -1.0, 1.0), nx, ny)
+        for group in groups:
+            if nx != ny and any(a == 0 for a, _, _, _ in group):
+                continue  # x <-> y maps such a grid onto no lattice
+            blocks = list(sampling._domain_blocks(grid, np.array(group)))
+            assert all(len(b) == block for b in blocks[:-1])
+            got = np.concatenate(blocks)
+            want = np.concatenate(list(_domain_blocks_per_map(grid, group)))
+            assert np.array_equal(got, want), (nx, ny, group)
+            checked += 1
+    assert checked == 5 * 10 + 4 * 5  # 5 of the 10 groups have no x <-> y map
+
+
 # The pipeline against the per-map loop it replaced (tests/reference.py):
 # the same products and the same rule for points that several maps reach,
 # but the loop reduces w.(Re^2 + Im^2) where the pipeline adds w.Re^2 and
@@ -202,7 +240,8 @@ def test_points_reached_by_several_maps_keep_the_first_maps_value():
     assert domain.size == 231 <= sampling._BLOCK
     phis = fundamental_solution_many(1.0, sensors.points, grid.points[domain])
     stacked = np.concatenate([vecs.conj().T[:, perm] for perm in perms])
-    per_map = _indicator_block(stacked, weights, phis).reshape(len(weights), len(maps), -1)
+    per_map = _indicator_block(stacked, weights, phis, len(maps))
+    per_map = per_map.reshape(len(weights), len(maps), -1)
     assert np.array_equal(values[:, domain], per_map[:, 0])
     u, v = _centred(grid, domain)
     want = np.full_like(values, np.nan)
