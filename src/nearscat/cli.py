@@ -8,7 +8,7 @@ its default; unknown keys are rejected.  `validate_config` turns a config
 into typed run inputs before any numerics run.
 
 Outputs per run: field.csv + field.pgm + manifest.json (reconstruction
-modes; disk modes additionally write the companion indicator), or
+modes; disk-fm writes W there and P as mlsm.csv + mlsm.pgm), or
 chain.csv + summary.json + manifest.json (bayes mode).  Exit codes:
 0 success, 2 configuration error (an output directory that cannot be
 created or written included), 3 numerical error, each error with one JSON
@@ -374,7 +374,6 @@ MODES = {
         "rank_override": (_int, None),
     },
     "disk-fm": _DISK,
-    "disk-mlsm": _DISK,
     "bayes": {
         **_SCATTERING,
         "noise": (_noise(0.15), {"seed": 0}),
@@ -471,15 +470,12 @@ def _run_disk(s, out_dir):
         nsharp(matrix, s["regime"]), weight=2.0 * np.pi * sensors.radius / sensors.count
     )
     w_field, p_field = fm_mlsm_fields(data, sensors, s["k"], s["grid"], s["filter"])
-    primary, companion, stem = (
-        (w_field, p_field, "mlsm") if s["mode"] == "disk-fm" else (p_field, w_field, "fm")
-    )
-    export_field(primary, out_dir)
-    if companion is primary:  # `filter: null`: P is W, so its files are W's
+    export_field(w_field, out_dir)
+    if p_field is w_field:  # `filter: null`: P is W, so its files are W's
         for ext in ("csv", "pgm"):
-            shutil.copyfile(out_dir / f"field.{ext}", out_dir / f"{stem}.{ext}")
+            shutil.copyfile(out_dir / f"field.{ext}", out_dir / f"mlsm.{ext}")
     else:
-        export_field(companion, out_dir, stem=stem)
+        export_field(p_field, out_dir, stem="mlsm")
     return {"retained_modes": int(data.size)}
 
 
@@ -503,8 +499,7 @@ def _run_bayes(s, out_dir):
     return stats
 
 
-_RUNNERS = {"born-music": _run_born_music, "disk-fm": _run_disk, "disk-mlsm": _run_disk,
-            "bayes": _run_bayes}
+_RUNNERS = {"born-music": _run_born_music, "disk-fm": _run_disk, "bayes": _run_bayes}
 
 
 def _merge_into(base, override):

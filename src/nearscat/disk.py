@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DomainError, ResonanceError
 from .specfun import bessel_j_orders, derivative_orders, hankel1_orders
 
-DISK_RADIUS = 1.0
 SENSOR_RADIUS = 2.0
 RESONANCE_TOL = 1e-14
 
@@ -70,7 +69,7 @@ def series_coefficients(medium, trunc):
 def kernel_weights(medium, trunc):
     """sigma_m * |H^(1)_m(2k)|^2 for m = 0..trunc."""
     k = float(medium.k)
-    h = hankel1_orders(trunc, 2.0 * k)
+    h = hankel1_orders(trunc, SENSOR_RADIUS * k)
     with np.errstate(over="ignore"):
         h2 = np.abs(h) ** 2
     big = np.flatnonzero(~np.isfinite(h2))

@@ -14,11 +14,6 @@ class ResonanceError(NearscatError):
     a resonance of the transmission system."""
 
 
-class NotHermitianError(NearscatError):
-    """A matrix handed to the Hermitian eigensolver is not Hermitian
-    within tolerance."""
-
-
 class ConvergenceError(NearscatError):
     """An iterative routine failed to converge."""
 

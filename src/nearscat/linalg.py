@@ -1,55 +1,32 @@
 """Hermitian eigendecomposition, the spectral-gap rank, and the spectral
 operator calculus (|B|, the N-sharp combinations).
 
-Matrices are plain complex numpy arrays.  The eigensolver is backed by
-LAPACK via numpy.linalg.eigh behind the module's contract: real spectrum
-ordered by descending magnitude, orthonormal eigenvectors with a
-deterministic phase (first nonzero component real and positive).
+Matrices are plain complex numpy arrays.  The eigensolver decomposes the
+Hermitian part (a + a^H)/2 with LAPACK's eigh: real spectrum by descending
+magnitude, orthonormal eigenvectors in LAPACK's phase, which no consumer
+reads (each uses |(phi, v)|^2 or v |lambda| v^H).
 """
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NotHermitianError
-
-HERMITIAN_TOL = 1e-8
-
-
-def _fix_phases(vecs):
-    """Rotate each column so its first nonzero component is real positive.
-
-    The rotations |p|/p are numpy scalar divisions: the array division
-    rounds differently in the last bit for some complex p.
-    """
-    nonzero = np.abs(vecs) > 1e-300
-    pivots = vecs[np.argmax(nonzero, axis=0), np.arange(vecs.shape[1])]
-    out = vecs.copy()
-    cols = np.flatnonzero(nonzero.any(axis=0))  # all-zero columns stay as they are
-    out[:, cols] = vecs[:, cols] * np.array([abs(p) / p for p in pivots[cols]])
-    return out
+from .errors import ConvergenceError, DomainError
 
 
 def hermitian_eig(a):
-    """(values, vectors) of a Hermitian matrix: the real spectrum and the
-    orthonormal columns, vectors[:, j] <-> values[j].
+    """(values, vectors) of the Hermitian part (a + a^H)/2 of a square matrix:
+    the real spectrum and the orthonormal columns, vectors[:, j] <-> values[j].
 
     Ordering: descending |lambda|, ties broken by descending signed lambda.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    norm = np.linalg.norm(a)
-    dev = np.linalg.norm(a - a.conj().T)
-    if norm > 0 and dev > HERMITIAN_TOL * norm:
-        raise NotHermitianError(
-            f"matrix deviates from Hermitian by {dev / norm:.3e} relative"
-        )
-    h = (a + a.conj().T) / 2.0
     try:
-        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
     order = np.lexsort((-vals, -np.abs(vals)))
-    return vals[order], _fix_phases(vecs[:, order])
+    return vals[order], vecs[:, order]
 
 
 def real_part_op(n):

@@ -105,84 +105,13 @@ def make_picard_data(nsharp_matrix, weight=1.0):
     rest of the clipped spectrum.
     """
     vals, vecs = hermitian_eig(nsharp_matrix)
-    if vals.size == 0 or np.max(np.abs(vals)) == 0.0:
-        raise DegenerateSpectrumError("N_sharp has no spectrum above the clip")
-    lmax = float(np.max(vals))
-    if lmax <= 0.0:
+    lmax = float(np.max(vals, initial=0.0))
+    if not lmax > 0.0:  # an empty spectrum too
         raise DegenerateSpectrumError("N_sharp has no positive eigenvalues")
     # lambda_1 itself is kept, and the kept values are positive, so
     # hermitian_eig's descending-|lambda| order is already descending
     keep = vals > CLIP_REL * lmax
     return PicardData(eigenvalues=vals[keep], eigenvectors=vecs[:, keep], weight=float(weight))
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    eps_sequence: tuple
-    values: tuple  # ||N_sharp^{1/2} g_z^eps||^2 per eps
-    partial_sum: float  # first M_terms Picard terms
-    full_sum: float  # full retained Picard sum
-    violations: tuple  # human-readable diagnostics, empty when clean
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def fm_mlsm_equivalence_check(data, phi_z, m_terms, eps_sequence, f_kind="tikhonov", a=None, tol=1e-9):
-    """Numerical check of the two-sided Picard bracketing for C_reg = 1 filters.
-
-    The upper bound holds at every eps (term-wise, since t f(t) <= 1); the
-    lower bound is a limit statement, checked at the smallest eps against
-    the first m_terms Picard terms.  m_terms should index modes with
-    lambda_j^2 well above the smallest eps, otherwise the filter has not yet
-    resolved them.
-    """
-    eps_sequence = tuple(float(e) for e in eps_sequence)
-    if len(eps_sequence) > 1 and any(
-        e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])
-    ):
-        raise DomainError("eps_sequence must be strictly decreasing")
-    if not 1 <= m_terms <= data.size:
-        raise DomainError(f"m_terms must lie in [1, {data.size}], got {m_terms}")
-
-    c = data.eigenvectors.conj().T @ np.asarray(phi_z, dtype=complex)
-    lam = data.eigenvalues
-    picard_terms = data.weight * np.abs(c) ** 2 / lam
-    partial = float(np.sum(picard_terms[:m_terms]))
-    full = float(np.sum(picard_terms))
-
-    values = []
-    for e in eps_sequence:
-        fvals = filter_value(FilterSpec(kind=f_kind, eps=e, a=a), lam**2)
-        values.append(float(data.weight * np.sum(lam**3 * fvals**2 * np.abs(c) ** 2)))
-
-    violations = []
-    scale = max(full, 1.0)
-    for e, v in zip(eps_sequence, values):
-        if v > full + tol * scale:
-            violations.append(
-                f"upper bound broken at eps={e:g}: value {v:.6e} > full sum {full:.6e}"
-            )
-    if partial > values[-1] + tol * scale:
-        violations.append(
-            f"lower bound broken at eps={eps_sequence[-1]:g}: partial sum "
-            f"{partial:.6e} > value {values[-1]:.6e}"
-        )
-    for (e1, v1), (e2, v2) in zip(
-        zip(eps_sequence, values), zip(eps_sequence[1:], values[1:])
-    ):
-        if v2 < v1 * (1.0 - 1e-12) - tol * scale:
-            violations.append(
-                f"value not monotone: eps {e1:g} -> {e2:g} gave {v1:.6e} -> {v2:.6e}"
-            )
-    return EquivalenceReport(
-        eps_sequence=eps_sequence,
-        values=tuple(values),
-        partial_sum=partial,
-        full_sum=full,
-        violations=tuple(violations),
-    )
 
 
 def picard_weights(data, f=None):

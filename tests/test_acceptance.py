@@ -20,7 +20,7 @@ from nearscat.disk import DiskMedium, assemble_nearfield_matrix
 from nearscat.geometry import Rectangle, ScattererSpec, constant_index
 from nearscat.linalg import hermitian_eig, nsharp
 from nearscat.music import build_music, music_field
-from nearscat.sampling import fm_mlsm_equivalence_check, fm_mlsm_fields
+from nearscat.sampling import fm_mlsm_fields
 from nearscat.specfun import fundamental_solution_many
 
 from reference import (
@@ -28,6 +28,7 @@ from reference import (
     bessel_y,
     circulant_symbol,
     conjugate_posterior,
+    fm_mlsm_equivalence_check,
     local_maxima,
     run_mh_collapsed,
     sigma_m,

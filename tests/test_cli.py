@@ -16,8 +16,11 @@ import nearscat
 from nearscat import bayes, born, cli, sampling
 from nearscat.cli import PRESETS, main, run, validate_config
 from nearscat.bayes import make_bayes_model
+from nearscat.disk import assemble_nearfield_matrix
 from nearscat.errors import ChainError, ConfigError
 from nearscat.geometry import Disk, make_grid
+from nearscat.linalg import nsharp
+from nearscat.sampling import fm_mlsm_fields, make_picard_data
 
 from reference import read_field_csv
 
@@ -64,9 +67,21 @@ def test_validate_rejects_unknown_keys():
         validate_config(cfg)
 
 
-def test_validate_rejects_unknown_mode():
+@pytest.mark.parametrize("mode", ["nope", "disk-mlsm"])
+def test_validate_rejects_unknown_mode(mode):
     with pytest.raises(ConfigError):
-        validate_config({"mode": "nope"})
+        validate_config({"mode": mode})
+
+
+def test_main_removed_disk_mlsm_mode_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "disk-mlsm"}))
+    code = main(["run", "--preset", "figure6", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config"
+    assert all(repr(mode) in err["message"] for mode in ("born-music", "disk-fm", "bayes"))
 
 
 def test_validate_rejects_underresolved_truncation():
@@ -91,6 +106,27 @@ def test_run_disk_writes_companion(tmp_path):
     assert (tmp_path / "field.csv").exists()
     assert (tmp_path / "mlsm.csv").exists()
     assert (tmp_path / "mlsm.pgm").exists()
+
+
+def test_run_disk_writes_w_as_field_and_p_as_mlsm(tmp_path):
+    # with a filter, P differs from W: field.* holds W and mlsm.* holds P,
+    # exactly as fm_mlsm_fields returns them for the same inputs
+    tikhonov = {"kind": "tikhonov", "eps": 1e-6}
+    run(preset="figure6", config={"grid": {"nx": 21, "ny": 21}, "filter": tikhonov},
+        out_dir=tmp_path)
+    cfg = copy.deepcopy(PRESETS["figure6"])
+    cfg["grid"].update(nx=21, ny=21)
+    s = validate_config({**cfg, "filter": tikhonov})
+    sensors = s["sensors"]
+    matrix = assemble_nearfield_matrix(s["disk_medium"], s["truncation"], sensors.count)
+    data = make_picard_data(nsharp(matrix, s["regime"]),
+                            weight=2.0 * np.pi * sensors.radius / sensors.count)
+    w, p = fm_mlsm_fields(data, sensors, s["k"], s["grid"], s["filter"])
+    assert (p.values != w.values).all()
+    for stem, fld in (("field", w), ("mlsm", p)):
+        back = read_field_csv(tmp_path / f"{stem}.csv")
+        assert np.array_equal(back[:, :2], fld.grid.points)
+        assert np.array_equal(back[:, 2], fld.values)
 
 
 def test_run_unknown_preset():
@@ -300,8 +336,6 @@ def test_preset_override_must_be_an_object():
         ("figure1", "born-music", "grid"),
         ("figure6", "disk-fm", "disk_medium"),
         ("figure6", "disk-fm", "grid"),
-        ("figure6", "disk-mlsm", "disk_medium"),
-        ("figure6", "disk-mlsm", "grid"),
         ("figure4", "bayes", "sensors"),
         ("figure4", "bayes", "scatterers"),
         ("figure4", "bayes", "bayes"),

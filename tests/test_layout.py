@@ -8,10 +8,10 @@ from pathlib import Path
 
 import nearscat
 
-# Public names with no caller in the package yet, each kept for an open
-# ROADMAP item: save_matrix and load_matrix for item 5 (reconstruct from a
-# measured matrix), fm_mlsm_equivalence_check for item 1 (the manifest).
-ALLOWED_UNCALLED = {"save_matrix", "load_matrix", "fm_mlsm_equivalence_check"}
+# Public names with no caller in the package yet, kept for an open ROADMAP
+# item: save_matrix and load_matrix for item 5 (reconstruct from a measured
+# matrix).
+ALLOWED_UNCALLED = {"save_matrix", "load_matrix"}
 
 
 def _referenced_names(node):

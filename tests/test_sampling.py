@@ -20,7 +20,6 @@ from nearscat.sampling import (
     PicardData,
     _indicator_block,
     filter_value,
-    fm_mlsm_equivalence_check,
     fm_mlsm_fields,
     make_picard_data,
     picard_weights,
@@ -32,6 +31,7 @@ from reference import (
     _domain_blocks_per_map,
     _image,
     cutoff_at_rank,
+    fm_mlsm_equivalence_check,
     fundamental_solution,
     grid_indicators_per_map,
     indicators_per_point,
@@ -357,9 +357,12 @@ def test_make_picard_data_clips(fig6_picard):
     assert lam[-1] > 1e-12 * lam[0] * (1 - 1e-12)
 
 
-def test_make_picard_data_rejects_negative_definite():
+@pytest.mark.parametrize("matrix", [np.zeros((0, 0)), np.zeros((3, 3)), -np.eye(3)],
+                         ids=["empty", "zero", "negative"])
+def test_make_picard_data_rejects_negative_definite(matrix):
+    # no positive eigenvalue, the empty spectrum included
     with pytest.raises(DegenerateSpectrumError):
-        make_picard_data(-np.eye(3, dtype=complex))
+        make_picard_data(matrix)
 
 
 def explicit_nsharp(data):
