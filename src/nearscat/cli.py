@@ -431,7 +431,6 @@ def validate_config(cfg):
             m, q = s["truncation"], s["quad_points"]
             _check(q >= 2 * m + 2, "quad_points", f">= 2 * truncation + 2 = {2 * m + 2}", q)
             s["disk_medium"] = disk_mod.DiskMedium(**s["disk_medium"], k=s["k"])
-            s["sensors"] = make_sensor_array(q, disk_mod.SENSOR_RADIUS)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     return s
@@ -464,10 +463,10 @@ def _run_born_music(s, out_dir):
 
 
 def _run_disk(s, out_dir):
-    sensors = s["sensors"]
-    matrix = disk_mod.assemble_nearfield_matrix(s["disk_medium"], s["truncation"], sensors.count)
+    matrix = disk_mod.assemble_nearfield_matrix(s["disk_medium"], s["truncation"], s["quad_points"])
+    sensors = matrix.sensors
     data = make_picard_data(
-        nsharp(matrix, s["regime"]), weight=2.0 * np.pi * sensors.radius / sensors.count
+        nsharp(matrix.data, s["regime"]), weight=2.0 * np.pi * sensors.radius / sensors.count
     )
     w_field, p_field = fm_mlsm_fields(data, sensors, s["k"], s["grid"], s["filter"])
     export_field(w_field, out_dir)

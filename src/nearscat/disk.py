@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .born import MultistaticMatrix
 from .errors import DomainError, ResonanceError
+from .geometry import make_sensor_array
 from .specfun import bessel_j_orders, derivative_orders, hankel1_orders
 
 SENSOR_RADIUS = 2.0
@@ -82,7 +84,8 @@ def kernel_weights(medium, trunc):
 
 
 def assemble_nearfield_matrix(medium, trunc, quad_points):
-    """Discretized truncated near-field operator.
+    """Discretized truncated near-field operator, as a MultistaticMatrix on
+    the Q sensors of the circle of radius SENSOR_RADIUS it was sampled on.
 
     Entry (i, j) = (2 pi / Q) * u^s(theta_i, theta_j) with theta_i uniform
     on [0, 2 pi); the Riemann weight is folded in so matrix-vector products
@@ -101,4 +104,5 @@ def assemble_nearfield_matrix(medium, trunc, quad_points):
     )
     kernel = 0.25j * (2.0 * np.pi / q) * kernel  # value at angle difference d
     idx = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
-    return kernel[idx]
+    return MultistaticMatrix(data=kernel[idx], sensors=make_sensor_array(q, SENSOR_RADIUS),
+                             wavenumber=float(medium.k))

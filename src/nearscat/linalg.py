@@ -1,5 +1,5 @@
-"""Hermitian eigendecomposition, the spectral-gap rank, and the spectral
-operator calculus (|B|, the N-sharp combinations).
+"""Hermitian eigendecomposition, the spectral-gap rank, and the N-sharp
+combination of a data matrix (|Re N| + |Im N|, or sigma Im N when absorbing).
 
 Matrices are plain complex numpy arrays.  The eigensolver decomposes the
 Hermitian part (a + a^H)/2 with LAPACK's eigh: real spectrum by descending
@@ -29,35 +29,14 @@ def hermitian_eig(a):
     return vals[order], vecs[:, order]
 
 
-def real_part_op(n):
-    """Re(N) = (N + N*)/2; Hermitian by construction."""
-    n = np.asarray(n, dtype=complex)
-    if n.ndim != 2 or n.shape[0] != n.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {n.shape}")
-    return (n + n.conj().T) / 2.0
-
-
-def imag_part_op(n):
-    """Im(N) = (N - N*)/(2i); Hermitian by construction."""
-    n = np.asarray(n, dtype=complex)
-    if n.ndim != 2 or n.shape[0] != n.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {n.shape}")
-    return (n - n.conj().T) / 2.0j
-
-
-def abs_op(b):
-    """Spectral absolute value sum |lambda_j| psi_j psi_j* of a Hermitian b."""
-    vals, v = hermitian_eig(b)
-    return (v * np.abs(vals)) @ v.conj().T
-
-
 REGIMES = ("nonabsorbing", "absorbing")
 
 
 def nsharp(n, regime):
     """Positive selfadjoint data combination.
 
-    regime 'nonabsorbing': |Re(N)| + |Im(N)|.
+    regime 'nonabsorbing': |Re(N)| + |Im(N)|, with Re(N) = (N + N^H)/2,
+                           Im(N) = (N - N^H)/(2i) and |B| = v |lambda| v^H.
     regime 'absorbing':    sigma * Im(N) with |sigma| = 1.  For absorbing
     media one of the two signs is positive; sigma is resolved from the data
     (sign of the dominant eigenvalue of Im(N)), since the sign depends on
@@ -69,9 +48,15 @@ def nsharp(n, regime):
     """
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
+    n = np.asarray(n, dtype=complex)
+    if n.ndim != 2 or n.shape[0] != n.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {n.shape}")
+    im = (n - n.conj().T) / 2.0j
     if regime == "nonabsorbing":
-        return abs_op(real_part_op(n)) + abs_op(imag_part_op(n))
-    im = imag_part_op(n)
+        # |B| = v |lambda| v^H; hermitian_eig leaves the exactly Hermitian Re(N) as is
+        re_abs, im_abs = ((v * np.abs(vals)) @ v.conj().T
+                          for vals, v in map(hermitian_eig, ((n + n.conj().T) / 2.0, im)))
+        return re_abs + im_abs
     # only the sign of the eigenvalue of largest |lambda| is read, ties going
     # to the positive one as in hermitian_eig's order: the ascending values
     # of eigvalsh suffice, and no eigenvectors are formed

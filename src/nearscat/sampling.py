@@ -184,45 +184,37 @@ def _maps_lattice(m, axes, tol):
     return True
 
 
-def _sensor_permutation(m, sensors, tol):
-    """p with m(sensor j) = sensor p[j] within tol, or None.
-
-    On a uniform circle starting at angle 0, m sends sensor j to
-    det(m) * j + t Q/4 (mod Q), where t is the quarter turn that takes (1, 0)
-    to m's first column; a t Q/4 that is not an integer drops the map.
-    """
-    a, b, c, d = m
-    q = len(sensors)
-    turn = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(a, c)]
-    if turn * q % 4:
-        return None
-    perm = ((a * d - b * c) * np.arange(q) + turn * q // 4) % q
-    image = sensors @ np.array(m, dtype=float).reshape(2, 2).T
-    return perm if (np.abs(image - sensors[perm]) <= tol).all() else None
-
-
 def _symmetry_group(sensors, grid):
     """(maps, perms): the maps of _MAPS that send both the sensor set and the
     grid onto themselves, as rows (a, b, c, d), identity first, and the
     sensor permutation of each, perms[g, j] the image of sensor j.
 
     The grid counts only when its points are exactly a lattice xs x ys, and
-    each map is checked against xs, ys and the sensors.
+    each map is checked against xs, ys and the sensors.  On a uniform circle
+    starting at angle 0, a map sends sensor j to det * j + t Q/4 (mod Q),
+    where t is the quarter turn that takes (1, 0) to its first column (a, c);
+    when t Q/4 is not an integer, no sensor lies at the image, and the
+    coordinate check drops the map.
     """
-    pts = sensors.points
-    group = [(_MAPS[0], np.arange(len(pts)))]
+    pts, q = sensors.points, sensors.count
+    maps, perms = np.array(_MAPS[:1]), np.arange(q)[None]
     axes = _lattice_axes(grid)
     if axes is not None:
         scale = max(np.max(np.abs(axes[0])), np.max(np.abs(axes[1])), np.max(np.abs(pts)))
         tol = _SYM_ULPS * np.finfo(float).eps * scale
-        perms = {m: _sensor_permutation(m, pts, tol)
-                 for m in _MAPS[1:] if _maps_lattice(m, axes, tol)}
-        maps = [_MAPS[0]] + [m for m, p in perms.items() if p is not None]
+        m = np.array(_MAPS)
+        a, b, c, d = m.T[..., None]
+        turn = 1 - a + 2 * (c < 0)  # the quarter turn that takes (1, 0) to (a, c)
+        perm = ((a * d - b * c) * np.arange(q) + turn * q // 4) % q
+        images = m.reshape(-1, 2, 2) @ pts.T  # images[g, :, j]: map g of sensor j
+        fits = (np.abs(images - pts[perm].transpose(0, 2, 1)) <= tol).all(axis=(1, 2))
+        fits &= [_maps_lattice(g, axes, tol) for g in _MAPS]
+        group = [g for g, ok in zip(_MAPS, fits) if ok]
         # two maps that each pass within tol may have a product that misses it:
         # F is a fundamental domain only for a group
-        if all(_mul(m, n) in maps for m in maps for n in maps):
-            group += [(m, perms[m]) for m in maps[1:]]
-    return np.array([m for m, _ in group]), np.array([p for _, p in group])
+        if all(_mul(g, h) in group for g in group for h in group):
+            maps, perms = m[fits], perm[fits]
+    return maps, perms
 
 
 def _image_rule(grid, maps):
@@ -282,13 +274,13 @@ def grid_indicators(vecs, weights, sensors, k, grid):
     fundamental domain F of G, in blocks of _BLOCK points.  The vectors are
     stacked once, one copy per g with its sensor rows permuted by g, so a
     block takes one product with the stack, one reduction per weight row
-    and one scatter to the points g(F).  Memory stays O(_BLOCK) as the grid
-    grows.  A point reached by several maps (on a mirror axis or a
-    diagonal) takes the value of the first of them in group order, so every
-    point of F keeps the identity's, its direct value; a point of g(F) gets
-    its sums in another order and agrees with the direct kernel to the last
-    few digits.  With G = {identity} this is the plain loop over grid
-    blocks.
+    and one write per map to the points g(F), in reverse group order.
+    Memory stays O(_BLOCK) as the grid grows.  A point reached by several
+    maps (on a mirror axis or a diagonal) so keeps the value of the first
+    of them in group order, and every point of F keeps the identity's, its
+    direct value; a point of g(F) gets its sums in another order and agrees
+    with the direct kernel to the last few digits.  With G = {identity}
+    this is the plain loop over grid blocks.
     """
     if grid.points.shape != (grid.nx * grid.ny, 2):
         raise DomainError(f"grid points have shape {grid.points.shape}, not (nx * ny, 2)")
@@ -296,17 +288,16 @@ def grid_indicators(vecs, weights, sensors, k, grid):
     # row block g: the conjugated vectors with their sensor rows permuted by g
     stacked = np.concatenate(vecs[perms].conj(), axis=1).T
     alpha, beta, gamma = _image_rule(grid, maps)
-    earlier = np.tri(len(maps), k=-1, dtype=bool)[..., None]  # earlier[g, h]: h before g
-    n = len(grid.points)
-    # a map that is not the first at a point writes to the spare last column
-    out = np.empty((weights.shape[0], n + 1))
+    out = np.empty((weights.shape[0], len(grid.points)))
     for block in _domain_blocks(grid, maps):
         phis = fundamental_solution_many(k, sensors.points, grid.points[block])
         iy, ix = np.divmod(block, grid.nx)
         images = alpha * ix + beta * iy + gamma  # row g: the points g(block)
-        images[((images[:, None] == images) & earlier).any(axis=1)] = n
-        out[:, images.ravel()] = _indicator_block(stacked, weights, phis, len(maps))
-    return out[:, :n]
+        values = _indicator_block(stacked, weights, phis, len(maps))
+        values = values.reshape(len(weights), len(maps), -1)
+        for g in reversed(range(len(maps))):  # the first map at a point writes last
+            out[:, images[g]] = values[:, g]
+    return out
 
 
 def fm_mlsm_fields(data, sensors, k, grid, f=None):

@@ -61,7 +61,7 @@ CURVE_WEIGHT = 2.0 * np.pi * SENSOR_RADIUS / 64
 @pytest.fixture(scope="session")
 def fig6_picard(fig6_medium):
     matrix = assemble_nearfield_matrix(fig6_medium, 20, 64)
-    return make_picard_data(nsharp(matrix, "nonabsorbing"), weight=CURVE_WEIGHT)
+    return make_picard_data(nsharp(matrix.data, "nonabsorbing"), weight=CURVE_WEIGHT)
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +73,7 @@ def fig6_fields(fig6_picard, disk_sensors64, disk_grid101):
 @pytest.fixture(scope="session")
 def fig7_picard(fig7_medium):
     matrix = assemble_nearfield_matrix(fig7_medium, 20, 64)
-    return make_picard_data(nsharp(matrix, "absorbing"), weight=CURVE_WEIGHT)
+    return make_picard_data(nsharp(matrix.data, "absorbing"), weight=CURVE_WEIGHT)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,17 @@ from nearscat.bayes import PosteriorSummary, _histogram_mode, _quadratic_form, d
 from nearscat.born import _gather_nodes
 from nearscat.disk import kernel_weights, series_coefficients
 from nearscat.errors import ChainError, DomainError
-from nearscat.sampling import SENTINEL_CAP, FilterSpec, _symmetry_group, filter_value
+from nearscat.linalg import hermitian_eig
+from nearscat.sampling import (
+    _MAPS,
+    _SYM_ULPS,
+    SENTINEL_CAP,
+    FilterSpec,
+    _lattice_axes,
+    _maps_lattice,
+    _mul,
+    filter_value,
+)
 from nearscat.specfun import (
     _check_order,
     bessel_j_orders,
@@ -149,6 +159,42 @@ def sqrt_op_apply(values, vectors, g):
     clipped = np.clip(vals, 0.0, None)
     coeff = vectors.conj().T @ np.asarray(g, dtype=complex)
     return vectors @ (np.sqrt(clipped) * coeff)
+
+
+# N-sharp composed from the three operators `linalg.nsharp` folds.
+
+
+def real_part_op(n):
+    """Re(N) = (N + N*)/2; Hermitian by construction."""
+    n = np.asarray(n, dtype=complex)
+    if n.ndim != 2 or n.shape[0] != n.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {n.shape}")
+    return (n + n.conj().T) / 2.0
+
+
+def imag_part_op(n):
+    """Im(N) = (N - N*)/(2i); Hermitian by construction."""
+    n = np.asarray(n, dtype=complex)
+    if n.ndim != 2 or n.shape[0] != n.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {n.shape}")
+    return (n - n.conj().T) / 2.0j
+
+
+def abs_op(b):
+    """Spectral absolute value sum |lambda_j| psi_j psi_j* of a Hermitian b."""
+    vals, v = hermitian_eig(b)
+    return (v * np.abs(vals)) @ v.conj().T
+
+
+def nsharp_from_parts(n, regime):
+    """|Re(N)| + |Im(N)|, or sigma Im(N) with sigma the sign of the first
+    eigenvalue of Im(N) in hermitian_eig's order (largest |lambda|, a tie
+    going to the positive one), from the full eigendecomposition."""
+    if regime == "nonabsorbing":
+        return abs_op(real_part_op(n)) + abs_op(imag_part_op(n))
+    im = imag_part_op(n)
+    vals, _ = hermitian_eig(im)
+    return (1.0 if vals[0] >= 0.0 else -1.0) * im
 
 
 def cutoff_at_rank(data):
@@ -305,6 +351,43 @@ def _domain_blocks_per_map(grid, maps):
         yield pending
 
 
+def _sensor_permutation(m, sensors, tol):
+    """p with m(sensor j) = sensor p[j] within tol, or None.
+
+    On a uniform circle starting at angle 0, m sends sensor j to
+    det(m) * j + t Q/4 (mod Q), where t is the quarter turn that takes (1, 0)
+    to m's first column; a t Q/4 that is not an integer drops the map.
+    """
+    a, b, c, d = m
+    q = len(sensors)
+    turn = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}[(a, c)]
+    if turn * q % 4:
+        return None
+    perm = ((a * d - b * c) * np.arange(q) + turn * q // 4) % q
+    image = sensors @ np.array(m, dtype=float).reshape(2, 2).T
+    return perm if (np.abs(image - sensors[perm]) <= tol).all() else None
+
+
+def symmetry_group_per_map(sensors, grid):
+    """`sampling._symmetry_group` one map at a time: (maps, perms), the maps
+    of the square that send both the sensor set and the lattice grid onto
+    themselves, identity first, and the sensor permutation of each."""
+    pts = sensors.points
+    group = [(_MAPS[0], np.arange(len(pts)))]
+    axes = _lattice_axes(grid)
+    if axes is not None:
+        scale = max(np.max(np.abs(axes[0])), np.max(np.abs(axes[1])), np.max(np.abs(pts)))
+        tol = _SYM_ULPS * np.finfo(float).eps * scale
+        perms = {m: _sensor_permutation(m, pts, tol)
+                 for m in _MAPS[1:] if _maps_lattice(m, axes, tol)}
+        maps = [_MAPS[0]] + [m for m, p in perms.items() if p is not None]
+        # two maps that each pass within tol may have a product that misses it:
+        # F is a fundamental domain only for a group
+        if all(_mul(m, n) in maps for m in maps for n in maps):
+            group += [(m, perms[m]) for m in maps[1:]]
+    return np.array([m for m, _ in group]), np.array([p for _, p in group])
+
+
 def grid_indicators_per_map(vecs, weights, sensors, k, grid):
     """The grid pipeline one mirror map at a time: each block of the
     fundamental domain F is projected once per map g, onto the vectors with
@@ -312,7 +395,7 @@ def grid_indicators_per_map(vecs, weights, sensors, k, grid):
     scattered to g(F).  The identity is projected last, so every point of F
     keeps its direct value; among the other maps, a point that several of
     them reach keeps the value of the one first in group order."""
-    maps, perms = _symmetry_group(sensors, grid)
+    maps, perms = symmetry_group_per_map(sensors, grid)
     group = [(tuple(m), perm) for m, perm in zip(maps.tolist(), perms)]
     vecs_h = vecs.conj().T
     # the identity last, so that its values are the ones the points of F keep

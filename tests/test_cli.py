@@ -117,9 +117,9 @@ def test_run_disk_writes_w_as_field_and_p_as_mlsm(tmp_path):
     cfg = copy.deepcopy(PRESETS["figure6"])
     cfg["grid"].update(nx=21, ny=21)
     s = validate_config({**cfg, "filter": tikhonov})
-    sensors = s["sensors"]
-    matrix = assemble_nearfield_matrix(s["disk_medium"], s["truncation"], sensors.count)
-    data = make_picard_data(nsharp(matrix, s["regime"]),
+    matrix = assemble_nearfield_matrix(s["disk_medium"], s["truncation"], s["quad_points"])
+    sensors = matrix.sensors
+    data = make_picard_data(nsharp(matrix.data, s["regime"]),
                             weight=2.0 * np.pi * sensors.radius / sensors.count)
     w, p = fm_mlsm_fields(data, sensors, s["k"], s["grid"], s["filter"])
     assert (p.values != w.values).all()

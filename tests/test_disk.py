@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from nearscat.disk import (
+    SENSOR_RADIUS,
     DiskMedium,
     assemble_nearfield_matrix,
     kernel_weights,
     series_coefficients,
 )
 from nearscat.errors import DomainError, ResonanceError
+from nearscat.geometry import make_sensor_array
 
 from reference import (
     bessel_j,
@@ -104,20 +106,31 @@ def test_scattered_field_truncation_refinement(fig6_medium):
 
 
 def test_matrix_is_circulant(fig6_medium):
-    m = assemble_nearfield_matrix(fig6_medium, 20, 64)
+    m = assemble_nearfield_matrix(fig6_medium, 20, 64).data
     rolled = np.roll(np.roll(m, 1, axis=0), 1, axis=1)
     assert np.array_equal(m, rolled)
 
 
 def test_matrix_entries_are_weighted_fields(fig6_medium):
     q = 64
-    m = assemble_nearfield_matrix(fig6_medium, 20, q)
+    m = assemble_nearfield_matrix(fig6_medium, 20, q).data
     angles = 2.0 * np.pi * np.arange(q) / q
     for i, j in [(0, 0), (3, 17), (50, 2)]:
         expect = (2.0 * np.pi / q) * disk_scattered_field(
             fig6_medium, 20, angles[i], angles[j]
         )
         assert m[i, j] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [48, 64])
+def test_matrix_record_carries_the_circle_it_was_sampled_on(fig6_medium, q):
+    record = assemble_nearfield_matrix(fig6_medium, 20, q)
+    sensors = make_sensor_array(q, SENSOR_RADIUS)
+    assert (record.sensors.count, record.sensors.radius) == (sensors.count, sensors.radius)
+    assert np.array_equal(record.sensors.points, sensors.points)
+    assert record.data.shape == (q, q)
+    assert record.wavenumber == fig6_medium.k
+    assert record.noise_delta == 0.0
 
 
 def test_quad_points_validation(fig6_medium):
@@ -127,7 +140,7 @@ def test_quad_points_validation(fig6_medium):
 
 def test_circulant_eigenvalues_match_symbol(fig6_medium, fig7_medium):
     for medium in (fig6_medium, fig7_medium):
-        m = assemble_nearfield_matrix(medium, 20, 64)
+        m = assemble_nearfield_matrix(medium, 20, 64).data
         # DFT diagonalization oracle: eigenvalues of a circulant are the DFT
         # of its first column
         dft = np.fft.fft(m[:, 0])

@@ -1,14 +1,15 @@
-"""The package keeps only what a run calls: every public top-level function
-and class in src/nearscat is referenced in src/nearscat outside its own
-definition.  Test oracles and one-value twins of vectorised functions live
-in tests/reference.py."""
+"""The package keeps only what a run calls: every top-level function and
+class in src/nearscat, public or private, is referenced in src/nearscat
+outside its own definition, so a helper that loses its last caller is
+flagged.  Test oracles and one-value twins of vectorised functions live in
+tests/reference.py."""
 
 import ast
 from pathlib import Path
 
 import nearscat
 
-# Public names with no caller in the package yet, kept for an open ROADMAP
+# Names with no caller in the package yet, kept for an open ROADMAP
 # item: save_matrix and load_matrix for item 5 (reconstruct from a measured
 # matrix).
 ALLOWED_UNCALLED = {"save_matrix", "load_matrix"}
@@ -22,7 +23,7 @@ def _referenced_names(node):
             yield sub.attr
 
 
-def test_every_public_definition_has_a_caller_in_the_package():
+def test_every_top_level_definition_has_a_caller_in_the_package():
     defined = set()  # (module, name)
     references = set()  # (module, top-level definition or None, name)
     for path in sorted(Path(nearscat.__file__).parent.glob("*.py")):
@@ -30,8 +31,7 @@ def test_every_public_definition_has_a_caller_in_the_package():
             owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 owner = stmt.name
-                if not owner.startswith("_"):
-                    defined.add((path.stem, owner))
+                defined.add((path.stem, owner))
             references.update((path.stem, owner, name) for name in _referenced_names(stmt))
     uncalled = {
         name

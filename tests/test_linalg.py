@@ -6,16 +6,9 @@ import pytest
 from nearscat import linalg
 from nearscat.disk import assemble_nearfield_matrix
 from nearscat.errors import DomainError
-from nearscat.linalg import (
-    abs_op,
-    hermitian_eig,
-    imag_part_op,
-    nsharp,
-    real_part_op,
-    spectral_gap_rank,
-)
+from nearscat.linalg import hermitian_eig, nsharp, spectral_gap_rank
 
-from reference import sqrt_op_apply
+from reference import abs_op, imag_part_op, nsharp_from_parts, real_part_op, sqrt_op_apply
 
 
 def random_hermitian(rng, n):
@@ -79,7 +72,7 @@ def test_non_square_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Re / Im parts
+# Re / Im parts: the reference operators, and nsharp, which forms them itself
 
 
 def test_parts_identity():
@@ -89,6 +82,7 @@ def test_parts_identity():
     assert np.allclose(re + 1j * im, n)
     assert np.allclose(re, re.conj().T)
     assert np.allclose(im, im.conj().T)
+    assert np.array_equal(nsharp(n, "nonabsorbing"), abs_op(re) + abs_op(im))
 
 
 def test_parts_on_hermitian_and_skew():
@@ -97,14 +91,23 @@ def test_parts_on_hermitian_and_skew():
     assert np.allclose(real_part_op(h), h)
     assert np.allclose(imag_part_op(h), 0.0)
     assert np.allclose(imag_part_op(1j * h), h)
+    # nsharp sees one part of each: Im(h) = 0 and Re(ih) = 0
+    assert np.allclose(nsharp(h, "nonabsorbing"), abs_op(h))
+    assert np.allclose(nsharp(1j * h, "nonabsorbing"), abs_op(h))
+    assert np.allclose(nsharp(h, "absorbing"), 0.0)
+    assert any(np.allclose(nsharp(1j * h, "absorbing"), sign * h) for sign in (1.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
-# abs_op / nsharp / sqrt
+# |B| / nsharp / sqrt
 
 
 def test_abs_op_diagonal():
-    assert np.allclose(abs_op(np.diag([-2.0, 3.0]).astype(complex)), np.diag([2.0, 3.0]))
+    d = np.diag([-2.0, 3.0]).astype(complex)
+    assert np.allclose(abs_op(d), np.diag([2.0, 3.0]))
+    # nsharp of a Hermitian d is |Re(d)| = |d|, and of i d is |Im(i d)| = |d|
+    assert np.allclose(nsharp(d, "nonabsorbing"), np.diag([2.0, 3.0]))
+    assert np.allclose(nsharp(1j * d, "nonabsorbing"), np.diag([2.0, 3.0]))
 
 
 def test_abs_op_psd_identity_and_square():
@@ -113,6 +116,28 @@ def test_abs_op_psd_identity_and_square():
     psd = b @ b.conj().T
     assert np.allclose(abs_op(psd), psd, atol=1e-10)
     assert np.allclose(abs_op(b) @ abs_op(b), b @ b, atol=1e-10)
+    assert np.allclose(nsharp(1j * psd, "nonabsorbing"), psd, atol=1e-10)
+    abs_b = nsharp(b, "nonabsorbing")
+    assert np.allclose(abs_b @ abs_b, b @ b, atol=1e-10)
+
+
+@pytest.mark.parametrize("regime", linalg.REGIMES)
+def test_nsharp_is_the_reference_composition_bit_for_bit(regime, fig6_medium, fig7_medium):
+    # the folded parts, the inline |B| and the eigenvalue-only sign give
+    # the bits of |Re N| + |Im N| or sigma Im N composed operator by operator
+    matrices = [assemble_nearfield_matrix(medium, 20, 64).data
+                for medium in (fig6_medium, fig7_medium)]
+    rng = np.random.default_rng(16)
+    matrices += [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                 for n in (1, 2, 7, 32, 64)]
+    for n in matrices:
+        assert np.array_equal(nsharp(n, regime), nsharp_from_parts(n, regime))
+
+
+def test_nsharp_rejects_non_square():
+    for regime in linalg.REGIMES:
+        with pytest.raises(DomainError):
+            nsharp(np.zeros((2, 3), dtype=complex), regime)
 
 
 def test_nsharp_zero_and_psd():
@@ -149,7 +174,7 @@ def test_nsharp_unknown_regime():
 
 def test_fig7_absorbing_nsharp_positive(fig7_medium):
     matrix = assemble_nearfield_matrix(fig7_medium, 20, 64)
-    vals, _ = hermitian_eig(nsharp(matrix, "absorbing"))
+    vals, _ = hermitian_eig(nsharp(matrix.data, "absorbing"))
     lmax = vals[0]
     assert lmax > 0
     assert vals.min() >= -1e-10 * lmax

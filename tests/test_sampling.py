@@ -11,6 +11,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from nearscat import cli, sampling
+from nearscat.disk import SENSOR_RADIUS
 from nearscat.errors import DegenerateSpectrumError, DomainError
 from nearscat.geometry import SamplingGrid, make_grid, make_sensor_array
 from nearscat.linalg import hermitian_eig
@@ -36,6 +37,7 @@ from reference import (
     grid_indicators_per_map,
     indicators_per_point,
     sqrt_op_apply,
+    symmetry_group_per_map,
 )
 
 
@@ -291,6 +293,39 @@ def test_row_that_is_no_lattice_gets_no_mirror():
     vecs, weights = random_system(32, 2)
     values = sampling.grid_indicators(vecs, weights, sensors, 1.0, grid)
     assert np.array_equal(values, direct_indicators(vecs, weights, sensors, grid))
+
+
+def symmetry_cases():
+    """(sensors, grid) cases: the imaging presets, odd and even sensor counts
+    up to the CLI's cap, the off-centre grids and the row that is no
+    lattice."""
+    for preset in ("figure1", "figure2", "figure3", "figure6", "figure7"):
+        s = cli.validate_config(cli.PRESETS[preset])
+        sensors = s.get("sensors") or make_sensor_array(s["quad_points"], SENSOR_RADIUS)
+        yield pytest.param(sensors, s["grid"], id=preset)
+    centred = make_grid((-0.9, 0.9, -0.9, 0.9), 41, 41)
+    for q in (1, 2, 3, 33, 34, 36, 1024):
+        yield pytest.param(make_sensor_array(q, 1.0), centred, id=f"Q={q}")
+    for bounds in ((-0.9, 0.8, -0.9, 0.7), (-0.9, 0.8, -0.9, 0.9), (-0.9, 0.9, -0.8, 0.9)):
+        yield pytest.param(make_sensor_array(32, 1.0), make_grid(bounds, 41, 41),
+                           id=f"off-centre{bounds}")
+    yield pytest.param(make_sensor_array(32, 1.0), make_grid((-0.9, 0.9, -0.9, 0.9), 41, 31),
+                       id="nx!=ny")
+    points = np.array([[0.3, 0.0], [0.5, 0.4], [-0.2, 0.1]])
+    row = SamplingGrid(0.0, 1.0, 0.0, 1.0, len(points), 1, points)
+    yield pytest.param(make_sensor_array(32, 1.0), row, id="no-lattice")
+
+
+@pytest.mark.parametrize("sensors, grid", symmetry_cases())
+def test_symmetry_group_matches_the_per_map_search(sensors, grid):
+    # one array test of every sensor map against the per-map search it
+    # replaced (tests/reference.py): the same maps, in the same order, with
+    # the same permutations
+    maps, perms = sampling._symmetry_group(sensors, grid)
+    want_maps, want_perms = symmetry_group_per_map(sensors, grid)
+    assert maps.tolist() == want_maps.tolist()
+    assert perms.shape == want_perms.shape == (len(maps), sensors.count)
+    assert np.array_equal(perms, want_perms)
 
 
 # ---------------------------------------------------------------------------
