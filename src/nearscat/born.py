@@ -4,15 +4,12 @@ Assembles the multi-static response matrix over coincident source/receiver
 arrays and injects spectrally normalized multiplicative noise.
 """
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import SensorArray, gauss_quadrature, make_sensor_array
+from .geometry import SensorArray, gauss_quadrature
 from .specfun import fundamental_solution_many
 
 DEFAULT_RULE_ORDER = 16
@@ -24,7 +21,6 @@ class MultistaticMatrix:
     sensors: SensorArray
     wavenumber: float
     noise_delta: float = 0.0
-    noise_seed: int | None = None
 
 
 def _gather_nodes(scatterers, rule_order):
@@ -77,54 +73,4 @@ def add_noise(matrix, delta, seed):
         sensors=matrix.sensors,
         wavenumber=matrix.wavenumber,
         noise_delta=float(delta),
-        noise_seed=int(seed),
-    )
-
-
-# ---------------------------------------------------------------------------
-# CSV + JSON sidecar interchange format (shared with the disk forward model)
-
-
-def save_matrix(matrix, csv_path, sidecar_path=None):
-    csv_path = Path(csv_path)
-    if sidecar_path is None:
-        sidecar_path = csv_path.with_suffix(".json")
-    n = matrix.data.shape[0]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(n):
-            for j in range(n):
-                v = matrix.data[i, j]
-                writer.writerow([i, j, repr(float(v.real)), repr(float(v.imag))])
-    meta = {
-        "n": n,
-        "wavenumber": matrix.wavenumber,
-        "sensor_radius": matrix.sensors.radius,
-        "noise_delta": matrix.noise_delta,
-        "noise_seed": matrix.noise_seed,
-    }
-    with open(sidecar_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
-
-
-def load_matrix(csv_path, sidecar_path=None):
-    csv_path = Path(csv_path)
-    if sidecar_path is None:
-        sidecar_path = csv_path.with_suffix(".json")
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
-    n = int(meta["n"])
-    data = np.zeros((n, n), dtype=complex)
-    with open(csv_path, newline="") as fh:
-        for row in csv.reader(fh):
-            i, j = int(row[0]), int(row[1])
-            data[i, j] = float(row[2]) + 1j * float(row[3])
-    sensors = make_sensor_array(n, float(meta["sensor_radius"]))
-    return MultistaticMatrix(
-        data=data,
-        sensors=sensors,
-        wavenumber=float(meta["wavenumber"]),
-        noise_delta=float(meta.get("noise_delta") or 0.0),
-        noise_seed=meta.get("noise_seed"),
     )

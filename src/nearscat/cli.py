@@ -458,7 +458,7 @@ def _run_born_music(s, out_dir):
         *s["noise"],
     )
     model = build_music(matrix, rank_override=s["rank_override"])
-    export_field(music_field(model, s["sensors"], s["k"], s["grid"]), out_dir)
+    export_field(music_field(model, matrix.sensors, matrix.wavenumber, s["grid"]), out_dir)
     return {"rank": model.rank}
 
 
@@ -468,7 +468,7 @@ def _run_disk(s, out_dir):
     data = make_picard_data(
         nsharp(matrix.data, s["regime"]), weight=2.0 * np.pi * sensors.radius / sensors.count
     )
-    w_field, p_field = fm_mlsm_fields(data, sensors, s["k"], s["grid"], s["filter"])
+    w_field, p_field = fm_mlsm_fields(data, sensors, matrix.wavenumber, s["grid"], s["filter"])
     export_field(w_field, out_dir)
     if p_field is w_field:  # `filter: null`: P is W, so its files are W's
         for ext in ("csv", "pgm"):
@@ -514,6 +514,14 @@ def _merge_into(base, override):
             base[key] = val
 
 
+def _copy(config):
+    """A deep copy of a config; one nested too deeply to copy is a ConfigError."""
+    try:
+        return copy.deepcopy(config)
+    except RecursionError:
+        raise ConfigError("config is nested too deeply") from None
+
+
 def run(config=None, preset=None, out_dir=None, seed=None):
     """Execute one experiment; returns a result dict.  Raises ConfigError /
     NearscatError on invalid input or numerical failure."""
@@ -524,9 +532,9 @@ def run(config=None, preset=None, out_dir=None, seed=None):
         if config:
             if not isinstance(config, dict):
                 raise ConfigError("config must be a JSON object")
-            _merge_into(cfg, copy.deepcopy(config))
+            _merge_into(cfg, _copy(config))
     elif config is not None:
-        cfg = copy.deepcopy(config)
+        cfg = _copy(config)
     else:
         raise ConfigError("either a config or a preset is required")
     if seed is not None:
@@ -562,7 +570,7 @@ def main(argv=None):
     if args.config is not None:
         try:
             cfg = json.loads(args.config.read_text())
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or text
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, text or nesting
             print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
             return 2
     try:

@@ -187,7 +187,7 @@ def write_field_csv(fld, path):
     its zero pad bytes are dropped."""
     img = fld.as_image()
     ny, nx = img.shape
-    coords = _g17(np.concatenate([fld.grid.points[:nx, 0], fld.grid.points[::nx, 1]]))
+    coords = _g17(np.concatenate([fld.grid.xs, fld.grid.ys]))
     xs, ys = coords[:nx], coords[nx:]
     rows = max(1, _TEXT_BLOCK // nx)
     cols = min(nx, _TEXT_BLOCK)

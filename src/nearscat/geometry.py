@@ -36,15 +36,19 @@ def make_sensor_array(n, radius):
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Uniform row-major lattice over a rectangle, corners included."""
+    """Uniform lattice xs x ys over a rectangle, corners included.  Point
+    iy * nx + ix is (xs[ix], ys[iy]): row-major, y the outer loop."""
 
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
-    nx: int
-    ny: int
-    points: np.ndarray  # (nx*ny, 2), y is the outer loop
+    xs: np.ndarray  # (nx,)
+    ys: np.ndarray  # (ny,)
+
+    @property
+    def nx(self):
+        return self.xs.size
+
+    @property
+    def ny(self):
+        return self.ys.size
 
 
 def make_grid(bounds, nx, ny):
@@ -58,11 +62,7 @@ def make_grid(bounds, nx, ny):
         raise DomainError("grid needs nx, ny >= 2")
     if xmax <= xmin or ymax <= ymin:
         raise DomainError(f"degenerate grid bounds {bounds!r}")
-    xs = np.linspace(xmin, xmax, nx)
-    ys = np.linspace(ymin, ymax, ny)
-    gx, gy = np.meshgrid(xs, ys)  # row-major, y outer
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    return SamplingGrid(xmin, xmax, ymin, ymax, int(nx), int(ny), pts)
+    return SamplingGrid(np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny))
 
 
 # ---------------------------------------------------------------------------

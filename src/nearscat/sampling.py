@@ -12,16 +12,17 @@ square (x -> -x, y -> -y, x <-> y and their products) that send both the
 sensor set and the grid onto themselves: Phi(x_i, g z) = Phi(g^-1 x_i, z),
 so Phi is evaluated on a fundamental domain F only, and the image points
 g(F) reuse it with the sensor order permuted: each block of F takes one
-product with the eigenvectors stacked once per map.  The maps are found
-from the coordinates: the grid's points must be exactly a lattice xs x ys,
-and each map must move no coordinate of xs, ys or the sensors further than
-_SYM_ULPS = 16 ulp of the largest |coordinate| from its image.  A uniform
-circle of Q sensors and a centred square grid share all 8 maps (Q a
-multiple of 4), so Phi is built at about 1/8 of the points.  Values at the
-image points sum the same terms in another order, so they agree with a
-direct evaluation to the last few digits (1e-13 relative on figure1-3,
-2e-11 on figure6/7); a grid that shares no map is evaluated exactly as by
-the plain blocked loop.
+product with the eigenvectors stacked once per map.  A grid is a lattice
+xs x ys by its type, and the block's points are gathered from its axes by
+their lattice indices.  The maps are found from the coordinates: each must
+move no coordinate of xs, ys or the sensors further than _SYM_ULPS = 16
+ulp of the largest |coordinate| from its image.  A uniform circle of Q
+sensors and a centred square grid share all 8 maps (Q a multiple of 4),
+so Phi is built at about 1/8 of the points.  Values at the image points
+sum the same terms in another order, so they agree with a direct
+evaluation to the last few digits (1e-13 relative on figure1-3, 2e-11 on
+figure6/7); a grid that shares no map is evaluated exactly as by the
+plain blocked loop.
 
 Discrete inner products on the measurement curve carry a uniform
 arc-length weight so sums approximate L2(C) pairings.  Eigenvectors are
@@ -164,16 +165,6 @@ def _mul(m, n):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _lattice_axes(grid):
-    """(xs, ys) when grid.points is exactly the row-major lattice xs x ys,
-    else None."""
-    lattice = grid.points.reshape(grid.ny, grid.nx, 2)
-    xs, ys = lattice[0, :, 0], lattice[:, 0, 1]
-    if (lattice[..., 0] == xs).all() and (lattice[..., 1] == ys[:, None]).all():
-        return xs, ys
-    return None
-
-
 def _maps_lattice(m, axes, tol):
     """Whether m maps the lattice xs x ys onto itself within tol."""
     a, b, c, d = m
@@ -189,32 +180,29 @@ def _symmetry_group(sensors, grid):
     grid onto themselves, as rows (a, b, c, d), identity first, and the
     sensor permutation of each, perms[g, j] the image of sensor j.
 
-    The grid counts only when its points are exactly a lattice xs x ys, and
-    each map is checked against xs, ys and the sensors.  On a uniform circle
-    starting at angle 0, a map sends sensor j to det * j + t Q/4 (mod Q),
-    where t is the quarter turn that takes (1, 0) to its first column (a, c);
-    when t Q/4 is not an integer, no sensor lies at the image, and the
-    coordinate check drops the map.
+    Each map is checked against the grid's axes xs, ys and the sensors.  On
+    a uniform circle starting at angle 0, a map sends sensor j to
+    det * j + t Q/4 (mod Q), where t is the quarter turn that takes (1, 0)
+    to its first column (a, c); when t Q/4 is not an integer, no sensor lies
+    at the image, and the coordinate check drops the map.
     """
     pts, q = sensors.points, sensors.count
-    maps, perms = np.array(_MAPS[:1]), np.arange(q)[None]
-    axes = _lattice_axes(grid)
-    if axes is not None:
-        scale = max(np.max(np.abs(axes[0])), np.max(np.abs(axes[1])), np.max(np.abs(pts)))
-        tol = _SYM_ULPS * np.finfo(float).eps * scale
-        m = np.array(_MAPS)
-        a, b, c, d = m.T[..., None]
-        turn = 1 - a + 2 * (c < 0)  # the quarter turn that takes (1, 0) to (a, c)
-        perm = ((a * d - b * c) * np.arange(q) + turn * q // 4) % q
-        images = m.reshape(-1, 2, 2) @ pts.T  # images[g, :, j]: map g of sensor j
-        fits = (np.abs(images - pts[perm].transpose(0, 2, 1)) <= tol).all(axis=(1, 2))
-        fits &= [_maps_lattice(g, axes, tol) for g in _MAPS]
-        group = [g for g, ok in zip(_MAPS, fits) if ok]
-        # two maps that each pass within tol may have a product that misses it:
-        # F is a fundamental domain only for a group
-        if all(_mul(g, h) in group for g in group for h in group):
-            maps, perms = m[fits], perm[fits]
-    return maps, perms
+    axes = grid.xs, grid.ys
+    scale = max(np.max(np.abs(v)) for v in (*axes, pts))
+    tol = _SYM_ULPS * np.finfo(float).eps * scale
+    m = np.array(_MAPS)
+    a, b, c, d = m.T[..., None]
+    turn = 1 - a + 2 * (c < 0)  # the quarter turn that takes (1, 0) to (a, c)
+    perm = ((a * d - b * c) * np.arange(q) + turn * q // 4) % q
+    images = m.reshape(-1, 2, 2) @ pts.T  # images[g, :, j]: map g of sensor j
+    fits = (np.abs(images - pts[perm].transpose(0, 2, 1)) <= tol).all(axis=(1, 2))
+    fits &= [_maps_lattice(g, axes, tol) for g in _MAPS]
+    group = [g for g, ok in zip(_MAPS, fits) if ok]
+    # two maps that each pass within tol may have a product that misses it:
+    # F is a fundamental domain only for a group; else the identity is used alone
+    if not all(_mul(g, h) in group for g in group for h in group):
+        fits = np.arange(len(_MAPS)) == 0
+    return m[fits], perm[fits]
 
 
 def _image_rule(grid, maps):
@@ -265,8 +253,8 @@ def _domain_blocks(grid, maps):
 
 
 def grid_indicators(vecs, weights, sensors, k, grid):
-    """Spectral indicators over the points of a SamplingGrid, one row per row
-    of weights (rows, modes).
+    """Spectral indicators over the lattice points of a SamplingGrid, one row
+    per row of weights (rows, modes).
 
     Phi(x_i, g z) = Phi(g^-1 x_i, z) for every mirror map g of the square
     that sends the sensor set and the grid onto themselves (their group G,
@@ -282,16 +270,14 @@ def grid_indicators(vecs, weights, sensors, k, grid):
     with the direct kernel to the last few digits.  With G = {identity}
     this is the plain loop over grid blocks.
     """
-    if grid.points.shape != (grid.nx * grid.ny, 2):
-        raise DomainError(f"grid points have shape {grid.points.shape}, not (nx * ny, 2)")
     maps, perms = _symmetry_group(sensors, grid)
     # row block g: the conjugated vectors with their sensor rows permuted by g
     stacked = np.concatenate(vecs[perms].conj(), axis=1).T
     alpha, beta, gamma = _image_rule(grid, maps)
-    out = np.empty((weights.shape[0], len(grid.points)))
+    out = np.empty((weights.shape[0], grid.nx * grid.ny))
     for block in _domain_blocks(grid, maps):
-        phis = fundamental_solution_many(k, sensors.points, grid.points[block])
         iy, ix = np.divmod(block, grid.nx)
+        phis = fundamental_solution_many(k, sensors.points, np.column_stack([grid.xs[ix], grid.ys[iy]]))
         images = alpha * ix + beta * iy + gamma  # row g: the points g(block)
         values = _indicator_block(stacked, weights, phis, len(maps))
         values = values.reshape(len(weights), len(maps), -1)

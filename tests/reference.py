@@ -24,7 +24,6 @@ from nearscat.sampling import (
     _SYM_ULPS,
     SENTINEL_CAP,
     FilterSpec,
-    _lattice_axes,
     _maps_lattice,
     _mul,
     filter_value,
@@ -374,17 +373,16 @@ def symmetry_group_per_map(sensors, grid):
     themselves, identity first, and the sensor permutation of each."""
     pts = sensors.points
     group = [(_MAPS[0], np.arange(len(pts)))]
-    axes = _lattice_axes(grid)
-    if axes is not None:
-        scale = max(np.max(np.abs(axes[0])), np.max(np.abs(axes[1])), np.max(np.abs(pts)))
-        tol = _SYM_ULPS * np.finfo(float).eps * scale
-        perms = {m: _sensor_permutation(m, pts, tol)
-                 for m in _MAPS[1:] if _maps_lattice(m, axes, tol)}
-        maps = [_MAPS[0]] + [m for m, p in perms.items() if p is not None]
-        # two maps that each pass within tol may have a product that misses it:
-        # F is a fundamental domain only for a group
-        if all(_mul(m, n) in maps for m in maps for n in maps):
-            group += [(m, perms[m]) for m in maps[1:]]
+    axes = grid.xs, grid.ys
+    scale = max(np.max(np.abs(axes[0])), np.max(np.abs(axes[1])), np.max(np.abs(pts)))
+    tol = _SYM_ULPS * np.finfo(float).eps * scale
+    perms = {m: _sensor_permutation(m, pts, tol)
+             for m in _MAPS[1:] if _maps_lattice(m, axes, tol)}
+    maps = [_MAPS[0]] + [m for m, p in perms.items() if p is not None]
+    # two maps that each pass within tol may have a product that misses it:
+    # F is a fundamental domain only for a group
+    if all(_mul(m, n) in maps for m in maps for n in maps):
+        group += [(m, perms[m]) for m in maps[1:]]
     return np.array([m for m, _ in group]), np.array([p for _, p in group])
 
 
@@ -400,9 +398,10 @@ def grid_indicators_per_map(vecs, weights, sensors, k, grid):
     vecs_h = vecs.conj().T
     # the identity last, so that its values are the ones the points of F keep
     projections = [(m, vecs_h[:, perm]) for m, perm in group[::-1]]
-    out = np.empty((weights.shape[0], len(grid.points)))
+    points = grid_points(grid)
+    out = np.empty((weights.shape[0], len(points)))
     for block in _domain_blocks_per_map(grid, [m for m, _ in group]):
-        phis = fundamental_solution_many(k, sensors.points, grid.points[block])
+        phis = fundamental_solution_many(k, sensors.points, points[block])
         u, v = _centred(grid, block)
         for m, vh in projections:
             out[:, _image(grid, m, u, v)] = _indicator_block_per_map(vh, weights, phis)
@@ -623,15 +622,22 @@ def run_mh_collapsed(model, readings, proposal_sd=None):
 # Field writers, readers and image analysis that only the tests use.
 
 
+def grid_points(grid):
+    """The (nx * ny, 2) points of a SamplingGrid, row-major with y the outer
+    loop, as a meshgrid of its axes."""
+    gx, gy = np.meshgrid(grid.xs, grid.ys)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
 def write_field_csv_rows(fld, path):
     """The field CSV through Python's own '%.17g', one `%` call per grid
     row: each distinct coordinate is formatted once, the nx x strings are
     spliced into one row template, and each grid row fills it with the row's
     y (formatted once) interleaved with its values."""
     nx = fld.grid.nx
-    xs = map("{:.17g}".format, fld.grid.points[:nx, 0].tolist())
+    xs = map("{:.17g}".format, fld.grid.xs.tolist())
     template = "".join(x + ",%s,%.17g\n" for x in xs)
-    ys = map("{:.17g}".format, fld.grid.points[::nx, 1].tolist())
+    ys = map("{:.17g}".format, fld.grid.ys.tolist())
     args = [None] * (2 * nx)
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
@@ -683,7 +689,7 @@ def read_field_csv(path):
 
 def argmax_point(fld):
     """The grid point of the field's largest value."""
-    return fld.grid.points[int(np.argmax(fld.values))]
+    return grid_points(fld.grid)[int(np.argmax(fld.values))]
 
 
 def local_maxima(fld, top=None):
@@ -708,7 +714,5 @@ def local_maxima(fld, top=None):
     ys, xs, vals = ys[order], xs[order], vals[order]
     if top is not None:
         ys, xs, vals = ys[:top], xs[:top], vals[:top]
-    xc = fld.grid.points[:nx, 0]
-    yc = fld.grid.points[::nx, 1]
-    pts = np.column_stack([xc[xs], yc[ys]])
+    pts = np.column_stack([fld.grid.xs[xs], fld.grid.ys[ys]])
     return pts, vals

@@ -14,10 +14,10 @@ import pytest
 from scipy.stats import spearmanr
 
 from nearscat.bayes import make_bayes_model, run_mh, synthesize_readings
-from nearscat.born import add_noise, assemble_multistatic, make_sensor_array
+from nearscat.born import add_noise, assemble_multistatic
 from nearscat.cli import PRESETS, run
 from nearscat.disk import DiskMedium, assemble_nearfield_matrix
-from nearscat.geometry import Rectangle, ScattererSpec, constant_index
+from nearscat.geometry import Rectangle, ScattererSpec, constant_index, make_sensor_array
 from nearscat.linalg import hermitian_eig, nsharp
 from nearscat.music import build_music, music_field
 from nearscat.sampling import fm_mlsm_fields
@@ -29,6 +29,7 @@ from reference import (
     circulant_symbol,
     conjugate_posterior,
     fm_mlsm_equivalence_check,
+    grid_points,
     local_maxima,
     run_mh_collapsed,
     sigma_m,
@@ -168,7 +169,7 @@ def test_criterion_5_disk_diagonalization(fig6_medium):
 
 
 def _jaccard_half_interior_median(values, grid):
-    r = np.hypot(grid.points[:, 0], grid.points[:, 1])
+    r = np.hypot(*grid_points(grid).T)
     inside = r <= 1.0
     pred = values >= 0.5 * np.median(values[inside])
     return np.sum(pred & inside) / np.sum(pred | inside)
@@ -178,7 +179,7 @@ def test_criterion_6_factorization_method(fig6_picard, disk_sensors64, disk_grid
     started = time.perf_counter()
     fld, _ = fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101)
     jac = _jaccard_half_interior_median(fld.values, disk_grid101)
-    r = np.hypot(disk_grid101.points[:, 0], disk_grid101.points[:, 1])
+    r = np.hypot(*grid_points(disk_grid101).T)
     core = fld.values[r <= 0.8].mean()
     annulus = fld.values[(r >= 1.2) & (r <= 1.8)].mean()
     elapsed = _deadline(6, started, 30.0)

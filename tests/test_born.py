@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nearscat.born import add_noise, assemble_multistatic, load_matrix, save_matrix
+from nearscat.born import add_noise, assemble_multistatic
 from nearscat.errors import DomainError
 from nearscat.geometry import (
     Disk,
@@ -118,15 +118,3 @@ def test_noise_negative_delta_rejected(figure1_scatterers, unit_sensors32):
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
     with pytest.raises(DomainError):
         add_noise(m, -0.1, 0)
-
-
-def test_matrix_roundtrip(tmp_path, figure1_scatterers, unit_sensors32):
-    m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
-    m = add_noise(m, 0.02, 5)
-    save_matrix(m, tmp_path / "n.csv")
-    back = load_matrix(tmp_path / "n.csv")
-    assert np.array_equal(back.data, m.data)
-    assert back.wavenumber == m.wavenumber
-    assert back.sensors.count == 32
-    assert back.noise_delta == 0.02
-    assert back.noise_seed == 5

@@ -22,7 +22,7 @@ from nearscat.geometry import Disk, make_grid
 from nearscat.linalg import nsharp
 from nearscat.sampling import fm_mlsm_fields, make_picard_data
 
-from reference import read_field_csv
+from reference import grid_points, read_field_csv
 
 
 def small_music_config():
@@ -125,7 +125,7 @@ def test_run_disk_writes_w_as_field_and_p_as_mlsm(tmp_path):
     assert (p.values != w.values).all()
     for stem, fld in (("field", w), ("mlsm", p)):
         back = read_field_csv(tmp_path / f"{stem}.csv")
-        assert np.array_equal(back[:, :2], fld.grid.points)
+        assert np.array_equal(back[:, :2], grid_points(fld.grid))
         assert np.array_equal(back[:, 2], fld.values)
 
 
@@ -240,9 +240,9 @@ def test_steering_matrix_built_once_per_run(tmp_path, monkeypatch):
         assert len(built) == len(np.unique(built, axis=0)) == 51 * 52 // 2
         # every built point is a grid point, named by its centred lattice
         # indices (u, v) = (2 ix - (nx - 1), 2 iy - (ny - 1))
-        ix = np.rint((built[:, 0] - grid.xmin) / (grid.xmax - grid.xmin) * (nx - 1)).astype(int)
-        iy = np.rint((built[:, 1] - grid.ymin) / (grid.ymax - grid.ymin) * (ny - 1)).astype(int)
-        assert np.array_equal(grid.points[iy * nx + ix], built)
+        ix = np.searchsorted(grid.xs, built[:, 0])
+        iy = np.searchsorted(grid.ys, built[:, 1])
+        assert np.array_equal(np.column_stack([grid.xs[ix], grid.ys[iy]]), built)
         u, v = 2 * ix - (nx - 1), 2 * iy - (ny - 1)
         assert np.all((0 <= v) & (v <= u))
         images = set()
@@ -808,6 +808,27 @@ def test_overflow_in_numerics_exits_3_with_one_stderr_line(tmp_path):
     err_lines = proc.stderr.splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "numerical"
+
+
+@pytest.mark.parametrize("preset", [None, "figure1"])
+@pytest.mark.parametrize("depth", [600, 100_000])
+def test_deeply_nested_config_exits_2_with_one_stderr_line(tmp_path, depth, preset):
+    # valid JSON: 600 levels are too deep to copy, 100,000 too deep to decode
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"a": ' * depth + "1" + "}" * depth)
+    src = Path(nearscat.__file__).resolve().parents[1]
+    argv = ["--preset", preset] if preset else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "nearscat.cli", "run", *argv,
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    err_lines = proc.stderr.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "config"
 
 
 def test_seed_override_keeps_the_mode_noise_default(tmp_path):

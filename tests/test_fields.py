@@ -24,6 +24,7 @@ from nearscat.sampling import SENTINEL_CAP
 
 from reference import (
     argmax_point,
+    grid_points,
     local_maxima,
     read_field_csv,
     write_chain_csv_rows,
@@ -55,8 +56,7 @@ def test_csv_roundtrip(tmp_path):
     txt = path.read_text().splitlines()
     assert txt[0] == "x,y,value"
     back = read_field_csv(path)
-    assert np.array_equal(back[:, 0], grid.points[:, 0])
-    assert np.array_equal(back[:, 1], grid.points[:, 1])
+    assert np.array_equal(back[:, :2], grid_points(grid))
     assert np.array_equal(back[:, 2], fld.values)
 
 
@@ -93,7 +93,7 @@ def test_pgm_rejects_non_finite_fields(tmp_path, bad):
 
 def reference_csv(fld):
     lines = ["x,y,value"]
-    for (x, y), v in zip(fld.grid.points, fld.values):
+    for (x, y), v in zip(grid_points(fld.grid), fld.values):
         lines.append(f"{x:.17g},{y:.17g},{v:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -137,11 +137,7 @@ def test_writers_match_per_cell_reference(tmp_path, values):
 
 def thin_grid(nx, ny):
     """A grid one or two cells wide; make_grid stops at two, the writers do not."""
-    xs = np.linspace(-0.9, 1.0 / 3.0, nx)
-    ys = np.linspace(-1.8, 1e-7, ny)
-    gx, gy = np.meshgrid(xs, ys)
-    return SamplingGrid(-0.9, 1.0 / 3.0, -1.8, 1e-7, nx, ny,
-                        np.column_stack([gx.ravel(), gy.ravel()]))
+    return SamplingGrid(np.linspace(-0.9, 1.0 / 3.0, nx), np.linspace(-1.8, 1e-7, ny))
 
 
 THIN = [(2, 9), (9, 2), (1, 9), (9, 1)]

@@ -15,6 +15,8 @@ from nearscat.geometry import (
     scaled,
 )
 
+from reference import grid_points
+
 # ---------------------------------------------------------------------------
 # sensors
 
@@ -50,22 +52,23 @@ def test_sensor_validation():
 
 def test_grid_three_by_three():
     g = make_grid((-1, 1, -1, 1), 3, 3)
-    assert g.points.shape == (9, 2)
-    assert np.allclose(g.points[4], [0.0, 0.0])
+    assert (g.nx, g.ny) == (3, 3)
+    assert np.allclose(grid_points(g)[4], [0.0, 0.0])
 
 
 def test_grid_row_major_y_outer():
     g = make_grid((0, 1, 0, 2), 3, 2)
+    assert (g.nx, g.ny) == (3, 2)
+    points = grid_points(g)
     # first row sweeps x at y = 0, second row at y = 2
-    assert np.allclose(g.points[:3, 1], 0.0)
-    assert np.allclose(g.points[3:, 1], 2.0)
-    assert np.allclose(g.points[:3, 0], [0.0, 0.5, 1.0])
+    assert np.allclose(points[:3, 1], 0.0)
+    assert np.allclose(points[3:, 1], 2.0)
+    assert np.allclose(points[:3, 0], [0.0, 0.5, 1.0])
 
 
 def test_grid_spacing():
     g = make_grid((-0.9, 0.9, -0.9, 0.9), 101, 101)
-    xs = g.points[: g.nx, 0]
-    assert xs[1] - xs[0] == pytest.approx(1.8 / 100)
+    assert g.xs[1] - g.xs[0] == pytest.approx(1.8 / 100)
 
 
 def test_grid_validation():

@@ -9,11 +9,6 @@ from pathlib import Path
 
 import nearscat
 
-# Names with no caller in the package yet, kept for an open ROADMAP
-# item: save_matrix and load_matrix for item 5 (reconstruct from a measured
-# matrix).
-ALLOWED_UNCALLED = {"save_matrix", "load_matrix"}
-
 
 def _referenced_names(node):
     for sub in ast.walk(node):
@@ -38,5 +33,4 @@ def test_every_top_level_definition_has_a_caller_in_the_package():
         for module, name in defined
         if not any(ref == name and (m, o) != (module, name) for m, o, ref in references)
     }
-    assert uncalled - ALLOWED_UNCALLED == set(), "no caller in the package"
-    assert ALLOWED_UNCALLED - uncalled == set(), "allowed names that are gone or now called"
+    assert uncalled == set(), "no caller in the package"

@@ -7,19 +7,26 @@ import pytest
 from nearscat.born import MultistaticMatrix, add_noise, assemble_multistatic
 from nearscat.cli import PRESETS, validate_config
 from nearscat.errors import DomainError
-from nearscat.geometry import Ellipse, SamplingGrid, ScattererSpec, constant_index, make_grid
+from nearscat.geometry import Ellipse, ScattererSpec, constant_index, make_grid
 from nearscat.music import build_music, music_field
 from nearscat.sampling import SENTINEL_CAP
 from nearscat.specfun import fundamental_solution_many
 
-from reference import argmax_point, fundamental_solution, local_maxima
+from reference import (
+    argmax_point,
+    fundamental_solution,
+    grid_points,
+    indicators_per_point,
+    local_maxima,
+)
 
 
 def music_at(model, sensors, k, points):
-    """MUSIC indicator at arbitrary points, through the field function."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    grid = SamplingGrid(0.0, 1.0, 0.0, 1.0, len(points), 1, points)
-    return music_field(model, sensors, k, grid).values
+    """MUSIC indicator at arbitrary points: the per-point oracle of the
+    spectral kernel, unit weights on the noise space."""
+    phis = fundamental_solution_many(k, sensors.points, np.atleast_2d(points))
+    noise_h = model.vectors[:, model.rank :].conj().T
+    return indicators_per_point(noise_h, np.ones((1, len(noise_h))), phis)[0]
 
 
 def synthetic_rank_matrix(sensors, k, centers, strengths):
@@ -146,7 +153,7 @@ def test_preset_grids_match_direct_kernel(preset):
     model = build_music(matrix)
     fld = music_field(model, s["sensors"], s["k"], s["grid"])
     noise = model.vectors[:, model.rank :]
-    phis = fundamental_solution_many(s["k"], s["sensors"].points, s["grid"].points)
+    phis = fundamental_solution_many(s["k"], s["sensors"].points, grid_points(s["grid"]))
     direct = 1.0 / np.sum(np.abs(noise.conj().T @ phis) ** 2, axis=0)
     np.testing.assert_allclose(fld.values, direct, rtol=1e-10, atol=0.0)
 
@@ -155,13 +162,14 @@ def test_figure1_discrimination(figure1_scatterers, unit_sensors32, grid101):
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
     fld = music_field(build_music(m), unit_sensors32, 1.0, grid101)
     centers = np.array([[-0.5, 0.5], [0.5, -0.5]])
+    points = grid_points(grid101)
     d = np.minimum(
-        np.abs(grid101.points - centers[0]).max(axis=1),
-        np.abs(grid101.points - centers[1]).max(axis=1),
+        np.abs(points - centers[0]).max(axis=1),
+        np.abs(points - centers[1]).max(axis=1),
     )
     far = fld.values[d > 0.3]
     at_centers = min(
-        fld.values[np.argmin(np.linalg.norm(grid101.points - c, axis=1))]
+        fld.values[np.argmin(np.linalg.norm(points - c, axis=1))]
         for c in centers
     )
     assert at_centers >= 100 * np.percentile(far, 95)

@@ -13,7 +13,7 @@ from scipy.stats import spearmanr
 from nearscat import cli, sampling
 from nearscat.disk import SENSOR_RADIUS
 from nearscat.errors import DegenerateSpectrumError, DomainError
-from nearscat.geometry import SamplingGrid, make_grid, make_sensor_array
+from nearscat.geometry import make_grid, make_sensor_array
 from nearscat.linalg import hermitian_eig
 from nearscat.sampling import (
     SENTINEL_CAP,
@@ -35,6 +35,7 @@ from reference import (
     fm_mlsm_equivalence_check,
     fundamental_solution,
     grid_indicators_per_map,
+    grid_points,
     indicators_per_point,
     sqrt_op_apply,
     symmetry_group_per_map,
@@ -78,8 +79,9 @@ def test_blocked_pipeline_matches_single_shot(
     # last
     weights = picard_weights(fig6_picard, cutoff_at_rank(fig6_picard))
     args = (fig6_picard.eigenvectors, weights, disk_sensors64, 1.0, disk_grid101)
-    exact = block in (sampling._BLOCK, len(disk_grid101.points))
-    monkeypatch.setattr(sampling, "_BLOCK", len(disk_grid101.points))
+    size = disk_grid101.nx * disk_grid101.ny
+    exact = block in (sampling._BLOCK, size)
+    monkeypatch.setattr(sampling, "_BLOCK", size)
     single = sampling.grid_indicators(*args)
     monkeypatch.setattr(sampling, "_BLOCK", block)
     blocked = sampling.grid_indicators(*args)
@@ -96,7 +98,7 @@ def test_blocked_pipeline_matches_single_shot(
 def direct_indicators(vecs, weights, sensors, grid):
     """The spectral kernel on the full steering matrix of every grid point,
     at k = 1: no symmetry, no blocks."""
-    phis = fundamental_solution_many(1.0, sensors.points, grid.points)
+    phis = fundamental_solution_many(1.0, sensors.points, grid_points(grid))
     return _indicator_block(vecs.conj().T, weights, phis)
 
 
@@ -240,7 +242,7 @@ def test_points_reached_by_several_maps_keep_the_first_maps_value():
 
     domain = np.concatenate(list(sampling._domain_blocks(grid, maps)))
     assert domain.size == 231 <= sampling._BLOCK
-    phis = fundamental_solution_many(1.0, sensors.points, grid.points[domain])
+    phis = fundamental_solution_many(1.0, sensors.points, grid_points(grid)[domain])
     stacked = np.concatenate([vecs.conj().T[:, perm] for perm in perms])
     per_map = _indicator_block(stacked, weights, phis, len(maps))
     per_map = per_map.reshape(len(weights), len(maps), -1)
@@ -258,15 +260,15 @@ def test_points_reached_by_several_maps_keep_the_first_maps_value():
 
 @pytest.mark.parametrize("n", [201, 1001])
 def test_grid_pipeline_memory_stays_flat_as_the_grid_grows(fig6_picard, n):
-    # 64 sensors, 35 modes: the traced peak beyond the output is the
-    # blocks' own (about 2.4 MB with a 1.1 MB stacked product), whatever
-    # the grid.  Budget: 3 MiB
-    grid = make_grid((-1.8, 1.8, -1.8, 1.8), n, n)
+    # 64 sensors, 35 modes: the traced peak beyond the output is the grid's
+    # two axes and the blocks' own memory (about 2.4 MB with a 1.1 MB stacked
+    # product), whatever the grid.  Budget: 3 MiB
     sensors = make_sensor_array(64, 2.0)
     weights = picard_weights(fig6_picard)
     assert fig6_picard.size == 35
     tracemalloc.start()
     try:
+        grid = make_grid((-1.8, 1.8, -1.8, 1.8), n, n)
         values = sampling.grid_indicators(fig6_picard.eigenvectors, weights, sensors, 1.0, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -274,31 +276,21 @@ def test_grid_pipeline_memory_stays_flat_as_the_grid_grows(fig6_picard, n):
     assert peak - values.nbytes < 3 * 2**20
 
 
-def test_grid_whose_points_do_not_fill_nx_by_ny_is_rejected():
-    points = make_grid((-0.9, 0.9, -0.9, 0.9), 5, 5).points
-    grid = SamplingGrid(-0.9, 0.9, -0.9, 0.9, 5, 6, points)
-    vecs, weights = random_system(32, 3)
-    with pytest.raises(DomainError, match="not \\(nx \\* ny, 2\\)"):
-        sampling.grid_indicators(vecs, weights, make_sensor_array(32, 1.0), 1.0, grid)
-
-
-def test_row_that_is_no_lattice_gets_no_mirror():
-    # a one-row SamplingGrid whose bounds do not describe its points, as
-    # tests/test_music.py's music_at builds: its first point lies on y = 0,
-    # but the points are no lattice, so no map is used
+def test_kernel_at_points_off_any_lattice_matches_the_per_point_oracle():
+    # points that are no lattice, such as tests/test_music.py's music_at
+    # reads, go through the per-block kernel, not through a grid
     sensors = make_sensor_array(32, 1.0)
     points = np.array([[0.3, 0.0], [0.5, 0.4], [-0.2, 0.1]])
-    grid = SamplingGrid(0.0, 1.0, 0.0, 1.0, len(points), 1, points)
-    assert group_of(sensors, grid) == [sampling._MAPS[0]]
     vecs, weights = random_system(32, 2)
-    values = sampling.grid_indicators(vecs, weights, sensors, 1.0, grid)
-    assert np.array_equal(values, direct_indicators(vecs, weights, sensors, grid))
+    phis = fundamental_solution_many(1.0, sensors.points, points)
+    got = _indicator_block(vecs.conj().T, weights, phis)
+    want = indicators_per_point(vecs.conj().T, weights, phis)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def symmetry_cases():
     """(sensors, grid) cases: the imaging presets, odd and even sensor counts
-    up to the CLI's cap, the off-centre grids and the row that is no
-    lattice."""
+    up to the CLI's cap and the off-centre grids."""
     for preset in ("figure1", "figure2", "figure3", "figure6", "figure7"):
         s = cli.validate_config(cli.PRESETS[preset])
         sensors = s.get("sensors") or make_sensor_array(s["quad_points"], SENSOR_RADIUS)
@@ -311,9 +303,6 @@ def symmetry_cases():
                            id=f"off-centre{bounds}")
     yield pytest.param(make_sensor_array(32, 1.0), make_grid((-0.9, 0.9, -0.9, 0.9), 41, 31),
                        id="nx!=ny")
-    points = np.array([[0.3, 0.0], [0.5, 0.4], [-0.2, 0.1]])
-    row = SamplingGrid(0.0, 1.0, 0.0, 1.0, len(points), 1, points)
-    yield pytest.param(make_sensor_array(32, 1.0), row, id="no-lattice")
 
 
 @pytest.mark.parametrize("sensors, grid", symmetry_cases())
@@ -600,7 +589,7 @@ def test_cutoff_bracketing_exact(fig6_picard, disk_sensors64):
 
 
 def jaccard_of(field_values, grid):
-    r = np.hypot(grid.points[:, 0], grid.points[:, 1])
+    r = np.hypot(*grid_points(grid).T)
     inside = r <= 1.0
     thresh = 0.5 * np.median(field_values[inside])
     pred = field_values >= thresh
@@ -610,7 +599,7 @@ def jaccard_of(field_values, grid):
 def test_figure6_fm_classification(fig6_fields, disk_grid101):
     fld = fig6_fields[FM]
     assert jaccard_of(fld.values, disk_grid101) >= 0.5
-    r = np.hypot(disk_grid101.points[:, 0], disk_grid101.points[:, 1])
+    r = np.hypot(*grid_points(disk_grid101).T)
     core = fld.values[r <= 0.8].mean()
     annulus = fld.values[(r >= 1.2) & (r <= 1.8)].mean()
     assert core >= 10 * annulus
@@ -619,7 +608,7 @@ def test_figure6_fm_classification(fig6_fields, disk_grid101):
 def test_figure6_mlsm_classification(fig6_fields, disk_grid101):
     fld = fig6_fields[MLSM]
     assert jaccard_of(fld.values, disk_grid101) >= 0.5
-    r = np.hypot(disk_grid101.points[:, 0], disk_grid101.points[:, 1])
+    r = np.hypot(*grid_points(disk_grid101).T)
     core = fld.values[r <= 0.8].mean()
     annulus = fld.values[(r >= 1.2) & (r <= 1.8)].mean()
     assert core >= 10 * annulus
@@ -676,7 +665,7 @@ def block_system(data, sensors, points):
 def test_indicator_block_matches_per_point_sums(request, picard, rows, disk_sensors64,
                                                 disk_grid101):
     data = request.getfixturevalue(picard)
-    points = disk_grid101.points[::37]  # inside, near and outside the disk
+    points = grid_points(disk_grid101)[::37]  # inside, near and outside the disk
     vecs_h, weights, phis = block_system(data, disk_sensors64, points)
     got = _indicator_block(vecs_h, weights[:rows], phis)
     want = indicators_per_point(vecs_h, weights[:rows], phis)
@@ -684,7 +673,7 @@ def test_indicator_block_matches_per_point_sums(request, picard, rows, disk_sens
 
 
 def test_fm_row_bits_do_not_depend_on_an_mlsm_row(fig6_picard, disk_sensors64, disk_grid101):
-    vecs_h, weights, phis = block_system(fig6_picard, disk_sensors64, disk_grid101.points)
+    vecs_h, weights, phis = block_system(fig6_picard, disk_sensors64, grid_points(disk_grid101))
     alone = _indicator_block(vecs_h, weights[:FM + 1], phis)[FM]
     assert np.array_equal(alone, _indicator_block(vecs_h, weights, phis)[FM])
     w_alone, _ = fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101)
