@@ -45,7 +45,6 @@ def synthesize_readings(scatterers, sensors, k, noise_frac, seed,
 
 
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal positive floats
-_DRAW_SD = 10.0  # |z| of a standard normal draw exceeds 10 with probability 1.5e-23
 
 
 @dataclass(frozen=True)
@@ -54,20 +53,16 @@ class BayesModel:
     k: float
     h: float  # Taylor spread of eta about gamma
     prior_sd: float = 1e5
-    proposal_sd_gamma: float | None = None
-    proposal_sd_eta: float | None = None
     iterations: int = 20000
     burn_in: int = 5000
     thinning: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        # `not x > 0` also rejects NaN.  The posterior and the proposals use
-        # the squares, which must neither underflow to 0 nor overflow.
-        for name in ("h", "prior_sd", "proposal_sd_gamma", "proposal_sd_eta"):
+        # `not x > 0` also rejects NaN.  The posterior uses the squares,
+        # which must neither underflow to 0 nor overflow.
+        for name in ("h", "prior_sd"):
             value = getattr(self, name)
-            if value is None:
-                continue
             if not value > 0.0:
                 raise DomainError(f"{name} must be positive, got {value}")
             if not _TINY <= float(value) * float(value) <= _HUGE:
@@ -168,22 +163,21 @@ def _quadratic_form(model, readings):
 def run_mh(model, readings):
     """Joint random-walk MH over theta = (eta, gamma); deterministic given the seed.
 
-    Each step works on the exact quadratic form of the log posterior
-    (`_quadratic_form`): for a proposal theta + d the log ratio is
-    d.g - 1/2 d.(Q d), where g = l - Q theta is the gradient, updated by
-    -Q d on acceptance, so a step costs (P+1)-vector work whatever the
-    number of readings.
+    The log posterior is the exact quadratic form of `_quadratic_form`, so
+    the proposal takes its shape: d = s L^-T z, with Q = L L^T, z standard
+    normal and s = 2.38 / sqrt(dim) (Roberts, Gelman & Gilks 1997).  For a
+    step zs = s z the log ratio is zs.w - 1/2 |zs|^2, where w = L^-1 l at
+    the start and moves by -zs on acceptance; gamma, the last coordinate,
+    moves by zs[P] / L[P, P], as L^-T is upper triangular.
 
     The draws of a random-walk sampler do not depend on its state, so the
-    chain goes one adaptation batch of m <= 50 steps at a time.  A batch
-    takes its random numbers in two calls: an (m, P + 1) standard normal
-    block, whose row i holds step i's P eta increments and then gamma's,
-    followed by m accept uniforms.  The proposal scale only moves between
-    batches, so it is constant within one.  The batch is scored from its
-    Gram matrix G[i, j] = d_j.(Q d_i): its log ratios start as
-    r = d.g - 1/2 diag(G), and an acceptance at step j moves them by
-    -G[j], one m-vector update, after which the scan goes on from j + 1.
-    The gradient moves once per batch, by the sum of the accepted Q d.
+    chain goes one batch of m <= 50 steps at a time.  A batch takes its
+    random numbers in two calls: an (m, P + 1) standard normal block, whose
+    row i holds step i's P eta draws and then gamma's, followed by m accept
+    uniforms.  The batch is scored from its Gram matrix G = zs zs^T: its
+    log ratios start as r = zs.w - 1/2 diag(G), and an acceptance at step j
+    moves them by -G[j], one m-vector update, after which the scan goes on
+    from j + 1.  w moves once per batch, by the sum of the accepted zs.
 
     Most steps are rejected and repeat the state before them, so the chain
     is kept as runs: each acceptance records only the step it happens at
@@ -198,31 +192,20 @@ def run_mh(model, readings):
             "the sd needs 2"
         )
     q, lin, logp = _quadratic_form(model, readings)
+    try:
+        chol = np.linalg.cholesky(q)
+    except np.linalg.LinAlgError:
+        raise ChainError(
+            f"the posterior precision for h = {model.h:g} and prior_sd = "
+            f"{model.prior_sd:g} is not positive definite in floating point"
+        ) from None
+    w = np.linalg.solve(chol, lin)
     dim = q.shape[0]
     p = dim - 1
-    sd_eta = model.proposal_sd_eta
-    if sd_eta is None:
-        sd_eta = 2.4 * model.h / np.sqrt(dim)
-    sd_gamma = model.proposal_sd_gamma
-    if sd_gamma is None:
-        sd_gamma = sd_eta
-    sds = np.full(dim, float(sd_eta))
-    sds[p] = sd_gamma
-    # A batch's Gram entries d_j.(Q d_i) stay below _DRAW_SD^2 (sds.|Q| sds)
-    # for draws within _DRAW_SD standard deviations; past the float range
-    # they overflow, and the chain would score infinities.
-    with np.errstate(over="ignore"):
-        reach = _DRAW_SD**2 * (sds @ np.abs(q) @ sds)
-    if not reach <= _HUGE:
-        raise ChainError(
-            f"proposal_sd_eta = {sd_eta:g} and proposal_sd_gamma = {sd_gamma:g} "
-            f"overflow the proposal's quadratic form d.(Q d): it reaches "
-            f"{reach:.3g} for draws within {_DRAW_SD:g} sd, past {_HUGE:.3g}"
-        )
+    scale = 2.38 / np.sqrt(dim)
+    gamma_pivot = float(chol[p, p])
 
     rng = np.random.default_rng(model.seed)
-    grad = lin.copy()
-
     n = model.iterations
     # run k holds (gamma, log_post) from step run_start[k] on: the sums of
     # increments[:k + 1] and ratios[:k + 1], whose entry 0 is the start state
@@ -231,19 +214,13 @@ def run_mh(model, readings):
     run_start = [0]
     ratios = [logp]
     increments = [0.0]
-    # global proposal scale, Robbins-Monro adapted toward 23% acceptance
-    # during burn-in only (frozen afterwards, preserving detailed balance)
-    log_scale = 0.0
-    step = np.exp(log_scale) * sds
     batch_len = 50
     for start in range(0, n, batch_len):
-        stop = min(start + batch_len, n)
-        m = stop - start
-        d = rng.standard_normal((m, dim)) * step
+        m = min(batch_len, n - start)
+        zs = scale * rng.standard_normal((m, dim))
         log_u = np.log(rng.random(m)).tolist()
-        qd = d @ q.T  # q.T: row i is Q d_i, as Q is not bitwise symmetric
-        gram = qd @ d.T
-        r = d @ grad - 0.5 * gram.diagonal()
+        gram = zs @ zs.T
+        r = zs @ w - 0.5 * gram.diagonal()
         scores = r.tolist()
         accepted = []  # the batch's accepted steps
         t = 0
@@ -259,13 +236,9 @@ def run_mh(model, readings):
             scores = r.tolist()
             t = j + 1
         if accepted:
-            grad -= np.add.reduce(qd.take(accepted, axis=0))
-            d_gamma = d[:, p].tolist()
-            increments += [d_gamma[j] for j in accepted]
+            w -= np.add.reduce(zs.take(accepted, axis=0))
+            increments += (zs[accepted, p] / gamma_pivot).tolist()
             run_start += [start + j for j in accepted]
-        if start + batch_len <= model.burn_in:
-            log_scale += 0.5 * (len(accepted) / batch_len - 0.234)
-            step = np.exp(log_scale) * sds
 
     run_gamma = np.cumsum(increments)
     run_logpost = np.cumsum(ratios)
@@ -277,9 +250,7 @@ def run_mh(model, readings):
         np.count_nonzero(np.diff(chain_gamma[model.burn_in :]) != 0.0) / max(post - 1, 1)
     )
     if rate < 0.01:
-        raise ChainError(
-            f"acceptance rate {rate:.3%} below 1%; proposal badly scaled"
-        )
+        raise ChainError(f"acceptance rate {rate:.3%} below 1% after burn-in")
     samples = chain_gamma[model.burn_in :: model.thinning]
     return PosteriorSummary(
         samples=samples,

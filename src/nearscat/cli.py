@@ -383,8 +383,6 @@ MODES = {
             "rule_order": (_int, None),
             "h": (_real, None),
             "prior_sd": (_real, None),
-            "proposal_sd_gamma": (_real, None),
-            "proposal_sd_eta": (_real, None),
             "iterations": (_where(_int, lambda n: n <= MAX_ITERATIONS,
                                   f"at most {MAX_ITERATIONS}"), None),
             "burn_in": (_int, None),

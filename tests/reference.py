@@ -13,6 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from nearscat.bayes import PosteriorSummary, _histogram_mode, _quadratic_form, design_matrix
 from nearscat.born import _gather_nodes
@@ -422,19 +423,16 @@ def reference_run_mh(model, readings):
 
     Takes the random numbers in `run_mh`'s batch layout: at the start of
     every 50-step batch of m steps, standard_normal((m, P + 1)) (row i holds
-    step i's eta increments, then gamma's) and then random(m), the accept
-    uniforms.  Adapts the proposal scale during burn-in exactly as `run_mh`
-    does.  Returns the chains.
+    step i's eta draws, then gamma's) and then random(m), the accept
+    uniforms.  Step i proposes d with L^T d = s z_i, solved by back
+    substitution, where Q = L L^T is the posterior precision and
+    s = 2.38 / sqrt(P + 1).  Returns the chains.
     """
     b = design_matrix(model, readings)
     p = b.shape[1]
     dim = p + 1
-    sd_eta = model.proposal_sd_eta
-    if sd_eta is None:
-        sd_eta = 2.4 * model.h / np.sqrt(dim)
-    sd_gamma = model.proposal_sd_gamma
-    if sd_gamma is None:
-        sd_gamma = sd_eta
+    chol_t = np.linalg.cholesky(_quadratic_form(model, readings)[0]).T
+    scale = 2.38 / np.sqrt(dim)
 
     rng = np.random.default_rng(model.seed)
     gamma = 0.0
@@ -444,8 +442,6 @@ def reference_run_mh(model, readings):
 
     chain_gamma = np.empty(model.iterations)
     chain_logpost = np.empty(model.iterations)
-    log_scale = 0.0
-    batch_acc = 0
     batch_len = 50
     for it in range(model.iterations):
         if it % batch_len == 0:
@@ -453,21 +449,15 @@ def reference_run_mh(model, readings):
             z = rng.standard_normal((m, dim))
             uniforms = rng.random(m)
         i = it % batch_len
-        s = np.exp(log_scale)
-        d_eta = s * sd_eta * z[i, :p]
-        d_gamma = s * sd_gamma * z[i, p]
-        eta_new = eta + d_eta
-        gamma_new = gamma + d_gamma
-        mu_new = mu + b @ d_eta
+        d = solve_triangular(chol_t, scale * z[i], lower=False)
+        eta_new = eta + d[:p]
+        gamma_new = gamma + d[p]
+        mu_new = mu + b @ d[:p]
         logp_new = _log_posterior_from_mu(model, readings, gamma_new, eta_new, mu_new)
         if np.log(uniforms[i]) < logp_new - logp:
             gamma, eta, mu, logp = gamma_new, eta_new, mu_new, logp_new
-            batch_acc += 1
         chain_gamma[it] = gamma
         chain_logpost[it] = logp
-        if it < model.burn_in and (it + 1) % batch_len == 0:
-            log_scale += 0.5 * (batch_acc / batch_len - 0.234)
-            batch_acc = 0
     return SimpleNamespace(chain_gamma=chain_gamma, chain_logpost=chain_logpost)
 
 
@@ -476,57 +466,45 @@ def tail_fill_run_mh(model, readings):
     fills both chains with the current state, and every acceptance refills
     the tail of the batch from the accepted step on, adding the step's gamma
     increment and log ratio to running totals.  It takes the same random
-    numbers and does the same arithmetic as `run_mh` (Gram scoring, one
-    gradient update per batch), so the two chains must agree bit for bit.
-    Returns the chains.
+    numbers and does the same arithmetic as `run_mh` (whitened steps, Gram
+    scoring, one update of w per batch), so the two chains must agree bit
+    for bit.  Returns the chains.
     """
     q, lin, logp = _quadratic_form(model, readings)
+    chol = np.linalg.cholesky(q)
+    w = np.linalg.solve(chol, lin)
     dim = q.shape[0]
     p = dim - 1
-    sd_eta = model.proposal_sd_eta
-    if sd_eta is None:
-        sd_eta = 2.4 * model.h / np.sqrt(dim)
-    sd_gamma = model.proposal_sd_gamma
-    if sd_gamma is None:
-        sd_gamma = sd_eta
-    sds = np.full(dim, float(sd_eta))
-    sds[p] = sd_gamma
+    scale = 2.38 / np.sqrt(dim)
 
     rng = np.random.default_rng(model.seed)
     gamma = 0.0
-    grad = lin.copy()
 
     n = model.iterations
     chain_gamma = np.empty(n)
     chain_logpost = np.empty(n)
-    log_scale = 0.0
-    step = np.exp(log_scale) * sds
     batch_len = 50
     for start in range(0, n, batch_len):
         stop = min(start + batch_len, n)
         m = stop - start
-        d = rng.standard_normal((m, dim)) * step
+        zs = scale * rng.standard_normal((m, dim))
         log_u = np.log(rng.random(m)).tolist()
-        qd = d @ q.T
-        gram = qd @ d.T
-        r = d @ grad - 0.5 * gram.diagonal()
+        gram = zs @ zs.T
+        r = zs @ w - 0.5 * gram.diagonal()
         chain_gamma[start:stop] = gamma
         chain_logpost[start:stop] = logp
         accepted = []
         for j in range(m):
             log_ratio = float(r[j])
             if log_u[j] < log_ratio:
-                gamma += float(d[j, p])
+                gamma += float(zs[j, p]) / float(chol[p, p])
                 logp += log_ratio
                 r -= gram[j]
                 chain_gamma[start + j : stop] = gamma
                 chain_logpost[start + j : stop] = logp
                 accepted.append(j)
         if accepted:
-            grad -= np.add.reduce(qd.take(accepted, axis=0))
-        if start + batch_len <= model.burn_in:
-            log_scale += 0.5 * (len(accepted) / batch_len - 0.234)
-            step = np.exp(log_scale) * sds
+            w -= np.add.reduce(zs.take(accepted, axis=0))
     return SimpleNamespace(chain_gamma=chain_gamma, chain_logpost=chain_logpost)
 
 

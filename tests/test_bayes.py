@@ -14,6 +14,7 @@ from nearscat.bayes import (
     support_diameter,
     synthesize_readings,
 )
+from nearscat.cli import run
 from nearscat.errors import ChainError, DomainError
 from nearscat.geometry import Disk, Ellipse, Rectangle, ScattererSpec
 
@@ -68,8 +69,8 @@ def test_model_validation(bayes_square):
         {"thinning": -1},
         {"prior_sd": 0.0},
         {"prior_sd": float("nan")},
-        {"proposal_sd_gamma": 0.0},
-        {"proposal_sd_eta": -0.1},
+        {"h": 0.0},
+        {"h": float("inf")},
         {"seed": -1},
     ],
 )
@@ -166,11 +167,11 @@ def _square(half_width):
         (0.2, 1, {}),
         (0.265, 0, {}),
         (0.265, 1, {}),
-        (0.2, 2, {"proposal_sd_gamma": 0.3, "proposal_sd_eta": 0.15}),
+        (0.2, 2, {"h": 0.15, "prior_sd": 10.0}),
     ],
 )
 def test_run_mh_matches_residual_reference(readings15, half_width, seed, proposal):
-    # burn-in spans 10 adaptation batches, so the proposal scale moves
+    # `proposal` holds settings that reshape the proposal through Q
     model = make_bayes_model(
         _square(half_width), 1.0, iterations=1500, burn_in=500, seed=seed, **proposal
     )
@@ -186,7 +187,7 @@ def test_run_mh_matches_residual_reference(readings15, half_width, seed, proposa
     "iterations, burn_in",
     [
         (1537, 520),  # neither a multiple of the 50-step batch
-        (1537, 0),  # no adaptation at all
+        (1537, 0),  # no burn-in
         (1501, 500),  # a last batch of one step
         (1549, 549),  # burn-in ends one step short of a batch edge
     ],
@@ -215,7 +216,7 @@ def _same_bits(a, b):
         (0.2, 1500, 500, 1, {}),
         (0.265, 1500, 500, 0, {}),  # the figure5 support
         (0.265, 1500, 500, 7, {}),
-        (0.2, 1500, 500, 2, {"proposal_sd_gamma": 0.3, "proposal_sd_eta": 0.15}),
+        (0.2, 1500, 500, 2, {"h": 0.15, "prior_sd": 10.0}),  # another Q
         (0.2, 1537, 520, 4, {}),
         (0.2, 1537, 0, 4, {}),
         (0.2, 1501, 500, 4, {}),
@@ -269,16 +270,36 @@ def _obm_mcse(samples):
     return float(np.sqrt(var / n))
 
 
-@pytest.mark.parametrize("half_width", [0.2, 0.265], ids=["figure4", "figure5"])
-def test_mh_matches_exact_gaussian_posterior(readings15, half_width):
+@pytest.mark.parametrize(
+    "half_width, h",
+    [(0.2, None), (0.265, None), (0.2, 1e-3)],
+    ids=["figure4", "figure5", "figure4-h1e-3"],
+)
+def test_mh_matches_exact_gaussian_posterior(readings15, half_width, h):
+    # at h = 1e-3 the prior ties each eta to gamma far tighter than the data
+    # do, so the posterior is a thin ridge along the all-ones direction
     model = make_bayes_model(
-        _square(half_width), 1.0, rule_order=3, prior_sd=1e5,
+        _square(half_width), 1.0, rule_order=3, h=h, prior_sd=1e5,
         iterations=20000, burn_in=5000, seed=101,
     )
     exact_mean, exact_sd = _exact_gamma_posterior(model, readings15)
     s = run_mh(model, readings15)
     assert abs(s.mean - exact_mean) <= 5.0 * _obm_mcse(s.samples)
     assert s.sd == pytest.approx(exact_sd, rel=0.2)
+
+
+def test_figure5_benchmark_seed_matches_exact_posterior(bayes_scatterer, unit_sensors32,
+                                                        tmp_path):
+    # `cli.run(seed=58)` seeds both the noise and the chain; the benchmark
+    # checks this run against the exact posterior too
+    run(preset="figure5", seed=58, out_dir=tmp_path)
+    table = np.loadtxt(tmp_path / "chain.csv", delimiter=",", skiprows=1)
+    samples = table[5000:, 1]
+    readings = synthesize_readings([bayes_scatterer], unit_sensors32, 1.0, 0.15,
+                                   seed=58, rule_order=16)
+    model = make_bayes_model(_square(0.265), 1.0, rule_order=3, prior_sd=1e5)
+    exact_mean, _ = _exact_gamma_posterior(model, readings)
+    assert abs(samples.mean() - exact_mean) <= 5.0 * _obm_mcse(samples)
 
 
 def test_sample_count_contract(bayes_square, readings15):
@@ -354,14 +375,12 @@ def test_chain_error_on_one_retained_sample(readings15):
 
 
 def test_chain_error_on_pathological_proposal(bayes_square, readings15):
+    # two draws are kept, so the sd guard passes; at seed 3 the one step after
+    # burn-in is rejected, and the acceptance rate of 0 is refused
+    burn_in = 1999
     bad = make_bayes_model(
-        bayes_square,
-        1.0,
-        proposal_sd_gamma=1e9,
-        proposal_sd_eta=1e9,
-        iterations=2000,
-        burn_in=1999,
-        seed=3,
+        bayes_square, 1.0, iterations=burn_in + 2, burn_in=burn_in, seed=3
     )
-    with pytest.raises(ChainError):
+    assert bad.kept == 2
+    with pytest.raises(ChainError, match="acceptance rate"):
         run_mh(bad, readings15)

@@ -17,7 +17,7 @@ from nearscat import bayes, born, cli, sampling
 from nearscat.cli import PRESETS, main, run, validate_config
 from nearscat.bayes import make_bayes_model
 from nearscat.disk import assemble_nearfield_matrix
-from nearscat.errors import ChainError, ConfigError
+from nearscat.errors import ConfigError
 from nearscat.geometry import Disk, make_grid
 from nearscat.linalg import nsharp
 from nearscat.sampling import fm_mlsm_fields, make_picard_data
@@ -505,13 +505,11 @@ def test_main_out_of_range_bayes_setting_exit_2(tmp_path, capsys, key, value):
         ("h", 1e-200),
         ("h", 1e200),
         ("prior_sd", 1e200),
-        ("proposal_sd_eta", 1e300),
-        ("proposal_sd_gamma", 1e300),
     ],
 )
 def test_main_bayes_setting_whose_square_leaves_the_float_range_exit_2(
         tmp_path, capsys, key, value):
-    # h^2, prior_sd^2 and the proposal variances would be 0 or inf
+    # h^2 and prior_sd^2 would be 0 or inf
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bayes": {key: value}}))
     code = main(["run", "--preset", "figure4", "--config", str(cfg),
@@ -526,25 +524,38 @@ def test_main_bayes_setting_whose_square_leaves_the_float_range_exit_2(
     assert err["message"].startswith(f"{key} = ")
 
 
-def test_proposal_sds_that_overflow_the_gram_matrix_are_named(tmp_path, capsys):
-    # each square is a normal float, but d.(Q d) passes the largest double:
-    # the chain is refused before it starts, with and without the CLI's
-    # floating-point traps
-    bayes_cfg = {"bayes": {"proposal_sd_eta": 1e154, "proposal_sd_gamma": 1e154}}
-    with pytest.raises(ChainError, match=r"proposal_sd_eta = 1e\+154 and proposal_sd_gamma = 1e\+154"):
-        run(preset="figure4", config=bayes_cfg, out_dir=tmp_path / "run")
+def test_proposal_sd_setting_is_an_unknown_key_exit_2(tmp_path, capsys):
+    # the proposal is N(0, (2.38^2/dim) Q^-1), worked out from the model:
+    # no config setting shapes it
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(bayes_cfg))
+    cfg.write_text(json.dumps({"bayes": {"proposal_sd_eta": 0.1}}))
+    code = main(["run", "--preset", "figure4", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config"
+    assert "unknown key(s) ['proposal_sd_eta'] in bayes" in err["message"]
+
+
+def test_precision_that_cholesky_rejects_names_its_settings_exit_3(tmp_path, capsys):
+    # at h = 1e-20 the 1/h^2 terms swamp the data term, and Q is singular in
+    # floating point: the chain cannot be whitened
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bayes": {"h": 1e-20}}))
     code = main(["run", "--preset", "figure4", "--config", str(cfg),
                  "--out", str(tmp_path / "out")])
     assert code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert "Traceback" not in captured.err
     (line,) = captured.err.splitlines()
     err = json.loads(line)
     assert err["error"] == "numerical"
-    assert "proposal_sd_eta = 1e+154" in err["message"]
-    assert "proposal_sd_gamma = 1e+154" in err["message"]
+    assert "h = 1e-20" in err["message"]
+    assert "prior_sd = 100000" in err["message"]
 
 
 @pytest.mark.parametrize(
