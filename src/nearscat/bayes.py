@@ -14,7 +14,7 @@ import numpy as np
 
 from .born import DEFAULT_RULE_ORDER, assemble_multistatic
 from .errors import ChainError, DomainError
-from .geometry import Disk, Ellipse, QuadratureRule, Rectangle, gauss_quadrature
+from .geometry import QuadratureRule, gauss_quadrature
 from .specfun import fundamental_solution_many
 
 
@@ -76,6 +76,10 @@ class BayesModel:
             raise DomainError("iterations must exceed burn_in")
         if self.thinning < 1:
             raise DomainError(f"thinning must be at least 1, got {self.thinning}")
+        if self.kept < 2:
+            raise DomainError(
+                f"thinning {self.thinning} keeps {self.kept} draw after burn-in; the sd needs 2"
+            )
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
@@ -85,26 +89,9 @@ class BayesModel:
         return len(range(self.burn_in, self.iterations, self.thinning))
 
 
-def support_diameter(shape):
-    """Default h = |D|: the diameter of the reconstructed support."""
-    if isinstance(shape, Disk):
-        return 2.0 * shape.radius
-    if isinstance(shape, Ellipse):
-        return 2.0 * max(shape.a, shape.b)
-    if isinstance(shape, Rectangle):
-        return float(
-            np.hypot(
-                shape.corner_max[0] - shape.corner_min[0],
-                shape.corner_max[1] - shape.corner_min[1],
-            )
-        )
-    raise DomainError(f"unsupported shape {type(shape).__name__}")
-
-
 def make_bayes_model(shape, k, rule_order=3, h=None, **kwargs):
     rule = gauss_quadrature(shape, rule_order)
-    if h is None:
-        h = support_diameter(shape)
+    h = shape.diameter() if h is None else h
     return BayesModel(rhat=rule, k=k, h=float(h), **kwargs)
 
 
@@ -135,13 +122,15 @@ def _histogram_mode(samples, bins=60):
 
 
 def _quadratic_form(model, readings):
-    """(Q, l, c) with log posterior -1/2 theta^T Q theta + l^T theta + c.
+    """(Q, l, c, share) with log posterior -1/2 theta^T Q theta + l^T theta + c.
 
     theta = (eta_1..eta_P, gamma).  The model is linear-Gaussian in theta
     (real eta, complex readings), so the form is exact:
     Q_eta,eta = Re(B^H B)/delta^2 + I/h^2, Q_eta,gamma = -1/h^2,
     Q_gamma,gamma = P/h^2 + 1/prior_sd^2, l = (Re(B^H u)/delta^2, 0), and
-    c = -|u|^2/(2 delta^2) is the log posterior at theta = 0.
+    c = -|u|^2/(2 delta^2) is the log posterior at theta = 0.  share =
+    ||Re(B^H B)||_2 h^2/delta^2 = ||[Re B; Im B]||_2^2 h^2/delta^2 sizes the
+    data term against the prior's 1/h^2 term.
     """
     if readings.delta <= 0.0:
         raise DomainError("readings.delta must be positive for the likelihood")
@@ -157,7 +146,8 @@ def _quadratic_form(model, readings):
     lin = np.zeros(p + 1)
     lin[:p] = (b.conj().T @ u).real / d2
     c = -float(np.sum(u.real**2 + u.imag**2)) / (2.0 * d2)
-    return q, lin, c
+    share = np.linalg.norm(np.vstack([b.real, b.imag]), 2) ** 2 * h2 / d2
+    return q, lin, c, share
 
 
 def run_mh(model, readings):
@@ -186,12 +176,7 @@ def run_mh(model, readings):
     (`np.cumsum` adds in sequence, as a running total would), and the
     per-step chains are expanded from those runs.
     """
-    if model.kept < 2:
-        raise ChainError(
-            f"thinning {model.thinning} keeps {model.kept} sample after burn-in; "
-            "the sd needs 2"
-        )
-    q, lin, logp = _quadratic_form(model, readings)
+    q, lin, logp, share = _quadratic_form(model, readings)
     try:
         chol = np.linalg.cholesky(q)
     except np.linalg.LinAlgError:
@@ -199,6 +184,11 @@ def run_mh(model, readings):
             f"the posterior precision for h = {model.h:g} and prior_sd = "
             f"{model.prior_sd:g} is not positive definite in floating point"
         ) from None
+    if share <= np.finfo(float).eps:
+        raise ChainError(
+            f"the data term of the posterior precision for h = {model.h:g} and noise delta = "
+            f"{readings.delta:g} is {share:.3g} of its 1/h^2 term, below the float precision"
+        )
     w = np.linalg.solve(chol, lin)
     dim = q.shape[0]
     p = dim - 1

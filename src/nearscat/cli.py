@@ -421,10 +421,7 @@ def validate_config(cfg):
             delta = s["noise"][0]
             _check(delta > 0.0, "noise.delta", "positive: the likelihood needs noise", delta)
             settings = {key: val for key, val in s["bayes"].items() if val is not None}
-            model = bayes_mod.make_bayes_model(settings.pop("support"), s["k"], **settings)
-            _check(model.kept >= 2, "bayes.thinning",
-                   f"small enough to keep 2 draws after burn-in (keeps {model.kept})", model.thinning)
-            s["bayes"] = model
+            s["bayes"] = bayes_mod.make_bayes_model(settings.pop("support"), s["k"], **settings)
         else:
             m, q = s["truncation"], s["quad_points"]
             _check(q >= 2 * m + 2, "quad_points", f">= 2 * truncation + 2 = {2 * m + 2}", q)

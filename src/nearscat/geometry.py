@@ -1,8 +1,9 @@
 """Sensor arrays, sampling grids, scatterer shapes and Gauss quadrature.
 
-Shapes are limited to disk, ellipse and axis-aligned rectangle.  Disk and
-ellipse quadrature uses a polar map with Gauss-Legendre in radius squared,
-which keeps the r = 0 Jacobian from degrading the rule's accuracy.
+Shapes are the ellipse, a disk being one with equal semi-axes, and the
+axis-aligned rectangle; each owns its rules.  Ellipse quadrature uses a polar
+map with Gauss-Legendre in radius squared, which keeps the r = 0 Jacobian
+from degrading the rule's accuracy.
 """
 
 from dataclasses import dataclass
@@ -76,20 +77,6 @@ def _check_size(name, value):
 
 
 @dataclass(frozen=True)
-class Disk:
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        _check_size("radius", self.radius)
-
-    def contains(self, p):
-        p = np.asarray(p, dtype=float)
-        d = p[..., 0] - self.center[0], p[..., 1] - self.center[1]
-        return np.hypot(*d) < self.radius
-
-
-@dataclass(frozen=True)
 class Ellipse:
     center: tuple
     a: float  # semi-axis along x
@@ -104,6 +91,33 @@ class Ellipse:
         u = (p[..., 0] - self.center[0]) / self.a
         v = (p[..., 1] - self.center[1]) / self.b
         return u * u + v * v < 1.0
+
+    def scaled(self, eps):
+        return Ellipse(self.center, eps * self.a, eps * self.b)
+
+    def diameter(self):
+        return 2.0 * max(self.a, self.b)
+
+    def quadrature(self, order):
+        """Polar map with the radial rule placed in r^2, so that
+        dx = (1/2) d(r^2) dtheta carries no singular Jacobian."""
+        # unit disk in (s = r^2, theta), then anisotropic stretch by (a, b)
+        s, ws = _gl(order, 0.0, 1.0)
+        th, wt = _gl(order, 0.0, 2.0 * np.pi)
+        r = np.sqrt(s)
+        gx = np.outer(r, np.cos(th))
+        gy = np.outer(r, np.sin(th))
+        ww = 0.5 * np.outer(ws, wt) * self.a * self.b
+        nodes = np.column_stack(
+            [self.center[0] + self.a * gx.ravel(), self.center[1] + self.b * gy.ravel()]
+        )
+        return QuadratureRule(nodes=nodes, weights=ww.ravel())
+
+
+def Disk(center, radius):
+    """The disk of the given radius: an ellipse with equal semi-axes."""
+    _check_size("radius", radius)
+    return Ellipse(center, radius, radius)
 
 
 @dataclass(frozen=True)
@@ -128,21 +142,32 @@ class Rectangle:
             & (p[..., 1] < self.corner_max[1])
         )
 
+    def scaled(self, eps):
+        lo, hi = np.asarray(self.corner_min, float), np.asarray(self.corner_max, float)
+        c = (lo + hi) / 2.0
+        return Rectangle(tuple(c + eps * (lo - c)), tuple(c + eps * (hi - c)))
+
+    def diameter(self):
+        (x0, y0), (x1, y1) = self.corner_min, self.corner_max
+        return float(np.hypot(x1 - x0, y1 - y0))
+
+    def quadrature(self, order):
+        """Affine map of the tensor-product rule."""
+        xs, wx = _gl(order, self.corner_min[0], self.corner_max[0])
+        ys, wy = _gl(order, self.corner_min[1], self.corner_max[1])
+        gx, gy = np.meshgrid(xs, ys)
+        ww = np.outer(wy, wx)
+        return QuadratureRule(
+            nodes=np.column_stack([gx.ravel(), gy.ravel()]), weights=ww.ravel()
+        )
+
 
 def scaled(shape, eps):
     """The shape scaled by eps > 0 about its center, for small-size
     convergence studies; the shape itself at eps = 1."""
     if not eps > 0.0:  # NaN too
         raise DomainError(f"epsilon_scale must be positive, got {eps}")
-    if eps == 1.0:
-        return shape
-    if isinstance(shape, Disk):
-        return Disk(shape.center, eps * shape.radius)
-    if isinstance(shape, Ellipse):
-        return Ellipse(shape.center, eps * shape.a, eps * shape.b)
-    lo, hi = np.asarray(shape.corner_min, float), np.asarray(shape.corner_max, float)
-    c = (lo + hi) / 2.0
-    return Rectangle(tuple(c + eps * (lo - c)), tuple(c + eps * (hi - c)))
+    return shape if eps == 1.0 else shape.scaled(eps)
 
 
 @dataclass(frozen=True)
@@ -192,35 +217,5 @@ def quadrature_order(order):
 
 
 def gauss_quadrature(shape, order):
-    """Tensor-product Gauss-Legendre rule mapped onto the shape.
-
-    Rectangle: affine map.  Disk/ellipse: polar map with the radial rule
-    placed in r^2 so that dx = (1/2) d(r^2) dtheta carries no singular
-    Jacobian.
-    """
-    order = quadrature_order(order)
-    if isinstance(shape, Rectangle):
-        xs, wx = _gl(order, shape.corner_min[0], shape.corner_max[0])
-        ys, wy = _gl(order, shape.corner_min[1], shape.corner_max[1])
-        gx, gy = np.meshgrid(xs, ys)
-        ww = np.outer(wy, wx)
-        return QuadratureRule(
-            nodes=np.column_stack([gx.ravel(), gy.ravel()]), weights=ww.ravel()
-        )
-    if isinstance(shape, (Disk, Ellipse)):
-        if isinstance(shape, Disk):
-            a = b = shape.radius
-        else:
-            a, b = shape.a, shape.b
-        # unit disk in (s = r^2, theta), then anisotropic stretch by (a, b)
-        s, ws = _gl(order, 0.0, 1.0)
-        th, wt = _gl(order, 0.0, 2.0 * np.pi)
-        r = np.sqrt(s)
-        gx = np.outer(r, np.cos(th))
-        gy = np.outer(r, np.sin(th))
-        ww = 0.5 * np.outer(ws, wt) * a * b
-        nodes = np.column_stack(
-            [shape.center[0] + a * gx.ravel(), shape.center[1] + b * gy.ravel()]
-        )
-        return QuadratureRule(nodes=nodes, weights=ww.ravel())
-    raise DomainError(f"unsupported shape {type(shape).__name__}")
+    """The shape's tensor-product Gauss-Legendre rule of the given order."""
+    return shape.quadrature(quadrature_order(order))

@@ -470,7 +470,7 @@ def tail_fill_run_mh(model, readings):
     scoring, one update of w per batch), so the two chains must agree bit
     for bit.  Returns the chains.
     """
-    q, lin, logp = _quadratic_form(model, readings)
+    q, lin, logp, _ = _quadratic_form(model, readings)
     chol = np.linalg.cholesky(q)
     w = np.linalg.solve(chol, lin)
     dim = q.shape[0]

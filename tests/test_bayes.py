@@ -11,7 +11,6 @@ from nearscat.bayes import (
     design_matrix,
     make_bayes_model,
     run_mh,
-    support_diameter,
     synthesize_readings,
 )
 from nearscat.cli import run
@@ -47,10 +46,14 @@ def model_true(bayes_square):
 
 
 def test_support_diameter():
-    assert support_diameter(Disk(center=(0, 0), radius=0.3)) == pytest.approx(0.6)
-    assert support_diameter(Ellipse(center=(0, 0), a=0.3, b=0.1)) == pytest.approx(0.6)
-    sq = Rectangle(corner_min=(-0.2, -0.2), corner_max=(0.2, 0.2))
-    assert support_diameter(sq) == pytest.approx(0.4 * np.sqrt(2))
+    # h defaults to |D|, the diameter of the support
+    for shape, diameter in [
+        (Disk(center=(0, 0), radius=0.3), 0.6),
+        (Ellipse(center=(0, 0), a=0.3, b=0.1), 0.6),
+        (Rectangle(corner_min=(-0.2, -0.2), corner_max=(0.2, 0.2)), 0.4 * np.sqrt(2)),
+    ]:
+        assert make_bayes_model(shape, 1.0).h == pytest.approx(diameter)
+    assert make_bayes_model(Disk(center=(0, 0), radius=0.3), 1.0, h=0.1).h == 0.1
 
 
 def test_model_validation(bayes_square):
@@ -363,13 +366,10 @@ def test_posterior_contraction(model_true, bayes_scatterer, unit_sensors32):
         assert sd2 < sd1
 
 
-def test_chain_error_on_one_retained_sample(readings15):
+def test_model_rejects_thinning_that_keeps_one_draw(readings15):
     # 300 post-burn-in iterations thinned by 300 keep one draw: no sd
-    model = make_bayes_model(
-        _square(0.2), 1.0, iterations=400, burn_in=100, thinning=300, seed=3
-    )
-    with pytest.raises(ChainError):
-        run_mh(model, readings15)
+    with pytest.raises(DomainError, match="keeps 1 draw"):
+        make_bayes_model(_square(0.2), 1.0, iterations=400, burn_in=100, thinning=300, seed=3)
     kept = make_bayes_model(_square(0.2), 1.0, iterations=400, burn_in=100, thinning=299, seed=3)
     assert run_mh(kept, readings15).samples.size == 2
 

@@ -558,6 +558,45 @@ def test_precision_that_cholesky_rejects_names_its_settings_exit_3(tmp_path, cap
     assert "prior_sd = 100000" in err["message"]
 
 
+@pytest.mark.parametrize("h", [1e-150, 1e-10])
+def test_precision_whose_data_term_rounds_away_names_h_exit_3(tmp_path, capsys, h):
+    # Cholesky takes this Q, but its data term is below eps of the 1/h^2 term
+    # and rounds away: the chain would sample the prior alone
+    code = _main_on(tmp_path, _edited_preset("figure4", "bayes.h", h))
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "numerical"
+    assert f"h = {h:g}" in err["message"]
+
+
+def test_precision_whose_data_term_is_above_the_float_precision_runs(tmp_path):
+    # at h = 1e-8 the data term is about 1.7e-14 of the 1/h^2 term
+    run(preset="figure4", config={"bayes": {"h": 1e-8}}, out_dir=tmp_path)
+    assert (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "preset, path, center",
+    [("figure1", "scatterers.0.shape", [-0.5, 0.5]), ("figure4", "bayes.support", [0.0, 0.0])],
+)
+def test_a_disk_writes_the_bytes_of_the_ellipse_with_equal_semi_axes(tmp_path, preset, path,
+                                                                       center):
+    disk = {"type": "disk", "center": center, "radius": 0.2}
+    ellipse = {"type": "ellipse", "center": center, "a": 0.2, "b": 0.2}
+    if preset == "figure1":
+        assert PRESETS[preset]["scatterers"][0]["shape"] == disk
+    for name, shape in (("disk", disk), ("ellipse", ellipse)):
+        run(config=_edited_preset(preset, path, shape), out_dir=tmp_path / name)
+    names = sorted(f.name for f in (tmp_path / "disk").iterdir() if f.name != "manifest.json")
+    assert len(names) >= 2
+    for name in names:
+        assert (tmp_path / "disk" / name).read_bytes() == (tmp_path / "ellipse" / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "preset, path, value",
     [

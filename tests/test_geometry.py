@@ -84,6 +84,7 @@ def test_grid_validation():
 
 def test_shape_containment():
     d = Disk(center=(-0.5, 0.5), radius=0.2)
+    assert d == Ellipse(center=(-0.5, 0.5), a=0.2, b=0.2)  # a disk is an ellipse
     assert d.contains((-0.5, 0.5))
     assert not d.contains((0.0, 0.0))
     e = Ellipse(center=(0.5, -0.5), a=0.2, b=0.1)
@@ -116,13 +117,18 @@ def test_ellipse_weights_sum_to_area():
 
 
 def test_all_nodes_inside_shape():
+    # every node lies inside the shape and its half-size copy, and no two
+    # nodes lie farther apart than the shape's diameter
     for shape in (
         Disk(center=(0.3, -0.1), radius=0.2),
         Ellipse(center=(-0.2, 0.4), a=0.3, b=0.15),
         Rectangle(corner_min=(0, 0), corner_max=(1, 2)),
     ):
-        rule = gauss_quadrature(shape, 8)
-        assert np.all(shape.contains(rule.nodes))
+        for s in (shape, scaled(shape, 0.5)):
+            nodes = s.quadrature(8).nodes
+            assert np.all(s.contains(nodes))
+            spread = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=-1)
+            assert spread.max() < s.diameter()
 
 
 def test_rectangle_polynomial_exactness():
@@ -188,6 +194,7 @@ def test_epsilon_scale_about_the_center():
     assert scaled(Ellipse(center=(0.5, -0.5), a=0.2, b=0.1), 0.5) == Ellipse(
         center=(0.5, -0.5), a=0.1, b=0.05
     )
+    assert scaled(Disk(center=(0.5, -0.5), radius=0.2), 0.5) == Disk(center=(0.5, -0.5), radius=0.1)
     square = scaled(Rectangle(corner_min=(0.0, -0.5), corner_max=(1.0, 0.5)), 0.5)
     assert square == Rectangle(corner_min=(0.25, -0.25), corner_max=(0.75, 0.25))
     for eps in (0.0, -1.0, float("nan")):
@@ -196,17 +203,17 @@ def test_epsilon_scale_about_the_center():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, name",
     [
-        lambda bad: Disk(center=(0.0, 0.0), radius=bad),
-        lambda bad: Ellipse(center=(0.0, 0.0), a=bad, b=0.1),
-        lambda bad: Ellipse(center=(0.0, 0.0), a=0.2, b=bad),
+        (lambda bad: Disk(center=(0.0, 0.0), radius=bad), "radius"),
+        (lambda bad: Ellipse(center=(0.0, 0.0), a=bad, b=0.1), "a"),
+        (lambda bad: Ellipse(center=(0.0, 0.0), a=0.2, b=bad), "b"),
     ],
     ids=["disk-radius", "ellipse-a", "ellipse-b"],
 )
 @pytest.mark.parametrize("bad", [-0.2, 0.0, -0.0, float("nan"), float("inf")])
-def test_shapes_reject_sizes_that_are_not_positive_and_finite(build, bad):
-    with pytest.raises(DomainError):
+def test_shapes_reject_sizes_that_are_not_positive_and_finite(build, name, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got"):
         build(bad)
 
 
@@ -224,8 +231,9 @@ def test_rectangle_rejects_corners_not_below_on_both_axes(corner_min, corner_max
 @pytest.mark.parametrize(
     "shape",
     [Rectangle(corner_min=(-0.2, -0.3), corner_max=(0.4, 0.1)),
-     Disk(center=(0.1, -0.2), radius=0.3)],
-    ids=["rectangle", "disk"],
+     Disk(center=(0.1, -0.2), radius=0.3),
+     Ellipse(center=(0.1, -0.2), a=0.3, b=0.2)],
+    ids=["rectangle", "disk", "ellipse"],
 )
 def test_mutating_a_rule_leaves_the_next_unchanged(shape):
     first = gauss_quadrature(shape, 5)
