@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .born import DEFAULT_RULE_ORDER, assemble_multistatic
-from .errors import ChainError, DomainError
+from .errors import DomainError, NearscatError
 from .geometry import QuadratureRule, gauss_quadrature
 from .specfun import fundamental_solution_many
 
@@ -180,12 +180,12 @@ def run_mh(model, readings):
     try:
         chol = np.linalg.cholesky(q)
     except np.linalg.LinAlgError:
-        raise ChainError(
+        raise NearscatError(
             f"the posterior precision for h = {model.h:g} and prior_sd = "
             f"{model.prior_sd:g} is not positive definite in floating point"
         ) from None
     if share <= np.finfo(float).eps:
-        raise ChainError(
+        raise NearscatError(
             f"the data term of the posterior precision for h = {model.h:g} and noise delta = "
             f"{readings.delta:g} is {share:.3g} of its 1/h^2 term, below the float precision"
         )
@@ -240,7 +240,7 @@ def run_mh(model, readings):
         np.count_nonzero(np.diff(chain_gamma[model.burn_in :]) != 0.0) / max(post - 1, 1)
     )
     if rate < 0.01:
-        raise ChainError(f"acceptance rate {rate:.3%} below 1% after burn-in")
+        raise NearscatError(f"acceptance rate {rate:.3%} below 1% after burn-in")
     samples = chain_gamma[model.burn_in :: model.thinning]
     return PosteriorSummary(
         samples=samples,

@@ -253,18 +253,21 @@ def _read(obj, table, path):
     return out
 
 
+def _build(path, build, *args, **kwargs):
+    """build(*args, **kwargs) for the setting at path; a DomainError from the
+    library object is a ConfigError naming that path."""
+    try:
+        return build(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _object(table, build=None):
-    """Reader of an object: build(*values in table order), or the values by
-    key.  A DomainError from build is a ConfigError naming the object."""
+    """Reader of an object: build(*values in table order), or the values by key."""
 
     def read(value, path):
         fields = _read(value, table, path)
-        if build is None:
-            return fields
-        try:
-            return build(*fields.values())
-        except DomainError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        return fields if build is None else _build(path, build, *fields.values())
 
     return read
 
@@ -352,7 +355,8 @@ _SCATTERING = {
     **_COMMON,
     "sensors": (_sensors, ...),
     "scatterers": (_scatterers, ...),
-    "rule_order": (lambda value, path: quadrature_order(_int(value, path)), DEFAULT_RULE_ORDER),
+    "rule_order": (lambda value, path: _build(path, quadrature_order, _int(value, path)),
+                   DEFAULT_RULE_ORDER),
 }
 _DISK = {
     **_COMMON,
@@ -421,12 +425,14 @@ def validate_config(cfg):
             delta = s["noise"][0]
             _check(delta > 0.0, "noise.delta", "positive: the likelihood needs noise", delta)
             settings = {key: val for key, val in s["bayes"].items() if val is not None}
-            s["bayes"] = bayes_mod.make_bayes_model(settings.pop("support"), s["k"], **settings)
+            s["bayes"] = _build("bayes", bayes_mod.make_bayes_model, settings.pop("support"),
+                                s["k"], **settings)
         else:
             m, q = s["truncation"], s["quad_points"]
             _check(q >= 2 * m + 2, "quad_points", f">= 2 * truncation + 2 = {2 * m + 2}", q)
-            s["disk_medium"] = disk_mod.DiskMedium(**s["disk_medium"], k=s["k"])
-    except DomainError as exc:
+            s["disk_medium"] = _build("disk_medium", disk_mod.DiskMedium, **s["disk_medium"],
+                                      k=s["k"])
+    except DomainError as exc:  # check_sensors_outside names the scatterer
         raise ConfigError(str(exc)) from None
     return s
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .born import MultistaticMatrix
-from .errors import DomainError, ResonanceError
+from .errors import DomainError, NearscatError
 from .geometry import make_sensor_array
 from .specfun import bessel_j_orders, derivative_orders, hankel1_orders
 
@@ -42,8 +42,8 @@ def _series_terms(medium, trunc):
         raise DomainError(f"wavenumber must be positive, got {k}")
     root_prod = cmath.sqrt(n * a)
     j_in = bessel_j_orders(trunc + 1, k * cmath.sqrt(n / a))  # principal branch
-    j_k = bessel_j_orders(trunc + 1, k)
     h_k = hankel1_orders(trunc + 1, k)
+    j_k = h_k.real  # the J_m(k) that hankel1_orders filled it from
     jp_in = root_prod * derivative_orders(j_in)
     j_in = j_in[:-1]
     num = j_in * derivative_orders(j_k) - jp_in * j_k[:-1]
@@ -52,10 +52,10 @@ def _series_terms(medium, trunc):
 
 
 def _check_resonance(den, k):
-    """ResonanceError at the lowest order whose denominator vanished."""
+    """NearscatError at the lowest order whose denominator vanished."""
     small = np.flatnonzero(np.abs(den) <= RESONANCE_TOL)
     if small.size:
-        raise ResonanceError(
+        raise NearscatError(
             f"series denominator vanished at order {small[0]} (k = {k}); "
             "wavenumber is numerically a resonance"
         )

@@ -9,7 +9,7 @@ reads (each uses |(phi, v)|^2 or v |lambda| v^H).
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 
 def hermitian_eig(a):
@@ -21,10 +21,7 @@ def hermitian_eig(a):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    try:
-        vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(str(exc)) from exc
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
     order = np.lexsort((-vals, -np.abs(vals)))
     return vals[order], vecs[:, order]
 
@@ -60,10 +57,7 @@ def nsharp(n, regime):
     # only the sign of the eigenvalue of largest |lambda| is read, ties going
     # to the positive one as in hermitian_eig's order: the ascending values
     # of eigvalsh suffice, and no eigenvectors are formed
-    try:
-        vals = np.linalg.eigvalsh(im)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(str(exc)) from exc
+    vals = np.linalg.eigvalsh(im)
     sigma = 1.0 if (vals.size and vals[-1] >= -vals[0]) else -1.0
     return sigma * im
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, DomainError
+from .errors import DomainError, NearscatError
 from .fields import IndicatorField
 from .linalg import hermitian_eig
 from .specfun import fundamental_solution_many
@@ -108,7 +108,7 @@ def make_picard_data(nsharp_matrix, weight=1.0):
     vals, vecs = hermitian_eig(nsharp_matrix)
     lmax = float(np.max(vals, initial=0.0))
     if not lmax > 0.0:  # an empty spectrum too
-        raise DegenerateSpectrumError("N_sharp has no positive eigenvalues")
+        raise NearscatError("N_sharp has no positive eigenvalues")
     # lambda_1 itself is kept, and the kept values are positive, so
     # hermitian_eig's descending-|lambda| order is already descending
     keep = vals > CLIP_REL * lmax
@@ -125,8 +125,8 @@ def picard_weights(data, f=None):
     if f is not None:
         rows.append(data.weight * lam**3 * filter_value(f, lam**2) ** 2)
         if not rows[1].any():
-            raise DegenerateSpectrumError(f"the {f.kind} filter with eps = {f.eps:g} cuts every "
-                                          f"retained mode (lambda_1^2 = {lam[0] ** 2:g})")
+            raise NearscatError(f"the {f.kind} filter with eps = {f.eps:g} cuts every "
+                                f"retained mode (lambda_1^2 = {lam[0] ** 2:g})")
     return np.stack(rows)
 
 

@@ -18,7 +18,7 @@ from scipy.linalg import solve_triangular
 from nearscat.bayes import PosteriorSummary, _histogram_mode, _quadratic_form, design_matrix
 from nearscat.born import _gather_nodes
 from nearscat.disk import kernel_weights, series_coefficients
-from nearscat.errors import ChainError, DomainError
+from nearscat.errors import DomainError, NearscatError
 from nearscat.linalg import hermitian_eig
 from nearscat.sampling import (
     _MAPS,
@@ -584,7 +584,7 @@ def run_mh_collapsed(model, readings, proposal_sd=None):
         chain[it] = gamma
     rate = accepted / model.iterations
     if rate < 0.01:
-        raise ChainError(f"acceptance rate {rate:.3%} below 1%")
+        raise NearscatError(f"acceptance rate {rate:.3%} below 1%")
     samples = chain[model.burn_in :: model.thinning]
     return PosteriorSummary(
         samples=samples,

@@ -14,7 +14,7 @@ from nearscat.bayes import (
     synthesize_readings,
 )
 from nearscat.cli import run
-from nearscat.errors import ChainError, DomainError
+from nearscat.errors import DomainError, NearscatError
 from nearscat.geometry import Disk, Ellipse, Rectangle, ScattererSpec
 
 from reference import (
@@ -382,5 +382,5 @@ def test_chain_error_on_pathological_proposal(bayes_square, readings15):
         bayes_square, 1.0, iterations=burn_in + 2, burn_in=burn_in, seed=3
     )
     assert bad.kept == 2
-    with pytest.raises(ChainError, match="acceptance rate"):
+    with pytest.raises(NearscatError, match="acceptance rate"):
         run_mh(bad, readings15)

@@ -521,7 +521,30 @@ def test_main_bayes_setting_whose_square_leaves_the_float_range_exit_2(
     assert len(err_lines) == 1
     err = json.loads(err_lines[0])
     assert err["error"] == "config"
-    assert err["message"].startswith(f"{key} = ")
+    assert err["message"].startswith(f"bayes: {key} = ")
+
+
+@pytest.mark.parametrize(
+    "preset, path, value, message",
+    [
+        ("figure4", "bayes.thinning", 15000, "bayes: thinning 15000 keeps 1 draw"),
+        ("figure6", "disk_medium.a", 0, "disk_medium: disk coefficient a must be nonzero"),
+        ("figure1", "rule_order", 1, "rule_order: quadrature order must be"),
+        ("figure4", "bayes.rule_order", 1, "bayes: quadrature order must be"),
+    ],
+)
+def test_main_setting_a_library_object_rejects_names_its_path_exit_2(
+        tmp_path, capsys, preset, path, value, message):
+    # the two rule_order settings fail with one library message: only the
+    # path tells them apart
+    code = _main_on(tmp_path, _edited_preset(preset, path, value))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config"
+    assert err["message"].startswith(message)
 
 
 def test_proposal_sd_setting_is_an_unknown_key_exit_2(tmp_path, capsys):
@@ -795,6 +818,22 @@ def test_main_series_overflow_names_order_and_k_exit_3(tmp_path, capsys):
     err = json.loads(line)
     assert err["error"] == "numerical"
     assert "order 100" in err["message"] and "k = 1.0" in err["message"]
+
+
+def test_main_eigensolver_failure_exit_3_with_its_message(tmp_path, capsys, monkeypatch):
+    # LAPACK's "did not converge" reaches main as numpy's LinAlgError, which
+    # exits 3 as a numerical error carrying LAPACK's own message
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    code = main(["run", "--preset", "figure6", "--out", str(tmp_path / "out")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert json.loads(line) == {"error": "numerical", "message": "Eigenvalues did not converge"}
 
 
 @pytest.mark.parametrize("preset", ["figure6", "figure7"])

@@ -13,7 +13,7 @@ from nearscat.disk import (
     kernel_weights,
     series_coefficients,
 )
-from nearscat.errors import DomainError, ResonanceError
+from nearscat.errors import DomainError, NearscatError
 from nearscat.geometry import make_sensor_array
 
 from reference import (
@@ -78,7 +78,7 @@ def test_resonance_detection():
     # at a = 1, k = 1 (located by high-precision root finding)
     n_res = 1.2522593555094796 - 1.6250693654358740j
     medium = DiskMedium(a=1.0, n=n_res, k=1.0)
-    with pytest.raises(ResonanceError):
+    with pytest.raises(NearscatError, match="denominator vanished at order 0"):
         sigma_m(medium, 0)
 
 
