@@ -112,7 +112,7 @@ class PosteriorSummary:
     map_estimate: float  # histogram mode
     acceptance_rate: float
     chain_gamma: np.ndarray = field(repr=False, default=None)  # every iteration
-    chain_logpost: np.ndarray = field(repr=False, default=None)
+    runs: tuple = field(repr=False, default=None)  # (run_start, run_gamma, run_logpost): see run_mh
 
 
 def _histogram_mode(samples, bins=60):
@@ -173,8 +173,8 @@ def run_mh(model, readings):
     is kept as runs: each acceptance records only the step it happens at
     and its log ratio.  After the last batch, the runs' gamma and log_post
     are the cumulative sums of the accepted increments and log ratios
-    (`np.cumsum` adds in sequence, as a running total would), and the
-    per-step chains are expanded from those runs.
+    (`np.cumsum` adds in sequence, as a running total would).  The summary
+    carries the runs and the per-step gamma chain expanded from them.
     """
     q, lin, logp, share = _quadratic_form(model, readings)
     try:
@@ -230,15 +230,11 @@ def run_mh(model, readings):
             increments += (zs[accepted, p] / gamma_pivot).tolist()
             run_start += [start + j for j in accepted]
 
+    run_start = np.array(run_start)
     run_gamma = np.cumsum(increments)
-    run_logpost = np.cumsum(ratios)
-    lengths = np.diff(run_start, append=n)
-    chain_gamma = np.repeat(run_gamma, lengths)
-    chain_logpost = np.repeat(run_logpost, lengths)
-    post = model.iterations - model.burn_in
-    rate = (
-        np.count_nonzero(np.diff(chain_gamma[model.burn_in :]) != 0.0) / max(post - 1, 1)
-    )
+    chain_gamma = np.repeat(run_gamma, np.diff(run_start, append=n))
+    # BayesModel keeps at least 2 draws, so at least 2 steps follow burn-in
+    rate = np.count_nonzero(np.diff(chain_gamma[model.burn_in :])) / (n - model.burn_in - 1)
     if rate < 0.01:
         raise NearscatError(f"acceptance rate {rate:.3%} below 1% after burn-in")
     samples = chain_gamma[model.burn_in :: model.thinning]
@@ -249,5 +245,5 @@ def run_mh(model, readings):
         map_estimate=_histogram_mode(samples),
         acceptance_rate=rate,
         chain_gamma=chain_gamma,
-        chain_logpost=chain_logpost,
+        runs=(run_start, run_gamma, np.cumsum(ratios)),
     )

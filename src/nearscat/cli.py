@@ -453,11 +453,20 @@ def _write_manifest(out_dir, cfg, t0):
         fh.write("\n")
 
 
+def _check_grid_off_sensors(grid, sensors):
+    """Phi is singular at a sensor; near misses pass, as in fundamental_solution_many."""
+    on = np.isin(sensors.points[:, 0], grid.xs) & np.isin(sensors.points[:, 1], grid.ys)
+    if on.any():
+        x, y = sensors.points[np.argmax(on)]
+        raise ConfigError(f"grid: lattice point ({x:g}, {y:g}) is a sensor, where Phi is singular")
+
+
 def _run_born_music(s, out_dir):
     matrix = add_noise(
         assemble_multistatic(s["scatterers"], s["sensors"], s["k"], s["rule_order"]),
         *s["noise"],
     )
+    _check_grid_off_sensors(s["grid"], matrix.sensors)
     model = build_music(matrix, rank_override=s["rank_override"])
     export_field(music_field(model, matrix.sensors, matrix.wavenumber, s["grid"]), out_dir)
     return {"rank": model.rank}
@@ -466,6 +475,7 @@ def _run_born_music(s, out_dir):
 def _run_disk(s, out_dir):
     matrix = disk_mod.assemble_nearfield_matrix(s["disk_medium"], s["truncation"], s["quad_points"])
     sensors = matrix.sensors
+    _check_grid_off_sensors(s["grid"], sensors)
     data = make_picard_data(
         nsharp(matrix.data, s["regime"]), weight=2.0 * np.pi * sensors.radius / sensors.count
     )
@@ -486,7 +496,7 @@ def _run_bayes(s, out_dir):
         noise_frac=delta, seed=seed, rule_order=s["rule_order"],
     )
     summary = bayes_mod.run_mh(s["bayes"], readings)
-    write_chain_csv(summary.chain_gamma, summary.chain_logpost, out_dir / "chain.csv")
+    write_chain_csv(*summary.runs, summary.chain_gamma.size, out_dir / "chain.csv")
     stats = {
         "mean": summary.mean,
         "sd": summary.sd,

@@ -215,25 +215,17 @@ def write_field_csv(fld, path):
 _CHAIN_BLOCK = 2048
 
 
-def write_chain_csv(chain_gamma, chain_logpost, path):
-    """CSV with header "iteration,gamma,log_post", one row per chain entry.
+def write_chain_csv(run_start, run_gamma, run_logpost, n, path):
+    """CSV with header "iteration,gamma,log_post", one row per step of an
+    n-step chain given as runs: run k holds (run_gamma[k], run_logpost[k])
+    from step run_start[k] to the next run's start, and may be empty.
 
-    A rejected Metropolis-Hastings step repeats the previous state, so the
-    chain is written as runs of repeated states.  States are told apart by
-    their bit patterns: 0.0 and -0.0 differ there, and NaN equals NaN.  A
-    block of _CHAIN_BLOCK rows is a uint8 matrix: the iteration numbers
+    A block of _CHAIN_BLOCK rows is a uint8 matrix: the iteration numbers
     from the kernel's 4-digit groups, their leading zeros made pad bytes,
     then each run's "gamma,log_post" text, made by `_g17` once per run that
     meets the block and repeated over the run's rows.  The block is written
     as one buffer once its pad bytes are dropped.
     """
-    gamma = np.asarray(chain_gamma, dtype=float)
-    logpost = np.asarray(chain_logpost, dtype=float)
-    n = gamma.size
-    bits = np.stack([gamma, logpost]).view(np.int64)
-    new = np.ones(n, dtype=bool)
-    np.any(bits[:, 1:] != bits[:, :-1], axis=0, out=new[1:])
-    starts = np.flatnonzero(new)
     groups = _tables()[1]
     quads = -(-len(str(max(n - 1, 0))) // 4)
     w = 4 * quads  # the iteration's text, led by zero pad bytes
@@ -255,11 +247,11 @@ def write_chain_csv(chain_gamma, chain_logpost, path):
             # column k holds a leading zero of every number below 10**(w-1-k)
             for k in range(w - 1):
                 block[: max(10 ** (w - 1 - k) - b, 0), k] = 0
-            r0 = np.searchsorted(starts, b, side="right") - 1
-            r1 = np.searchsorted(starts, e)
-            first = starts[r0:r1]
-            text = _g17(np.stack([gamma[first], logpost[first]], axis=1)).reshape(-1, 2, _WIDTH)
-            edges = np.append(first, e)
+            # the runs that meet the block
+            r0 = np.searchsorted(run_start, b, side="right") - 1
+            r1 = np.searchsorted(run_start, e)
+            text = _g17(np.stack([run_gamma[r0:r1], run_logpost[r0:r1]], axis=1)).reshape(-1, 2, _WIDTH)
+            edges = np.append(run_start[r0:r1], e)
             edges[0] = b
             run = np.repeat(np.arange(r1 - r0), np.diff(edges))
             block[:, g:c] = text[run, 0]

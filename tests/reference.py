@@ -593,7 +593,6 @@ def run_mh_collapsed(model, readings, proposal_sd=None):
         map_estimate=_histogram_mode(samples),
         acceptance_rate=rate,
         chain_gamma=chain,
-        chain_logpost=None,
     )
 
 
@@ -623,6 +622,13 @@ def write_field_csv_rows(fld, path):
             args[::2] = [y] * nx
             args[1::2] = row
             fh.write(template % tuple(args))
+
+
+def expand_runs(n, run_start, *run_values):
+    """The per-step arrays of an n-step chain given as runs: run k holds
+    run_values[i][k] from step run_start[k] to the next run's start."""
+    lengths = np.diff(np.asarray(run_start, dtype=np.intp), append=n)
+    return tuple(np.repeat(values, lengths) for values in run_values)
 
 
 # runs per chain.csv block: the text of one block is in memory at a time

@@ -22,7 +22,7 @@ from nearscat.geometry import Disk, make_grid
 from nearscat.linalg import nsharp
 from nearscat.sampling import fm_mlsm_fields, make_picard_data
 
-from reference import grid_points, read_field_csv
+from reference import expand_runs, grid_points, read_field_csv
 
 
 def small_music_config():
@@ -409,8 +409,9 @@ def test_chain_csv_matches_per_row_reference(tmp_path, monkeypatch):
     override = {"bayes": {"iterations": 400, "burn_in": 100}}
     run(preset="figure4", config=override, out_dir=tmp_path)
     (summary,) = summaries
+    gamma, logpost = expand_runs(400, *summary.runs)
     lines = ["iteration,gamma,log_post"]
-    for it, (g, lp) in enumerate(zip(summary.chain_gamma, summary.chain_logpost)):
+    for it, (g, lp) in enumerate(zip(gamma, logpost)):
         lines.append(f"{it},{g:.17g},{lp:.17g}")
     assert (tmp_path / "chain.csv").read_text() == "\n".join(lines) + "\n"
 
@@ -545,6 +546,35 @@ def test_main_setting_a_library_object_rejects_names_its_path_exit_2(
     err = json.loads(line)
     assert err["error"] == "config"
     assert err["message"].startswith(message)
+
+
+@pytest.mark.parametrize(
+    "preset, grid, code, message",
+    [
+        ("figure6", {"bounds": [-2, 2, -2, 2], "nx": 5, "ny": 5}, 2, "(2, 0) is a sensor"),
+        ("figure1", {"bounds": [-1, 1, -1, 1], "nx": 3, "ny": 3}, 2, "(1, 0) is a sensor"),
+        # (0, ±R) miss the sensors at R(cos, sin)(±pi/2) by about 1e-16
+        ("figure6", {"bounds": [-2, 2, -2, 2], "nx": 5, "ny": 2}, 0, None),
+        ("figure1", {"bounds": [-1, 1, -1, 1], "nx": 3, "ny": 2}, 0, None),
+    ],
+    ids=["disk-fm-on-sensor", "born-music-on-sensor", "disk-fm-near-miss",
+         "born-music-near-miss"],
+)
+def test_main_grid_point_on_a_sensor_exit_2_near_miss_exit_0(
+        tmp_path, capsys, preset, grid, code, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    assert main(["run", "--preset", preset, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert captured.err == ""
+        return
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config"
+    assert err["message"].startswith(f"grid: lattice point {message}")
 
 
 def test_proposal_sd_setting_is_an_unknown_key_exit_2(tmp_path, capsys):
@@ -770,8 +800,9 @@ def test_main_sensor_inside_a_scatterer_exit_2_before_the_numerics(
 @pytest.mark.parametrize(
     "preset, override",
     [
-        # the grid point (1, 0) is the first sensor
-        ("figure1", {"grid": {"bounds": [-1.0, 1.0, -1.0, 1.0], "nx": 5, "ny": 5}}),
+        # the grid point (1, 1e-170) misses the first sensor, (1, 0), by a
+        # distance whose square underflows
+        ("figure1", {"grid": {"bounds": [-1.0, 1.0, -1e-170, 1e-170], "nx": 5, "ny": 2}}),
         # k|x - y| beyond MAX_ABS_ARG on the outer grid points
         ("figure6", {"grid": {"bounds": [-1e3, 1e3, -1e3, 1e3], "nx": 5, "ny": 5}}),
     ],

@@ -24,6 +24,7 @@ from nearscat.sampling import SENTINEL_CAP
 
 from reference import (
     argmax_point,
+    expand_runs,
     grid_points,
     local_maxima,
     read_field_csv,
@@ -169,24 +170,32 @@ def reference_chain_csv(gamma, logpost):
 _NAN = float("nan")
 
 
+def _runs(lengths, gamma, logpost, n=None):
+    """((run_start, run_gamma, run_logpost), n): an n-step chain of runs of
+    the given lengths, cut to the runs that start before step n, the last
+    of which runs on to step n."""
+    starts = np.cumsum(lengths) - lengths
+    n = int(np.sum(lengths)) if n is None else n
+    keep = starts < n
+    return (starts[keep], np.asarray(gamma)[keep], np.asarray(logpost)[keep]), n
+
+
 @pytest.mark.parametrize(
-    "gamma, logpost",
+    "lengths, gamma, logpost",
     [
-        ([1.5, 1.5, 1.5, 2.0, 2.0, 1.5, 1.5], [-3.0, -3.0, -3.0, -2.5, -2.5, -3.0, -3.0]),
-        ([0.0, -0.0, -0.0, 0.0], [-1.0, -1.0, -1.0, -1.0]),
-        ([1.0, 1.0, 1.0, 1.0], [0.0, 0.0, -0.0, -0.0]),
-        ([_NAN, _NAN, _NAN, 2.0, _NAN], [-1.0, -1.0, -1.0, -1.0, -1.0]),
-        ([0.1, 0.2, 0.2], [_NAN, _NAN, -7.0]),
-        ([0.1], [-2.0]),
-        ([0.1, 0.2] * 6, [-1e-300, -5e-324] * 6),
-        ([], []),
+        ([3, 2, 2], [1.5, 2.0, 1.5], [-3.0, -2.5, -3.0]),
+        ([1, 1, 1], [0.1, 0.2, 0.2], [_NAN, _NAN, -7.0]),
+        ([1], [0.1], [-2.0]),
+        ([1] * 12, [0.1, 0.2] * 6, [-1e-300, -5e-324] * 6),
+        ([], [], []),
     ],
-    ids=["repeats", "signed-zero-gamma", "signed-zero-logpost", "nan-run-gamma",
-         "nan-run-logpost", "one-row", "alternating", "empty"],
+    ids=["repeats", "nan-run-logpost", "one-row", "alternating", "empty"],
 )
-def test_chain_csv_matches_per_row_reference(tmp_path, gamma, logpost):
-    write_chain_csv(np.array(gamma), np.array(logpost), tmp_path / "chain.csv")
-    assert (tmp_path / "chain.csv").read_text() == reference_chain_csv(gamma, logpost)
+def test_chain_csv_matches_per_row_reference(tmp_path, lengths, gamma, logpost):
+    runs, n = _runs(np.array(lengths, dtype=int), gamma, logpost)
+    write_chain_csv(*runs, n, tmp_path / "chain.csv")
+    want = reference_chain_csv(*expand_runs(n, *runs))
+    assert (tmp_path / "chain.csv").read_text() == want
 
 
 def _long_chain():
@@ -200,23 +209,23 @@ def _long_chain():
     gamma[[7, 8, 300, 301]] = [_NAN, _NAN, 0.0, -0.0]
     logpost[[7, 300, 301, 302, 303, 1500]] = [_NAN, 0.0, -0.0, np.inf, -np.inf, _NAN]
     gamma[[302, 303]] = [np.inf, -np.inf]
-    return np.repeat(gamma, lengths), np.repeat(logpost, lengths)
+    return _runs(lengths, gamma, logpost)
 
 
 def test_chain_csv_matches_per_row_reference_across_blocks(tmp_path):
-    gamma, logpost = _long_chain()
-    write_chain_csv(gamma, logpost, tmp_path / "chain.csv")
+    runs, n = _long_chain()
+    write_chain_csv(*runs, n, tmp_path / "chain.csv")
     got = (tmp_path / "chain.csv").read_text().splitlines()
-    want = reference_chain_csv(gamma, logpost).splitlines()
+    want = reference_chain_csv(*expand_runs(n, *runs)).splitlines()
     # the first differing line, not a diff of some 30,000 lines
     first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
     assert first is None, f"line {first}: {got[first]!r} != {want[first]!r}"
     assert len(got) == len(want)
 
 
-def assert_chain_csv_matches_rows_writer(tmp_path, gamma, logpost):
-    write_chain_csv(gamma, logpost, tmp_path / "chain.csv")
-    write_chain_csv_rows(gamma, logpost, tmp_path / "rows.csv")
+def assert_chain_csv_matches_rows_writer(tmp_path, runs, n):
+    write_chain_csv(*runs, n, tmp_path / "chain.csv")
+    write_chain_csv_rows(*expand_runs(n, *runs), tmp_path / "rows.csv")
     got = (tmp_path / "chain.csv").read_bytes()
     want = (tmp_path / "rows.csv").read_bytes()
     if got != want:
@@ -232,7 +241,7 @@ def _random_runs(size, seed):
     lengths = rng.integers(1, 13, size // 6 + 1)
     gamma = rng.normal(1.0, 0.2, lengths.size)
     logpost = rng.normal(-40.0, 5.0, lengths.size)
-    return np.repeat(gamma, lengths)[:size], np.repeat(logpost, lengths)[:size]
+    return _runs(lengths, gamma, logpost, size)
 
 
 @pytest.mark.parametrize("size", [11, 10_001, 100_001, 1_000_001],
@@ -247,6 +256,27 @@ def test_chain_csv_matches_rows_writer_about_a_block(tmp_path, size):
     assert_chain_csv_matches_rows_writer(tmp_path, *_random_runs(size, size))
 
 
+def _every_step_accepts(n):
+    # run 0, the start state, is empty: step 0 accepts, as does every step after it
+    rng = np.random.default_rng(45)
+    return _runs(np.array([0] + [1] * n), rng.normal(0.0, 1.0, n + 1),
+                 rng.normal(-30.0, 3.0, n + 1))
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        _runs(np.array([0, 3, 1, 2]), [0.0, 0.5, 0.25, -0.125], [-10.0, -9.5, -9.25, -9.0]),
+        _runs(np.array([2000, 100, 100]), [1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]),
+        _every_step_accepts(fields._CHAIN_BLOCK + 7),
+        _runs(np.array([2 * fields._CHAIN_BLOCK + 1]), [0.75], [-4.5]),
+    ],
+    ids=["empty-first-run", "run-across-a-block-edge", "every-step-accepts", "single-run"],
+)
+def test_chain_csv_from_runs_matches_rows_writer(tmp_path, chain):
+    assert_chain_csv_matches_rows_writer(tmp_path, *chain)
+
+
 def test_chain_csv_matches_rows_writer_on_special_values(tmp_path):
     special = [0.0, -0.0, _NAN, np.inf, -np.inf, 5e-324, -5e-324,
                1e300, -1e300, 1e-300, -1e-300]
@@ -254,8 +284,7 @@ def test_chain_csv_matches_rows_writer_on_special_values(tmp_path):
     gamma = rng.choice(special, 400)
     logpost = rng.choice(special, 400)
     lengths = rng.integers(1, 5, 400)
-    assert_chain_csv_matches_rows_writer(tmp_path, np.repeat(gamma, lengths),
-                                         np.repeat(logpost, lengths))
+    assert_chain_csv_matches_rows_writer(tmp_path, *_runs(lengths, gamma, logpost))
 
 
 @pytest.mark.parametrize("preset", ["figure4", "figure5"])
@@ -271,7 +300,8 @@ def test_chain_csv_matches_rows_writer_on_preset_chains(tmp_path, monkeypatch, p
     monkeypatch.setattr(bayes, "run_mh", capturing)
     cli.run(preset=preset, out_dir=tmp_path / "run", seed=seed)
     (summary,) = summaries
-    write_chain_csv_rows(summary.chain_gamma, summary.chain_logpost, tmp_path / "rows.csv")
+    write_chain_csv_rows(*expand_runs(summary.chain_gamma.size, *summary.runs),
+                         tmp_path / "rows.csv")
     assert (tmp_path / "run" / "chain.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
