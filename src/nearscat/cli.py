@@ -47,84 +47,57 @@ from .sampling import FilterSpec, fm_mlsm_fields, make_picard_data
 from .specfun import MAX_ORDER
 
 # ---------------------------------------------------------------------------
-# Presets: the standard experiment configurations at desk scale.
+# Presets: the standard experiment configurations at desk scale.  Each figure
+# family varies one thing on a shared setup: the scatterer (figures 1-3), the
+# assumed support (figures 4-5) or the medium (figures 6-7).  Every builder
+# returns new objects, so no two presets share a nested list or dict.
 
-PRESETS = {
-    "figure1": {
-        "mode": "born-music",
+
+def _square(half):
+    return {"type": "rectangle", "corner_min": [-half, -half], "corner_max": [half, half]}
+
+
+def _ellipse(value):
+    """The ellipse of figures 1-2 with the constant index value = [re, im]."""
+    return {
+        "shape": {"type": "ellipse", "center": [0.5, -0.5], "a": 0.2, "b": 0.1},
+        "index": {"kind": "constant", "value": value},
+    }
+
+
+def _square_x1():
+    """Figure 3's square with n = x1^2 + 2, also the data of figures 4-5."""
+    return {"shape": _square(0.2), "index": {"kind": "poly_x1", "coeffs": [2.0, 0.0, 1.0]}}
+
+
+def _born(mode, scatterers):
+    """The Born-data setup of figures 1-5."""
+    return {
+        "mode": mode,
         "k": 1.0,
         "sensors": {"count": 32, "radius": 1.0},
-        "scatterers": [
-            {
-                "shape": {"type": "disk", "center": [-0.5, 0.5], "radius": 0.2},
-                "index": {"kind": "constant", "value": [5.0, 0.0]},
-            },
-            {
-                "shape": {"type": "ellipse", "center": [0.5, -0.5], "a": 0.2, "b": 0.1},
-                "index": {"kind": "constant", "value": [5.0, 0.0]},
-            },
-        ],
+        "scatterers": scatterers,
         "rule_order": 16,
+    }
+
+
+def _music(*scatterers):
+    """Figures 1-3: MUSIC on the Born data of these scatterers."""
+    return {
+        **_born("born-music", list(scatterers)),
         "grid": {"bounds": [-0.9, 0.9, -0.9, 0.9], "nx": 101, "ny": 101},
         "noise": {"delta": 0.0, "seed": 7},
         "rank_override": None,
-    },
-    "figure2": {
-        "mode": "born-music",
-        "k": 1.0,
-        "sensors": {"count": 32, "radius": 1.0},
-        "scatterers": [
-            {
-                "shape": {"type": "ellipse", "center": [0.5, -0.5], "a": 0.2, "b": 0.1},
-                "index": {"kind": "constant", "value": [2.0, 1.0]},
-            }
-        ],
-        "rule_order": 16,
-        "grid": {"bounds": [-0.9, 0.9, -0.9, 0.9], "nx": 101, "ny": 101},
-        "noise": {"delta": 0.0, "seed": 7},
-        "rank_override": None,
-    },
-    "figure3": {
-        "mode": "born-music",
-        "k": 1.0,
-        "sensors": {"count": 32, "radius": 1.0},
-        "scatterers": [
-            {
-                "shape": {
-                    "type": "rectangle",
-                    "corner_min": [-0.2, -0.2],
-                    "corner_max": [0.2, 0.2],
-                },
-                "index": {"kind": "poly_x1", "coeffs": [2.0, 0.0, 1.0]},
-            }
-        ],
-        "rule_order": 16,
-        "grid": {"bounds": [-0.9, 0.9, -0.9, 0.9], "nx": 101, "ny": 101},
-        "noise": {"delta": 0.0, "seed": 7},
-        "rank_override": None,
-    },
-    "figure4": {
-        "mode": "bayes",
-        "k": 1.0,
-        "sensors": {"count": 32, "radius": 1.0},
-        "scatterers": [
-            {
-                "shape": {
-                    "type": "rectangle",
-                    "corner_min": [-0.2, -0.2],
-                    "corner_max": [0.2, 0.2],
-                },
-                "index": {"kind": "poly_x1", "coeffs": [2.0, 0.0, 1.0]},
-            }
-        ],
-        "rule_order": 16,
+    }
+
+
+def _bayes(half):
+    """Figures 4-5: gamma on the data of figure 3, assuming the square of this half-width."""
+    return {
+        **_born("bayes", [_square_x1()]),
         "noise": {"delta": 0.15, "seed": 11},
         "bayes": {
-            "support": {
-                "type": "rectangle",
-                "corner_min": [-0.2, -0.2],
-                "corner_max": [0.2, 0.2],
-            },
+            "support": _square(half),
             "rule_order": 3,
             "h": None,
             "prior_sd": 1e5,
@@ -133,33 +106,37 @@ PRESETS = {
             "thinning": 1,
             "seed": 101,
         },
-    },
-    "figure6": {
+    }
+
+
+def _disk_fm(a, n, regime):
+    """Figures 6-7: FM and MLSM on the exact data of the unit disk with A = a*I and index n."""
+    return {
         "mode": "disk-fm",
         "k": 1.0,
-        "disk_medium": {"a": [0.5, 0.0], "n": [5.0, 0.0]},
-        "regime": "nonabsorbing",
+        "disk_medium": {"a": a, "n": n},
+        "regime": regime,
         "truncation": 20,
         "quad_points": 64,
         "grid": {"bounds": [-1.8, 1.8, -1.8, 1.8], "nx": 101, "ny": 101},
         "filter": None,
-    },
-    "figure7": {
-        "mode": "disk-fm",
-        "k": 1.0,
-        "disk_medium": {"a": [3.0, -1.0], "n": [0.25, 2.0]},
-        "regime": "absorbing",
-        "truncation": 20,
-        "quad_points": 64,
-        "grid": {"bounds": [-1.8, 1.8, -1.8, 1.8], "nx": 101, "ny": 101},
-        "filter": None,
-    },
-}
-PRESETS["figure5"] = copy.deepcopy(PRESETS["figure4"])
-PRESETS["figure5"]["bayes"]["support"] = {
-    "type": "rectangle",
-    "corner_min": [-0.265, -0.265],
-    "corner_max": [0.265, 0.265],
+    }
+
+
+PRESETS = {
+    "figure1": _music(
+        {
+            "shape": {"type": "disk", "center": [-0.5, 0.5], "radius": 0.2},
+            "index": {"kind": "constant", "value": [5.0, 0.0]},
+        },
+        _ellipse([5.0, 0.0]),
+    ),
+    "figure2": _music(_ellipse([2.0, 1.0])),
+    "figure3": _music(_square_x1()),
+    "figure4": _bayes(0.2),
+    "figure6": _disk_fm([0.5, 0.0], [5.0, 0.0], "nonabsorbing"),
+    "figure7": _disk_fm([3.0, -1.0], [0.25, 2.0], "absorbing"),
+    "figure5": _bayes(0.265),
 }
 
 
@@ -180,6 +157,7 @@ MAX_GRID_POINTS = 2048 * 2048
 MAX_BORN_NODES = 16384
 MAX_SENSORS = 1024
 MAX_ITERATIONS = 10**7
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal positive floats
 
 
 def _check(ok, path, what, value):
@@ -348,7 +326,9 @@ def _noise(default_delta):
 
 _COMMON = {
     "mode": (_any, ...),
-    "k": (_where(_real, lambda k: k > 0.0, "positive"), 1.0),
+    # the Born data and the posterior take k^2, which must neither underflow nor overflow
+    "k": (_where(_real, lambda k: k > 0.0 and _TINY <= k * k <= _HUGE,
+                 f"positive with a square in [{_TINY:.3g}, {_HUGE:.3g}]"), 1.0),
     "output_dir": (_text, "out"),
 }
 _SCATTERING = {

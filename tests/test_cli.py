@@ -1,6 +1,7 @@
 """CLI tests: config validation, presets, output formats, exit codes."""
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -57,7 +58,41 @@ def small_disk_config():
 
 
 def test_presets_cover_all_figures():
-    assert set(PRESETS) == {f"figure{i}" for i in range(1, 8)}
+    # pinned: code that lists the presets iterates in this order
+    assert list(PRESETS) == [f"figure{i}" for i in (1, 2, 3, 4, 6, 7, 5)]
+
+
+# sha256 of json.dumps(preset): the exact text that manifest.json echoes
+_PRESET_SHA256 = {
+    "figure1": "8bdf3ecb38f84fcfd8e63c8b297d0ed955411e88373b88bffd00b67e2908f3e0",
+    "figure2": "01189091d5f4347a4ea727666a9ba64d859363a3f324cdb7b42bda24c5828e5c",
+    "figure3": "09f9b72929a62d08984fdb8b7c95ed5f73ede2a575d90a7bbf496dfaf1d1f95a",
+    "figure4": "2a149e5ae65ec020a133baee062c5d1aacd5f19f325f35ed8ec5210e0879f7d4",
+    "figure5": "a6152165ca8324eec83222c5b9c178011c0cf2d228cdf4bfc3ccd6d682d6ccd6",
+    "figure6": "b30ecb0d3972dfca3997d7ee7501c89ecc577424827c3b4475dccc070bc946e1",
+    "figure7": "286b3bc1c6730647276f89d879ad908b59157862f2b14fa1b517ddddd1a2d4de",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_PRESET_SHA256))
+def test_preset_text_is_pinned(preset):
+    text = json.dumps(PRESETS[preset])
+    assert hashlib.sha256(text.encode()).hexdigest() == _PRESET_SHA256[preset]
+
+
+def test_presets_share_no_nested_object():
+    # callers copy presets shallowly: a list or dict held by two presets would
+    # carry an edit of one into the other
+    def containers(node):
+        if isinstance(node, (dict, list)):
+            yield id(node)
+            for child in node.values() if isinstance(node, dict) else node:
+                yield from containers(child)
+
+    seen = {}
+    for name, preset in PRESETS.items():
+        for obj in containers(preset):
+            assert seen.setdefault(obj, name) == name, f"{name} shares an object with {seen[obj]}"
 
 
 def test_validate_rejects_unknown_keys():
@@ -727,6 +762,14 @@ def test_main_bad_nested_value_exit_2(tmp_path, capsys, monkeypatch, preset, pat
         ("figure1", "scatterers", PRESETS["figure1"]["scatterers"][:1] * 65),
         # the series evaluates order truncation + 1, and MAX_ORDER is 200
         ("figure6", "truncation", 200),
+        # k^2 outside the normal floats: unchecked, figure1 ran on flat or
+        # subnormal data and the others failed later in the numerics
+        ("figure1", "k", 1e-170),
+        ("figure1", "k", 1e-160),
+        ("figure1", "k", 1.4e-154),
+        ("figure1", "k", 1e200),
+        ("figure6", "k", 1e-300),
+        ("figure4", "k", 1e-170),
     ],
 )
 def test_main_out_of_range_imaging_setting_exit_2(
@@ -737,9 +780,10 @@ def test_main_out_of_range_imaging_setting_exit_2(
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    err_lines = captured.err.splitlines()
-    assert len(err_lines) == 1
-    assert json.loads(err_lines[0])["error"] == "config"
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config"
+    assert path.split(".")[0] in err["message"].split()[0]  # the message names the setting first
 
 
 _DISK = {"type": "disk", "center": [0.0, 0.0], "radius": 0.3}
