@@ -132,12 +132,18 @@ def _quadratic_form(model, readings):
     ||Re(B^H B)||_2 h^2/delta^2 = ||[Re B; Im B]||_2^2 h^2/delta^2 sizes the
     data term against the prior's 1/h^2 term.
     """
-    if readings.delta <= 0.0:
-        raise DomainError("readings.delta must be positive for the likelihood")
+    # delta scales with the readings (synthesize_readings), so tiny readings
+    # leave a delta^2 that is subnormal or 0 and loses the likelihood's digits;
+    # a Python float square that would overflow raises OverflowError instead
+    d2 = readings.delta**2
+    if not d2 >= _TINY:
+        raise NearscatError(
+            f"the noise delta = {readings.delta:g} has the square {d2:.3g}, below the "
+            f"normal floats (from {_TINY:.3g}): the readings are too small for the likelihood"
+        )
     b = design_matrix(model, readings)
     u = readings.values
     p = b.shape[1]
-    d2 = readings.delta**2
     h2 = model.h**2
     q = np.empty((p + 1, p + 1))
     q[:p, :p] = (b.conj().T @ b).real / d2 + np.eye(p) / h2
@@ -148,6 +154,15 @@ def _quadratic_form(model, readings):
     c = -float(np.sum(u.real**2 + u.imag**2)) / (2.0 * d2)
     share = np.linalg.norm(np.vstack([b.real, b.imag]), 2) ** 2 * h2 / d2
     return q, lin, c, share
+
+
+# run_mh's draw layout: the chain is taken in batches of _MH_BATCH steps.  A
+# batch's Gram matrix (80 kB at 100 steps) stays below glibc's 128 kB mmap
+# threshold, so it is not mapped and unmapped once per batch.
+_MH_BATCH = 100
+# The number of a batch's log ratios that its scan reads per tolist(); it
+# changes no bit of the chain, only how often an acceptance re-reads them.
+_MH_WINDOW = 16
 
 
 def run_mh(model, readings):
@@ -161,13 +176,14 @@ def run_mh(model, readings):
     moves by zs[P] / L[P, P], as L^-T is upper triangular.
 
     The draws of a random-walk sampler do not depend on its state, so the
-    chain goes one batch of m <= 50 steps at a time.  A batch takes its
+    chain goes one batch of m <= 100 steps at a time.  A batch takes its
     random numbers in two calls: an (m, P + 1) standard normal block, whose
     row i holds step i's P eta draws and then gamma's, followed by m accept
     uniforms.  The batch is scored from its Gram matrix G = zs zs^T: its
-    log ratios start as r = zs.w - 1/2 diag(G), and an acceptance at step j
-    moves them by -G[j], one m-vector update, after which the scan goes on
-    from j + 1.  w moves once per batch, by the sum of the accepted zs.
+    log ratios start as r = zs.w - 1/2 diag(G), and the scan reads them 16
+    at a time.  An acceptance at step j moves them by -G[j], one m-vector
+    update, after which the scan reads on from j + 1.  w moves once per
+    batch, by the sum of the accepted zs.
 
     Most steps are rejected and repeat the state before them, so the chain
     is kept as runs: each acceptance records only the step it happens at
@@ -204,27 +220,24 @@ def run_mh(model, readings):
     run_start = [0]
     ratios = [logp]
     increments = [0.0]
-    batch_len = 50
-    for start in range(0, n, batch_len):
-        m = min(batch_len, n - start)
+    for start in range(0, n, _MH_BATCH):
+        m = min(_MH_BATCH, n - start)
         zs = scale * rng.standard_normal((m, dim))
         log_u = np.log(rng.random(m)).tolist()
         gram = zs @ zs.T
         r = zs @ w - 0.5 * gram.diagonal()
-        scores = r.tolist()
         accepted = []  # the batch's accepted steps
         t = 0
-        while True:
-            for j in range(t, m):
-                if log_u[j] < scores[j]:
+        while t < m:
+            for j, score in enumerate(r[t : t + _MH_WINDOW].tolist(), t):
+                if log_u[j] < score:
+                    accepted.append(j)
+                    ratios.append(score)
+                    r -= gram[j]
+                    t = j + 1
                     break
             else:
-                break
-            accepted.append(j)
-            ratios.append(scores[j])
-            r -= gram[j]
-            scores = r.tolist()
-            t = j + 1
+                t += _MH_WINDOW
         if accepted:
             w -= np.add.reduce(zs.take(accepted, axis=0))
             increments += (zs[accepted, p] / gamma_pivot).tolist()

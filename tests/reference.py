@@ -417,12 +417,17 @@ def _log_posterior_from_mu(model, readings, gamma, eta, mu):
     return loglike + logp_eta + logp_gamma
 
 
+# The batch length of `bayes.run_mh`'s draw layout, restated rather than
+# imported so that a change of the layout fails the samplers below.
+MH_BATCH = 100
+
+
 def reference_run_mh(model, readings):
     """The joint random-walk MH of `bayes.run_mh`, evaluating the full complex
     residual over every reading at each step.
 
     Takes the random numbers in `run_mh`'s batch layout: at the start of
-    every 50-step batch of m steps, standard_normal((m, P + 1)) (row i holds
+    every 100-step batch of m steps, standard_normal((m, P + 1)) (row i holds
     step i's eta draws, then gamma's) and then random(m), the accept
     uniforms.  Step i proposes d with L^T d = s z_i, solved by back
     substitution, where Q = L L^T is the posterior precision and
@@ -442,13 +447,12 @@ def reference_run_mh(model, readings):
 
     chain_gamma = np.empty(model.iterations)
     chain_logpost = np.empty(model.iterations)
-    batch_len = 50
     for it in range(model.iterations):
-        if it % batch_len == 0:
-            m = min(batch_len, model.iterations - it)
+        if it % MH_BATCH == 0:
+            m = min(MH_BATCH, model.iterations - it)
             z = rng.standard_normal((m, dim))
             uniforms = rng.random(m)
-        i = it % batch_len
+        i = it % MH_BATCH
         d = solve_triangular(chol_t, scale * z[i], lower=False)
         eta_new = eta + d[:p]
         gamma_new = gamma + d[p]
@@ -483,9 +487,8 @@ def tail_fill_run_mh(model, readings):
     n = model.iterations
     chain_gamma = np.empty(n)
     chain_logpost = np.empty(n)
-    batch_len = 50
-    for start in range(0, n, batch_len):
-        stop = min(start + batch_len, n)
+    for start in range(0, n, MH_BATCH):
+        stop = min(start + MH_BATCH, n)
         m = stop - start
         zs = scale * rng.standard_normal((m, dim))
         log_u = np.log(rng.random(m)).tolist()

@@ -191,10 +191,11 @@ def test_run_mh_matches_residual_reference(readings15, half_width, seed, proposa
 @pytest.mark.parametrize(
     "iterations, burn_in",
     [
-        (1537, 520),  # neither a multiple of the 50-step batch
+        (1537, 520),  # neither a multiple of the 100-step batch
         (1537, 0),  # no burn-in
         (1501, 500),  # a last batch of one step
-        (1549, 549),  # burn-in ends one step short of a batch edge
+        (1599, 599),  # burn-in ends one step short of a batch edge
+        (1509, 500),  # a last batch shorter than one 16-step scan window
     ],
 )
 def test_run_mh_batch_edges_match_residual_reference(readings15, iterations, burn_in):
@@ -226,7 +227,8 @@ def _same_bits(a, b):
         (0.2, 1537, 520, 4, {}),
         (0.2, 1537, 0, 4, {}),
         (0.2, 1501, 500, 4, {}),
-        (0.2, 1549, 549, 4, {}),
+        (0.2, 1599, 599, 4, {}),
+        (0.2, 1509, 500, 4, {}),
     ],
 )
 def test_run_mh_chains_bitwise_equal_tail_fill(readings15, half_width, iterations,

@@ -661,6 +661,22 @@ def test_precision_whose_data_term_rounds_away_names_h_exit_3(tmp_path, capsys, 
     assert f"h = {h:g}" in err["message"]
 
 
+@pytest.mark.parametrize("k", [1e-80, 1e-150])
+def test_readings_whose_noise_square_underflows_name_delta_exit_3(tmp_path, capsys, k):
+    # the readings scale as k^2, so delta^2 is subnormal at k = 1e-80 and
+    # delta itself is 0 at k = 1e-150
+    code = _main_on(tmp_path, _edited_preset("figure4", "k", k))
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "numerical"
+    assert "delta" in err["message"]
+    assert "too small" in err["message"]
+
+
 def test_precision_whose_data_term_is_above_the_float_precision_runs(tmp_path):
     # at h = 1e-8 the data term is about 1.7e-14 of the 1/h^2 term
     run(preset="figure4", config={"bayes": {"h": 1e-8}}, out_dir=tmp_path)
