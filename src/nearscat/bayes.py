@@ -133,13 +133,14 @@ def _quadratic_form(model, readings):
     data term against the prior's 1/h^2 term.
     """
     # delta scales with the readings (synthesize_readings), so tiny readings
-    # leave a delta^2 that is subnormal or 0 and loses the likelihood's digits;
-    # a Python float square that would overflow raises OverflowError instead
-    d2 = readings.delta**2
-    if not d2 >= _TINY:
+    # leave a delta^2 that is subnormal or 0 and loses the likelihood's digits,
+    # and huge ones a delta^2 of inf (delta * delta; delta**2 would raise)
+    d2 = readings.delta * readings.delta
+    if not _TINY <= d2 <= _HUGE:
         raise NearscatError(
-            f"the noise delta = {readings.delta:g} has the square {d2:.3g}, below the "
-            f"normal floats (from {_TINY:.3g}): the readings are too small for the likelihood"
+            f"the noise delta = {readings.delta:g} has the square {d2:.3g}, outside the normal "
+            f"floats [{_TINY:.3g}, {_HUGE:.3g}]: the readings are too "
+            f"{'small' if d2 < _TINY else 'large'} for the likelihood"
         )
     b = design_matrix(model, readings)
     u = readings.values

@@ -547,36 +547,36 @@ def run(config=None, preset=None, out_dir=None, seed=None):
     return result
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors (one JSON line, exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="nearscat")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="nearscat")
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
     runp = sub.add_parser("run", help="run one experiment")
     runp.add_argument("--config", type=Path, default=None)
     runp.add_argument("--out", type=Path, default=None)
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--preset", type=str, default=None)
-    args = parser.parse_args(argv)
-
-    cfg = None
-    if args.config is not None:
-        try:
-            cfg = json.loads(args.config.read_text())
-        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, text or nesting
-            print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-            return 2
     try:
+        args = parser.parse_args(argv)
+        try:
+            cfg = None if args.config is None else json.loads(args.config.read_text())
+        except (OSError, ValueError, RecursionError) as exc:  # bad JSON, text or nesting
+            raise ConfigError(str(exc)) from None
         # overflow and invalid values raise, so they exit 3 without printing warnings
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             result = run(config=cfg, preset=args.preset, out_dir=args.out, seed=args.seed)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: writing the outputs
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
     except (NearscatError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
         return 3
-    except OSError as exc:  # writing the outputs
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return 2
     print(json.dumps(result))
     return 0
 

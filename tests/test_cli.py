@@ -23,6 +23,7 @@ from nearscat.geometry import Disk, make_grid
 from nearscat.linalg import nsharp
 from nearscat.sampling import fm_mlsm_fields, make_picard_data
 
+from failure_cases import CASES, check_case
 from reference import expand_runs, grid_points, read_field_csv
 
 
@@ -972,22 +973,10 @@ print(json.dumps({{"codes": codes, "scipy": loaded}}))
     assert report["scipy"] == []
 
 
-def test_overflow_in_numerics_exits_3_with_one_stderr_line(tmp_path):
-    # the sensor radius overflows in the containment test and in Phi; from a
-    # shell, NumPy warnings must not come before the JSON error line
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sensors": {"radius": 1e300}}))
-    src = Path(nearscat.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "nearscat.cli", "run", "--preset", "figure1",
-         "--config", str(cfg), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    err_lines = proc.stderr.splitlines()
-    assert len(err_lines) == 1
-    assert json.loads(err_lines[0])["error"] == "numerical"
+@pytest.mark.parametrize("case", CASES, ids=[case["id"] for case in CASES])
+def test_failure_case_exits_with_one_json_line_and_no_traceback(tmp_path, case):
+    # every documented failure, run as a real process (tests/failure_cases.json)
+    check_case(case, tmp_path)
 
 
 @pytest.mark.parametrize("preset", [None, "figure1"])
