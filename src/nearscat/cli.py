@@ -41,9 +41,9 @@ from .geometry import (
     quadrature_order,
     scaled,
 )
-from .linalg import REGIMES, nsharp
-from .music import build_music, music_field
-from .sampling import FilterSpec, fm_mlsm_fields, make_picard_data
+from .linalg import REGIMES
+from .music import music_field
+from .sampling import FilterSpec, fm_mlsm_fields
 from .specfun import MAX_ORDER
 
 # ---------------------------------------------------------------------------
@@ -405,8 +405,10 @@ def validate_config(cfg):
             delta = s["noise"][0]
             _check(delta > 0.0, "noise.delta", "positive: the likelihood needs noise", delta)
             settings = {key: val for key, val in s["bayes"].items() if val is not None}
-            s["bayes"] = _build("bayes", bayes_mod.make_bayes_model, settings.pop("support"),
-                                s["k"], **settings)
+            support = settings.pop("support")
+            if support.contains(s["sensors"].points).any():  # Phi is singular at a sensor
+                raise ConfigError("bayes.support: a sensor lies inside the assumed support")
+            s["bayes"] = _build("bayes", bayes_mod.make_bayes_model, support, s["k"], **settings)
         else:
             m, q = s["truncation"], s["quad_points"]
             _check(q >= 2 * m + 2, "quad_points", f">= 2 * truncation + 2 = {2 * m + 2}", q)
@@ -421,9 +423,9 @@ def validate_config(cfg):
 # Runners: numerics and export of validated inputs
 
 
-def export_field(fld, out_dir, stem="field"):
-    write_field_csv(fld, out_dir / f"{stem}.csv")
-    write_field_pgm(fld, out_dir / f"{stem}.pgm")
+def export_field(grid, values, out_dir, stem="field"):
+    write_field_csv(grid, values, out_dir / f"{stem}.csv")
+    write_field_pgm(grid, values, out_dir / f"{stem}.pgm")
 
 
 def _write_manifest(out_dir, cfg, t0):
@@ -447,26 +449,22 @@ def _run_born_music(s, out_dir):
         *s["noise"],
     )
     _check_grid_off_sensors(s["grid"], matrix.sensors)
-    model = build_music(matrix, rank_override=s["rank_override"])
-    export_field(music_field(model, matrix.sensors, matrix.wavenumber, s["grid"]), out_dir)
-    return {"rank": model.rank}
+    rank, values = music_field(matrix, s["grid"], s["rank_override"])
+    export_field(s["grid"], values, out_dir)
+    return {"rank": rank}
 
 
 def _run_disk(s, out_dir):
     matrix = disk_mod.assemble_nearfield_matrix(s["disk_medium"], s["truncation"], s["quad_points"])
-    sensors = matrix.sensors
-    _check_grid_off_sensors(s["grid"], sensors)
-    data = make_picard_data(
-        nsharp(matrix.data, s["regime"]), weight=2.0 * np.pi * sensors.radius / sensors.count
-    )
-    w_field, p_field = fm_mlsm_fields(data, sensors, matrix.wavenumber, s["grid"], s["filter"])
-    export_field(w_field, out_dir)
-    if p_field is w_field:  # `filter: null`: P is W, so its files are W's
+    _check_grid_off_sensors(s["grid"], matrix.sensors)
+    modes, rows = fm_mlsm_fields(matrix, s["regime"], s["grid"], s["filter"])
+    export_field(s["grid"], rows[0], out_dir)
+    if len(rows) == 1:  # `filter: null`: P is W, so its files are W's
         for ext in ("csv", "pgm"):
             shutil.copyfile(out_dir / f"field.{ext}", out_dir / f"mlsm.{ext}")
     else:
-        export_field(p_field, out_dir, stem="mlsm")
-    return {"retained_modes": int(data.size)}
+        export_field(s["grid"], rows[1], out_dir, stem="mlsm")
+    return {"retained_modes": modes}
 
 
 def _run_bayes(s, out_dir):
@@ -476,7 +474,7 @@ def _run_bayes(s, out_dir):
         noise_frac=delta, seed=seed, rule_order=s["rule_order"],
     )
     summary = bayes_mod.run_mh(s["bayes"], readings)
-    write_chain_csv(*summary.runs, summary.chain_gamma.size, out_dir / "chain.csv")
+    write_chain_csv(*summary.runs, s["bayes"].iterations, out_dir / "chain.csv")
     stats = {
         "mean": summary.mean,
         "sd": summary.sd,

@@ -1,6 +1,7 @@
-"""Indicator fields over sampling grids and their on-disk formats.
+"""Indicator values over sampling grids and their on-disk formats.
 
-CSV: header "x,y,value", row-major with y as the outer loop, every number
+The values of a SamplingGrid are an (nx * ny,) array, row-major with y as
+the outer loop.  CSV: header "x,y,value", in the same order, every number
 written as Python's '%.17g' writes it.  Chain CSV: header
 "iteration,gamma,log_post", 17 significant digits.  PGM: ASCII P2, 8-bit,
 linear min-to-max scaling (constant fields render as mid-gray 128), the
@@ -26,22 +27,10 @@ that power itself.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import SamplingGrid
-
-
-@dataclass(frozen=True)
-class IndicatorField:
-    grid: SamplingGrid
-    values: np.ndarray  # (nx*ny,), row-major, y outer loop
-
-    def as_image(self):
-        """(ny, nx) view of the values."""
-        return self.values.reshape(self.grid.ny, self.grid.nx)
 
 
 # values per block of CSV text: bounds the text matrix and the kernel's
@@ -180,14 +169,14 @@ def _g17(values):
     return out
 
 
-def write_field_csv(fld, path):
+def write_field_csv(grid, values, path):
     """Each distinct coordinate is formatted once.  A block is a few grid
     rows, or part of one row on grids wider than a block: a uint8 matrix of
     x, y and value text with their separators, written as one buffer once
     its zero pad bytes are dropped."""
-    img = fld.as_image()
-    ny, nx = img.shape
-    coords = _g17(np.concatenate([fld.grid.xs, fld.grid.ys]))
+    ny, nx = grid.ny, grid.nx
+    img = values.reshape(ny, nx)
+    coords = _g17(np.concatenate([grid.xs, grid.ys]))
     xs, ys = coords[:nx], coords[nx:]
     rows = max(1, _TEXT_BLOCK // nx)
     cols = min(nx, _TEXT_BLOCK)
@@ -267,9 +256,9 @@ def _pgm_cells():
                          dtype=np.uint32)
 
 
-def write_field_pgm(fld, path):
+def write_field_pgm(grid, values, path):
     """A finite range too wide for a float is scaled through its halves."""
-    img = fld.as_image()
+    img = values.reshape(grid.ny, grid.nx)
     bad = int(np.count_nonzero(~np.isfinite(img)))
     if bad:
         raise DomainError(f"cannot scale a PGM: the field has {bad} non-finite value(s)")

@@ -7,28 +7,20 @@ keeps the condition number unsquared.  The indicator is the reciprocal
 squared norm of the noise-space projection of the steering vector; it
 blows up at scatterer centers.  It is the spectral range test of
 `sampling` with unit weights on the noise space, evaluated block by block
-by `sampling.grid_indicators`.
+by `sampling.grid_indicators` on the matrix's sensors and wavenumber.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .fields import IndicatorField
 from .linalg import spectral_gap_rank
 from .sampling import grid_indicators
 
 
-@dataclass(frozen=True)
-class MusicModel:
-    singular_values: np.ndarray  # of N, descending
-    vectors: np.ndarray  # the left singular vectors U, as columns
-    rank: int
-
-
 def build_music(matrix, rank_override=None):
-    """SVD of N and the signal-subspace dimension.
+    """(rank, noise_vectors): the signal-subspace dimension r of a
+    MultistaticMatrix and the left singular vectors U[:, r:] of its data,
+    as columns, that span the noise space.
 
     Default rank detection uses the largest multiplicative spectral gap:
     finite-size scatterers leave a physically low-rank signal subspace whose
@@ -47,14 +39,16 @@ def build_music(matrix, rank_override=None):
         r = int(rank_override)
         if not 0 <= r <= data.shape[0]:
             raise DomainError(f"rank override {r} outside [0, {data.shape[0]}]")
-    return MusicModel(singular_values=sigma, vectors=u, rank=r)
+    return r, u[:, r:]
 
 
-def music_field(model, sensors, k, grid):
-    """I(z) = [sum_{j>r} |(phi_z, u_j)|^2]^{-1} over a sampling grid, for the
-    steering vectors phi_z = Phi(sensors, z) at wavenumber k."""
-    noise_vecs = model.vectors[:, model.rank :]
+def music_field(matrix, grid, rank_override=None):
+    """(rank, values): the rank of build_music and
+    I(z) = [sum_{j>r} |(phi_z, u_j)|^2]^{-1} over a sampling grid, for the
+    steering vectors phi_z = Phi(sensors, z) of the matrix's sensors at its
+    wavenumber."""
+    rank, noise = build_music(matrix, rank_override)
     (values,) = grid_indicators(
-        noise_vecs, np.ones((1, noise_vecs.shape[1])), sensors, k, grid
+        noise, np.ones((1, noise.shape[1])), matrix.sensors, matrix.wavenumber, grid
     )
-    return IndicatorField(grid=grid, values=values)
+    return rank, values

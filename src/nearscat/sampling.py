@@ -25,10 +25,11 @@ figure6/7); a grid that shares no map is evaluated exactly as by the
 plain blocked loop.
 
 Discrete inner products on the measurement curve carry a uniform
-arc-length weight so sums approximate L2(C) pairings.  Eigenvectors are
-kept l2-orthonormal internally; the weight enters Picard sums and norms as
-a single global factor, which leaves every relative classification
-untouched (scaling covariance).
+arc-length weight so sums approximate L2(C) pairings: `fm_mlsm_fields`
+takes it from the matrix's sensor circle, 2 pi R / Q for Q sensors at
+radius R.  Eigenvectors are kept l2-orthonormal internally; the weight
+enters Picard sums and norms as a single global factor, which leaves every
+relative classification untouched (scaling covariance).
 """
 
 from dataclasses import dataclass
@@ -36,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NearscatError
-from .fields import IndicatorField
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, nsharp
 from .specfun import fundamental_solution_many
 
 SENTINEL_CAP = 1e12
@@ -86,21 +86,10 @@ def filter_value(f, t):
     return (1.0 - base ** (1.0 / f.eps)) / t
 
 
-@dataclass(frozen=True)
-class PicardData:
-    """Positive part of an N_sharp eigensystem plus the curve weight."""
-
-    eigenvalues: np.ndarray  # retained, descending, > 0
-    eigenvectors: np.ndarray  # matching l2-orthonormal columns
-    weight: float = 1.0
-
-    @property
-    def size(self):
-        return self.eigenvalues.size
-
-
-def make_picard_data(nsharp_matrix, weight=1.0):
-    """Eigendecompose N_sharp and keep eigenvalues above CLIP_REL * lambda_1.
+def make_picard_data(nsharp_matrix):
+    """(eigenvalues, eigenvectors) of N_sharp: the eigenvalues above
+    CLIP_REL * lambda_1, descending and positive, and their l2-orthonormal
+    eigenvectors as columns.
 
     Small negatives (hypothesis-tolerance violations) are discarded with the
     rest of the clipped spectrum.
@@ -112,18 +101,19 @@ def make_picard_data(nsharp_matrix, weight=1.0):
     # lambda_1 itself is kept, and the kept values are positive, so
     # hermitian_eig's descending-|lambda| order is already descending
     keep = vals > CLIP_REL * lmax
-    return PicardData(eigenvalues=vals[keep], eigenvectors=vecs[:, keep], weight=float(weight))
+    return vals[keep], vecs[:, keep]
 
 
-def picard_weights(data, f=None):
-    """Weight rows of the spectral kernel for a Picard system: FM's
-    weight/lambda_j, then, for an MLSM filter f, weight * lambda_j^3
-    f(lambda_j^2)^2.  A filter that cuts every retained mode leaves P(z)
-    with nothing to sum and is rejected."""
-    lam = data.eigenvalues
-    rows = [data.weight / lam]
+def picard_weights(eigenvalues, weight, f=None):
+    """Weight rows of the spectral kernel for the eigenvalues of
+    make_picard_data and the curve weight: FM's weight/lambda_j, then, for
+    an MLSM filter f, weight * lambda_j^3 f(lambda_j^2)^2.  A filter that
+    cuts every retained mode leaves P(z) with nothing to sum and is
+    rejected."""
+    lam = eigenvalues
+    rows = [weight / lam]
     if f is not None:
-        rows.append(data.weight * lam**3 * filter_value(f, lam**2) ** 2)
+        rows.append(weight * lam**3 * filter_value(f, lam**2) ** 2)
         if not rows[1].any():
             raise NearscatError(f"the {f.kind} filter with eps = {f.eps:g} cuts every "
                                 f"retained mode (lambda_1^2 = {lam[0] ** 2:g})")
@@ -286,16 +276,19 @@ def grid_indicators(vecs, weights, sensors, k, grid):
     return out
 
 
-def fm_mlsm_fields(data, sensors, k, grid, f=None):
-    """W(z) = [Picard sum]^{-1} and P(z) = |(N_sharp g_z, g_z)|^{-1} over a
+def fm_mlsm_fields(matrix, regime, grid, f=None):
+    """(retained_modes, rows): the modes make_picard_data keeps of the
+    N_sharp of a MultistaticMatrix in the given regime, and the rows
+    W(z) = [Picard sum]^{-1} and P(z) = |(N_sharp g_z, g_z)|^{-1} over a
     grid, for g_z = sum_j lambda_j f(lambda_j^2) (phi_z, psi_j) psi_j, from
-    one projection of each steering vector.
+    one projection of each steering vector of the matrix's sensors.
 
     The default filter (f None, a config's `filter: null`) keeps every
     retained mode, f(t) = 1/t: the MLSM weights lambda^3 f(lambda^2)^2 are
-    then the FM weights 1/lambda, so only W is reduced and the same field
-    is returned for both.  A regularized MLSM needs an explicit f.
+    then the FM weights 1/lambda, so only W is reduced and rows holds it
+    alone, as P too.  A regularized MLSM needs an explicit f.
     """
-    rows = grid_indicators(data.eigenvectors, picard_weights(data, f), sensors, k, grid)
-    fields = [IndicatorField(grid=grid, values=values) for values in rows]
-    return fields[0], fields[-1]
+    lam, vecs = make_picard_data(nsharp(matrix.data, regime))
+    sensors = matrix.sensors
+    weights = picard_weights(lam, 2.0 * np.pi * sensors.radius / sensors.count, f)
+    return lam.size, grid_indicators(vecs, weights, sensors, matrix.wavenumber, grid)

@@ -55,25 +55,37 @@ def fig7_medium():
     return DiskMedium(a=3.0 - 1.0j, n=0.25 + 2.0j, k=1.0)
 
 
+# the arc-length weight 2 pi R / Q of the disk figures' 64 sensors
 CURVE_WEIGHT = 2.0 * np.pi * SENSOR_RADIUS / 64
 
 
 @pytest.fixture(scope="session")
-def fig6_picard(fig6_medium):
-    matrix = assemble_nearfield_matrix(fig6_medium, 20, 64)
-    return make_picard_data(nsharp(matrix.data, "nonabsorbing"), weight=CURVE_WEIGHT)
+def fig6_matrix(fig6_medium):
+    return assemble_nearfield_matrix(fig6_medium, 20, 64)
 
 
 @pytest.fixture(scope="session")
-def fig6_fields(fig6_picard, disk_sensors64, disk_grid101):
-    """The figure6 FM and MLSM fields (W, P) over disk_grid101 at k = 1."""
-    return fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101)
+def fig6_picard(fig6_matrix):
+    """(eigenvalues, eigenvectors) of the figure6 N_sharp."""
+    return make_picard_data(nsharp(fig6_matrix.data, "nonabsorbing"))
 
 
 @pytest.fixture(scope="session")
-def fig7_picard(fig7_medium):
-    matrix = assemble_nearfield_matrix(fig7_medium, 20, 64)
-    return make_picard_data(nsharp(matrix.data, "absorbing"), weight=CURVE_WEIGHT)
+def fig6_fields(fig6_matrix, disk_grid101):
+    """The figure6 FM and MLSM values (W, P) over disk_grid101 at k = 1."""
+    _, rows = fm_mlsm_fields(fig6_matrix, "nonabsorbing", disk_grid101)
+    return rows[0], rows[-1]
+
+
+@pytest.fixture(scope="session")
+def fig7_matrix(fig7_medium):
+    return assemble_nearfield_matrix(fig7_medium, 20, 64)
+
+
+@pytest.fixture(scope="session")
+def fig7_picard(fig7_matrix):
+    """(eigenvalues, eigenvectors) of the figure7 N_sharp."""
+    return make_picard_data(nsharp(fig7_matrix.data, "absorbing"))
 
 
 @pytest.fixture(scope="session")

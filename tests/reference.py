@@ -197,15 +197,17 @@ def nsharp_from_parts(n, regime):
     return (1.0 if vals[0] >= 0.0 else -1.0) * im
 
 
-def cutoff_at_rank(data):
-    """Spectral-cutoff filter that keeps every retained mode.
+def cutoff_at_rank(picard):
+    """Spectral-cutoff filter that keeps every retained mode of an
+    (eigenvalues, eigenvectors) pair of make_picard_data.
 
     The clip of make_picard_data is the only truncation of N_sharp: the
     cutoff parameter sits just below lambda_min^2, so the filter is 1/t on
     every retained lambda^2 and the MLSM weights lambda^3 f(lambda^2)^2
     equal the FM weights 1/lambda up to rounding.
     """
-    return FilterSpec(kind="cutoff", eps=float(data.eigenvalues[-1] ** 2 * (1.0 - 1e-9)))
+    lam, _ = picard
+    return FilterSpec(kind="cutoff", eps=float(lam[-1] ** 2 * (1.0 - 1e-9)))
 
 
 @dataclass(frozen=True)
@@ -221,8 +223,10 @@ class EquivalenceReport:
         return not self.violations
 
 
-def fm_mlsm_equivalence_check(data, phi_z, m_terms, eps_sequence, f_kind="tikhonov", a=None, tol=1e-9):
-    """Numerical check of the two-sided Picard bracketing for C_reg = 1 filters.
+def fm_mlsm_equivalence_check(picard, weight, phi_z, m_terms, eps_sequence, f_kind="tikhonov",
+                              a=None, tol=1e-9):
+    """Numerical check of the two-sided Picard bracketing for C_reg = 1
+    filters, for an (eigenvalues, eigenvectors) pair and a curve weight.
 
     The upper bound holds at every eps (term-wise, since t f(t) <= 1); the
     lower bound is a limit statement, checked at the smallest eps against
@@ -235,19 +239,19 @@ def fm_mlsm_equivalence_check(data, phi_z, m_terms, eps_sequence, f_kind="tikhon
         e2 >= e1 for e1, e2 in zip(eps_sequence, eps_sequence[1:])
     ):
         raise DomainError("eps_sequence must be strictly decreasing")
-    if not 1 <= m_terms <= data.size:
-        raise DomainError(f"m_terms must lie in [1, {data.size}], got {m_terms}")
+    lam, vecs = picard
+    if not 1 <= m_terms <= lam.size:
+        raise DomainError(f"m_terms must lie in [1, {lam.size}], got {m_terms}")
 
-    c = data.eigenvectors.conj().T @ np.asarray(phi_z, dtype=complex)
-    lam = data.eigenvalues
-    picard_terms = data.weight * np.abs(c) ** 2 / lam
+    c = vecs.conj().T @ np.asarray(phi_z, dtype=complex)
+    picard_terms = weight * np.abs(c) ** 2 / lam
     partial = float(np.sum(picard_terms[:m_terms]))
     full = float(np.sum(picard_terms))
 
     values = []
     for e in eps_sequence:
         fvals = filter_value(FilterSpec(kind=f_kind, eps=e, a=a), lam**2)
-        values.append(float(data.weight * np.sum(lam**3 * fvals**2 * np.abs(c) ** 2)))
+        values.append(float(weight * np.sum(lam**3 * fvals**2 * np.abs(c) ** 2)))
 
     violations = []
     scale = max(full, 1.0)
@@ -609,19 +613,24 @@ def grid_points(grid):
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def write_field_csv_rows(fld, path):
+def as_image(grid, values):
+    """(ny, nx) view of a grid's values."""
+    return values.reshape(grid.ny, grid.nx)
+
+
+def write_field_csv_rows(grid, values, path):
     """The field CSV through Python's own '%.17g', one `%` call per grid
     row: each distinct coordinate is formatted once, the nx x strings are
     spliced into one row template, and each grid row fills it with the row's
     y (formatted once) interleaved with its values."""
-    nx = fld.grid.nx
-    xs = map("{:.17g}".format, fld.grid.xs.tolist())
+    nx = grid.nx
+    xs = map("{:.17g}".format, grid.xs.tolist())
     template = "".join(x + ",%s,%.17g\n" for x in xs)
-    ys = map("{:.17g}".format, fld.grid.ys.tolist())
+    ys = map("{:.17g}".format, grid.ys.tolist())
     args = [None] * (2 * nx)
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        for y, row in zip(ys, fld.as_image().tolist()):
+        for y, row in zip(ys, as_image(grid, values).tolist()):
             args[::2] = [y] * nx
             args[1::2] = row
             fh.write(template % tuple(args))
@@ -674,17 +683,17 @@ def read_field_csv(path):
     return np.array([[float(c) for c in r.split(",")] for r in rows])
 
 
-def argmax_point(fld):
-    """The grid point of the field's largest value."""
-    return grid_points(fld.grid)[int(np.argmax(fld.values))]
+def argmax_point(grid, values):
+    """The grid point of the largest value."""
+    return grid_points(grid)[int(np.argmax(values))]
 
 
-def local_maxima(fld, top=None):
+def local_maxima(grid, values, top=None):
     """Grid points that beat their 8-neighborhood, sorted by value descending.
 
     Returns (points, values).
     """
-    img = fld.as_image()
+    img = as_image(grid, values)
     ny, nx = img.shape
     padded = np.full((ny + 2, nx + 2), -np.inf)
     padded[1:-1, 1:-1] = img
@@ -701,5 +710,5 @@ def local_maxima(fld, top=None):
     ys, xs, vals = ys[order], xs[order], vals[order]
     if top is not None:
         ys, xs, vals = ys[:top], xs[:top], vals[:top]
-    pts = np.column_stack([fld.grid.xs[xs], fld.grid.ys[ys]])
+    pts = np.column_stack([grid.xs[xs], grid.ys[ys]])
     return pts, vals

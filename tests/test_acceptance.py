@@ -19,10 +19,11 @@ from nearscat.cli import PRESETS, run
 from nearscat.disk import DiskMedium, assemble_nearfield_matrix
 from nearscat.geometry import Rectangle, ScattererSpec, constant_index, make_sensor_array
 from nearscat.linalg import hermitian_eig, nsharp
-from nearscat.music import build_music, music_field
+from nearscat.music import music_field
 from nearscat.sampling import fm_mlsm_fields
 from nearscat.specfun import fundamental_solution_many
 
+from conftest import CURVE_WEIGHT
 from reference import (
     bessel_j,
     bessel_y,
@@ -115,13 +116,13 @@ def test_criterion_3_music_localization(figure1_scatterers, unit_sensors32, grid
     cell = 1.8 / 100
 
     m = assemble_multistatic(figure1_scatterers, unit_sensors32, 1.0, 16)
-    model = build_music(m)
-    rank_ok = model.rank == 2
-    pts, _ = local_maxima(music_field(model, unit_sensors32, 1.0, grid101), top=2)
+    rank, values = music_field(m, grid101)
+    rank_ok = rank == 2
+    pts, _ = local_maxima(grid101, values, top=2)
     clean_err = max(np.abs(pts - t).max(axis=1).min() for t in truths)
 
-    noisy = build_music(add_noise(m, 0.02, 7))
-    pts_n, _ = local_maxima(music_field(noisy, unit_sensors32, 1.0, grid101), top=2)
+    _, noisy = music_field(add_noise(m, 0.02, 7), grid101)
+    pts_n, _ = local_maxima(grid101, noisy, top=2)
     noisy_err = max(np.abs(pts_n - t).max(axis=1).min() for t in truths)
 
     elapsed = _deadline(3, started, 20.0)
@@ -129,7 +130,7 @@ def test_criterion_3_music_localization(figure1_scatterers, unit_sensors32, grid
     _report(
         3,
         ok,
-        f"rank {model.rank} (want 2), noiseless peak error {clean_err / cell:.2f} "
+        f"rank {rank} (want 2), noiseless peak error {clean_err / cell:.2f} "
         f"cells (tol 1), delta=0.02 error {noisy_err / cell:.2f} cells (tol 2), "
         f"{elapsed:.1f}s",
     )
@@ -175,13 +176,13 @@ def _jaccard_half_interior_median(values, grid):
     return np.sum(pred & inside) / np.sum(pred | inside)
 
 
-def test_criterion_6_factorization_method(fig6_picard, disk_sensors64, disk_grid101):
+def test_criterion_6_factorization_method(fig6_matrix, disk_grid101):
     started = time.perf_counter()
-    fld, _ = fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101)
-    jac = _jaccard_half_interior_median(fld.values, disk_grid101)
+    _, (w,) = fm_mlsm_fields(fig6_matrix, "nonabsorbing", disk_grid101)
+    jac = _jaccard_half_interior_median(w, disk_grid101)
     r = np.hypot(*grid_points(disk_grid101).T)
-    core = fld.values[r <= 0.8].mean()
-    annulus = fld.values[(r >= 1.2) & (r <= 1.8)].mean()
+    core = w[r <= 0.8].mean()
+    annulus = w[(r >= 1.2) & (r <= 1.8)].mean()
     elapsed = _deadline(6, started, 30.0)
     ok = jac >= 0.5 and core >= 10 * annulus
     _report(
@@ -192,7 +193,7 @@ def test_criterion_6_factorization_method(fig6_picard, disk_sensors64, disk_grid
     )
 
 
-def test_criterion_7_absorbing_regime(fig7_medium, disk_sensors64, disk_grid101):
+def test_criterion_7_absorbing_regime(fig7_medium, disk_grid101):
     started = time.perf_counter()
     matrix = assemble_nearfield_matrix(fig7_medium, 20, 64)
     ns = nsharp(matrix.data, "absorbing")
@@ -200,11 +201,8 @@ def test_criterion_7_absorbing_regime(fig7_medium, disk_sensors64, disk_grid101)
     lam_max, lam_min = vals.max(), vals.min()
     positive = lam_min >= -1e-10 * lam_max
 
-    from nearscat.sampling import make_picard_data
-
-    data = make_picard_data(ns, weight=2 * np.pi * 2.0 / 64)
-    fld, _ = fm_mlsm_fields(data, disk_sensors64, 1.0, disk_grid101)
-    jac = _jaccard_half_interior_median(fld.values, disk_grid101)
+    _, (w,) = fm_mlsm_fields(matrix, "absorbing", disk_grid101)
+    jac = _jaccard_half_interior_median(w, disk_grid101)
     elapsed = _deadline(7, started, 30.0)
     ok = positive and jac >= 0.5
     _report(
@@ -215,11 +213,11 @@ def test_criterion_7_absorbing_regime(fig7_medium, disk_sensors64, disk_grid101)
     )
 
 
-def test_criterion_8_fm_mlsm_equivalence(fig6_picard, disk_sensors64, disk_grid101):
+def test_criterion_8_fm_mlsm_equivalence(fig6_picard, fig6_matrix, disk_sensors64, disk_grid101):
     started = time.perf_counter()
     eps_seq = [10.0 ** (-j) for j in range(1, 9)]
     rng = np.random.default_rng(808)
-    lam = fig6_picard.eigenvalues
+    lam, _ = fig6_picard
     m_cut = int(np.count_nonzero(lam**2 > eps_seq[-1]))
 
     def sample(r_lo, r_hi, n):
@@ -231,13 +229,13 @@ def test_criterion_8_fm_mlsm_equivalence(fig6_picard, disk_sensors64, disk_grid1
     for z in np.vstack([sample(0.05, 0.6, 20), sample(1.3, 1.8, 20)]):
         interior = np.hypot(*z) < 1.0
         phi = fundamental_solution_many(1.0, disk_sensors64.points, z[None, :])[:, 0]
-        rep = fm_mlsm_equivalence_check(fig6_picard, phi, fig6_picard.size, eps_seq)
+        rep = fm_mlsm_equivalence_check(fig6_picard, CURVE_WEIGHT, phi, lam.size, eps_seq)
         # upper bound + monotone dynamics under the tikhonov filter
         if any("upper" in v or "monotone" in v for v in rep.violations):
             bracketing_ok = False
         # exact two-sided bracketing under the spectral cutoff filter
         rep_cut = fm_mlsm_equivalence_check(
-            fig6_picard, phi, m_cut, eps_seq, f_kind="cutoff"
+            fig6_picard, CURVE_WEIGHT, phi, m_cut, eps_seq, f_kind="cutoff"
         )
         bracketing_ok = bracketing_ok and rep_cut.ok
         if interior:
@@ -246,8 +244,8 @@ def test_criterion_8_fm_mlsm_equivalence(fig6_picard, disk_sensors64, disk_grid1
         else:
             min_growth = min(min_growth, rep.values[-1] / rep.values[0])
 
-    w_field, p_field = fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101)
-    w, p = w_field.values, p_field.values
+    _, rows = fm_mlsm_fields(fig6_matrix, "nonabsorbing", disk_grid101)
+    w, p = rows[0], rows[-1]
     rho = spearmanr(w, p).statistic
 
     elapsed = _deadline(8, started, 60.0)

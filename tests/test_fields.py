@@ -1,4 +1,4 @@
-"""Indicator-field container and CSV/PGM format tests."""
+"""Indicator-value layout and CSV/PGM format tests."""
 
 import os
 import subprocess
@@ -12,18 +12,13 @@ import pytest
 import nearscat
 from nearscat import bayes, cli, fields
 from nearscat.errors import DomainError
-from nearscat.fields import (
-    IndicatorField,
-    _g17,
-    write_chain_csv,
-    write_field_csv,
-    write_field_pgm,
-)
+from nearscat.fields import _g17, write_chain_csv, write_field_csv, write_field_pgm
 from nearscat.geometry import SamplingGrid, make_grid
 from nearscat.sampling import SENTINEL_CAP
 
 from reference import (
     argmax_point,
+    as_image,
     expand_runs,
     grid_points,
     local_maxima,
@@ -34,37 +29,34 @@ from reference import (
 
 
 def small_field():
-    grid = make_grid((0.0, 1.0, 0.0, 1.0), 2, 2)
-    return IndicatorField(grid=grid, values=np.array([0.0, 1.0, 2.0, 3.0]))
+    """(grid, values) of a 2 x 2 grid."""
+    return make_grid((0.0, 1.0, 0.0, 1.0), 2, 2), np.array([0.0, 1.0, 2.0, 3.0])
 
 
 def test_as_image_row_major():
-    fld = small_field()
-    assert np.array_equal(fld.as_image(), [[0.0, 1.0], [2.0, 3.0]])
+    assert np.array_equal(as_image(*small_field()), [[0.0, 1.0], [2.0, 3.0]])
 
 
 def test_argmax_point():
-    fld = small_field()
-    assert np.allclose(argmax_point(fld), [1.0, 1.0])
+    assert np.allclose(argmax_point(*small_field()), [1.0, 1.0])
 
 
 def test_csv_roundtrip(tmp_path):
     grid = make_grid((-0.3, 0.7, 0.1, 0.9), 4, 3)
     rng = np.random.default_rng(40)
-    fld = IndicatorField(grid=grid, values=rng.uniform(0, 5, 12))
+    values = rng.uniform(0, 5, 12)
     path = tmp_path / "field.csv"
-    write_field_csv(fld, path)
+    write_field_csv(grid, values, path)
     txt = path.read_text().splitlines()
     assert txt[0] == "x,y,value"
     back = read_field_csv(path)
     assert np.array_equal(back[:, :2], grid_points(grid))
-    assert np.array_equal(back[:, 2], fld.values)
+    assert np.array_equal(back[:, 2], values)
 
 
 def test_pgm_linear_scale(tmp_path):
-    fld = small_field()
     path = tmp_path / "f.pgm"
-    write_field_pgm(fld, path)
+    write_field_pgm(*small_field(), path)
     lines = path.read_text().splitlines()
     assert lines[0] == "P2"
     assert lines[1] == "2 2"
@@ -75,9 +67,8 @@ def test_pgm_linear_scale(tmp_path):
 
 def test_pgm_constant_field_midgray(tmp_path):
     grid = make_grid((0, 1, 0, 1), 2, 2)
-    fld = IndicatorField(grid=grid, values=np.full(4, 7.0))
     path = tmp_path / "c.pgm"
-    write_field_pgm(fld, path)
+    write_field_pgm(grid, np.full(4, 7.0), path)
     pixels = [int(v) for row in path.read_text().splitlines()[3:] for v in row.split()]
     assert pixels == [128, 128, 128, 128]
 
@@ -86,21 +77,21 @@ def test_pgm_constant_field_midgray(tmp_path):
 def test_pgm_rejects_non_finite_fields(tmp_path, bad):
     # inf used to cast to a negative pixel, nan to an all-128 picture
     grid = make_grid((0, 1, 0, 1), 2, 2)
-    fld = IndicatorField(grid=grid, values=np.array([0.0, 1.0, 2.0, bad]))
+    values = np.array([0.0, 1.0, 2.0, bad])
     with pytest.raises(DomainError, match="1 non-finite value"):
-        write_field_pgm(fld, tmp_path / "f.pgm")
+        write_field_pgm(grid, values, tmp_path / "f.pgm")
     assert not (tmp_path / "f.pgm").exists()
 
 
-def reference_csv(fld):
+def reference_csv(grid, values):
     lines = ["x,y,value"]
-    for (x, y), v in zip(grid_points(fld.grid), fld.values):
+    for (x, y), v in zip(grid_points(grid), values):
         lines.append(f"{x:.17g},{y:.17g},{v:.17g}")
     return "\n".join(lines) + "\n"
 
 
-def reference_pgm(fld):
-    img = fld.as_image()
+def reference_pgm(grid, values):
+    img = as_image(grid, values)
     lo, hi = float(np.min(img)), float(np.max(img))
     lines = ["P2", f"{img.shape[1]} {img.shape[0]}", "255"]
     for row in img:
@@ -129,11 +120,11 @@ def _mixed_values():
     ids=["mixed", "subnormal", "constant", "all-capped"],
 )
 def test_writers_match_per_cell_reference(tmp_path, values):
-    fld = IndicatorField(grid=make_grid((-0.9, 1.0 / 3.0, -1.8, 1e-7), 7, 5), values=values)
-    write_field_csv(fld, tmp_path / "f.csv")
-    write_field_pgm(fld, tmp_path / "f.pgm")
-    assert (tmp_path / "f.csv").read_text() == reference_csv(fld)
-    assert (tmp_path / "f.pgm").read_text() == reference_pgm(fld)
+    grid = make_grid((-0.9, 1.0 / 3.0, -1.8, 1e-7), 7, 5)
+    write_field_csv(grid, values, tmp_path / "f.csv")
+    write_field_pgm(grid, values, tmp_path / "f.pgm")
+    assert (tmp_path / "f.csv").read_text() == reference_csv(grid, values)
+    assert (tmp_path / "f.pgm").read_text() == reference_pgm(grid, values)
 
 
 def thin_grid(nx, ny):
@@ -147,17 +138,17 @@ THIN = [(2, 9), (9, 2), (1, 9), (9, 1)]
 @pytest.mark.parametrize("nx, ny", THIN)
 def test_csv_matches_per_cell_reference_on_thin_grids(tmp_path, nx, ny):
     values = np.random.default_rng(42).normal(0.0, 1e3, nx * ny)
-    fld = IndicatorField(grid=thin_grid(nx, ny), values=values)
-    write_field_csv(fld, tmp_path / "f.csv")
-    assert (tmp_path / "f.csv").read_text() == reference_csv(fld)
+    grid = thin_grid(nx, ny)
+    write_field_csv(grid, values, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_text() == reference_csv(grid, values)
 
 
 @pytest.mark.parametrize("nx, ny", THIN)
 def test_pgm_matches_per_cell_reference_on_thin_grids(tmp_path, nx, ny):
     values = np.random.default_rng(42).normal(0.0, 1e3, nx * ny)
-    fld = IndicatorField(grid=thin_grid(nx, ny), values=values)
-    write_field_pgm(fld, tmp_path / "f.pgm")
-    assert (tmp_path / "f.pgm").read_text() == reference_pgm(fld)
+    grid = thin_grid(nx, ny)
+    write_field_pgm(grid, values, tmp_path / "f.pgm")
+    assert (tmp_path / "f.pgm").read_text() == reference_pgm(grid, values)
 
 
 def reference_chain_csv(gamma, logpost):
@@ -398,9 +389,9 @@ def test_import_builds_no_text_tables():
 def test_csv_matches_row_template_on_preset_fields(tmp_path, monkeypatch, preset):
     written = []
 
-    def both(fld, path):
-        write_field_csv(fld, path)
-        write_field_csv_rows(fld, path.with_suffix(".rows"))
+    def both(grid, values, path):
+        write_field_csv(grid, values, path)
+        write_field_csv_rows(grid, values, path.with_suffix(".rows"))
         written.append(path)
 
     monkeypatch.setattr(cli, "write_field_csv", both)
@@ -418,9 +409,9 @@ def test_csv_matches_row_template_on_preset_fields(tmp_path, monkeypatch, preset
 def test_pgm_matches_per_cell_reference_on_preset_fields(tmp_path, monkeypatch, preset, seed):
     written = []
 
-    def checked(fld, path):
-        write_field_pgm(fld, path)
-        written.append(path.read_text() == reference_pgm(fld))
+    def checked(grid, values, path):
+        write_field_pgm(grid, values, path)
+        written.append(path.read_text() == reference_pgm(grid, values))
 
     monkeypatch.setattr(cli, "write_field_pgm", checked)
     cli.run(preset=preset, out_dir=tmp_path, seed=seed)
@@ -428,20 +419,20 @@ def test_pgm_matches_per_cell_reference_on_preset_fields(tmp_path, monkeypatch, 
 
 
 def test_pgm_ramp_hits_every_level(tmp_path):
-    fld = IndicatorField(grid=thin_grid(256, 1), values=np.linspace(-3.0, 5.0, 256))
-    write_field_pgm(fld, tmp_path / "f.pgm")
+    grid, values = thin_grid(256, 1), np.linspace(-3.0, 5.0, 256)
+    write_field_pgm(grid, values, tmp_path / "f.pgm")
     text = (tmp_path / "f.pgm").read_text()
-    assert text == reference_pgm(fld)
+    assert text == reference_pgm(grid, values)
     assert text.splitlines()[3].split() == [str(v) for v in range(256)]
 
 
 def test_pgm_scales_a_finite_range_wider_than_a_float(tmp_path):
     # max - min overflows to inf: the range is scaled through its halves
     # instead of writing the pixel -9223372036854775808
-    fld = IndicatorField(grid=thin_grid(4, 1), values=np.array([-1e308, 0.0, 1.0, 1e308]))
+    values = np.array([-1e308, 0.0, 1.0, 1e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        write_field_pgm(fld, tmp_path / "f.pgm")
+        write_field_pgm(thin_grid(4, 1), values, tmp_path / "f.pgm")
     assert (tmp_path / "f.pgm").read_text() == "P2\n4 1\n255\n0 128 128 255\n"
 
 
@@ -463,9 +454,9 @@ def test_csv_matches_row_template_on_thin_grids_and_blocks(tmp_path, monkeypatch
         monkeypatch.setattr(fields, "_TEXT_BLOCK", block)
     values = (np.random.default_rng(47).normal(0.0, 1e3, nx * ny) if kind == "normal"
               else _fallback_values(nx * ny))
-    fld = IndicatorField(grid=thin_grid(nx, ny), values=values)
-    write_field_csv(fld, tmp_path / "f.csv")
-    write_field_csv_rows(fld, tmp_path / "rows.csv")
+    grid = thin_grid(nx, ny)
+    write_field_csv(grid, values, tmp_path / "f.csv")
+    write_field_csv_rows(grid, values, tmp_path / "rows.csv")
     assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
@@ -474,8 +465,7 @@ def test_local_maxima_ordering():
     values = np.zeros(25)
     values[6] = 3.0  # (1, 1)
     values[18] = 5.0  # (3, 3)
-    fld = IndicatorField(grid=grid, values=values)
-    pts, vals = local_maxima(fld, top=2)
+    pts, vals = local_maxima(grid, values, top=2)
     assert np.allclose(vals, [5.0, 3.0])
     assert np.allclose(pts[0], [3.0, 3.0])
     assert np.allclose(pts[1], [1.0, 1.0])

@@ -18,7 +18,6 @@ from nearscat.linalg import hermitian_eig
 from nearscat.sampling import (
     SENTINEL_CAP,
     FilterSpec,
-    PicardData,
     _indicator_block,
     filter_value,
     fm_mlsm_fields,
@@ -27,6 +26,7 @@ from nearscat.sampling import (
 )
 from nearscat.specfun import fundamental_solution_many
 
+from conftest import CURVE_WEIGHT
 from reference import (
     _centred,
     _domain_blocks_per_map,
@@ -45,12 +45,14 @@ from reference import (
 FM, MLSM = 0, 1  # rows of picard_weights
 
 
-def field_at(row, data, phis, f=None):
-    """FM or MLSM values for explicit steering columns phis (one per point),
-    through the per-block kernel of the grid pipeline; the MLSM filter
-    defaults to cutoff_at_rank, as in fm_mlsm_fields."""
-    weights = picard_weights(data, cutoff_at_rank(data) if f is None else f)
-    return _indicator_block(data.eigenvectors.conj().T, weights, phis)[row]
+def field_at(row, picard, phis, f=None, weight=CURVE_WEIGHT):
+    """FM or MLSM values of an (eigenvalues, eigenvectors) pair for explicit
+    steering columns phis (one per point), through the per-block kernel of
+    the grid pipeline; the MLSM filter defaults to cutoff_at_rank, as in
+    fm_mlsm_fields."""
+    lam, vecs = picard
+    weights = picard_weights(lam, weight, cutoff_at_rank(picard) if f is None else f)
+    return _indicator_block(vecs.conj().T, weights, phis)[row]
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +79,9 @@ def test_blocked_pipeline_matches_single_shot(
     # the reference is the same pipeline run as one block; the 1,326 points
     # of the fundamental domain are not a multiple of any block here but the
     # last
-    weights = picard_weights(fig6_picard, cutoff_at_rank(fig6_picard))
-    args = (fig6_picard.eigenvectors, weights, disk_sensors64, 1.0, disk_grid101)
+    lam, vecs = fig6_picard
+    weights = picard_weights(lam, CURVE_WEIGHT, cutoff_at_rank(fig6_picard))
+    args = (vecs, weights, disk_sensors64, 1.0, disk_grid101)
     size = disk_grid101.nx * disk_grid101.ny
     exact = block in (sampling._BLOCK, size)
     monkeypatch.setattr(sampling, "_BLOCK", size)
@@ -131,13 +134,24 @@ def test_grid_without_shared_symmetry_is_the_direct_kernel():
 @pytest.mark.parametrize("picard", ["fig6_picard", "fig7_picard"])
 def test_figure6_7_grids_match_direct_kernel(request, picard, disk_sensors64, disk_grid101):
     data = request.getfixturevalue(picard)
+    lam, vecs = data
     assert len(group_of(disk_sensors64, disk_grid101)) == 8
-    weights = picard_weights(data, cutoff_at_rank(data))
-    values = sampling.grid_indicators(
-        data.eigenvectors, weights, disk_sensors64, 1.0, disk_grid101
-    )
-    direct = direct_indicators(data.eigenvectors, weights, disk_sensors64, disk_grid101)
+    weights = picard_weights(lam, CURVE_WEIGHT, cutoff_at_rank(data))
+    values = sampling.grid_indicators(vecs, weights, disk_sensors64, 1.0, disk_grid101)
+    direct = direct_indicators(vecs, weights, disk_sensors64, disk_grid101)
     np.testing.assert_allclose(values, direct, rtol=1e-10, atol=0.0)
+
+
+def test_fm_field_takes_the_curve_weight_from_the_sensors(fig6_matrix, fig6_picard,
+                                                          disk_sensors64, disk_grid101):
+    # fm_mlsm_fields reads the weight 2 pi R / Q off the matrix's sensors;
+    # without it, W would be off by that factor, about 0.196
+    modes, (w,) = fm_mlsm_fields(fig6_matrix, "nonabsorbing", disk_grid101)
+    lam, vecs = fig6_picard
+    assert modes == lam.size
+    direct = direct_indicators(vecs, picard_weights(lam, CURVE_WEIGHT), disk_sensors64,
+                               disk_grid101)
+    np.testing.assert_allclose(w, direct[FM], rtol=1e-10, atol=0.0)
 
 
 PARTIAL_GROUPS = [
@@ -207,10 +221,10 @@ PER_MAP_RTOL = 8 * np.finfo(float).eps
 @pytest.mark.parametrize("picard", ["fig6_picard", "fig7_picard"])
 def test_full_group_matches_per_map_loop(request, picard, disk_sensors64, disk_grid101):
     # two weight rows: FM and a Tikhonov MLSM
-    data = request.getfixturevalue(picard)
+    lam, vecs = request.getfixturevalue(picard)
     assert len(group_of(disk_sensors64, disk_grid101)) == 8
-    weights = picard_weights(data, FilterSpec(kind="tikhonov", eps=1e-4))
-    args = (data.eigenvectors, weights, disk_sensors64, 1.0, disk_grid101)
+    weights = picard_weights(lam, CURVE_WEIGHT, FilterSpec(kind="tikhonov", eps=1e-4))
+    args = (vecs, weights, disk_sensors64, 1.0, disk_grid101)
     np.testing.assert_allclose(sampling.grid_indicators(*args), grid_indicators_per_map(*args),
                                rtol=PER_MAP_RTOL, atol=0.0)
 
@@ -264,12 +278,13 @@ def test_grid_pipeline_memory_stays_flat_as_the_grid_grows(fig6_picard, n):
     # two axes and the blocks' own memory (about 2.4 MB with a 1.1 MB stacked
     # product), whatever the grid.  Budget: 3 MiB
     sensors = make_sensor_array(64, 2.0)
-    weights = picard_weights(fig6_picard)
-    assert fig6_picard.size == 35
+    lam, vecs = fig6_picard
+    weights = picard_weights(lam, CURVE_WEIGHT)
+    assert lam.size == 35
     tracemalloc.start()
     try:
         grid = make_grid((-1.8, 1.8, -1.8, 1.8), n, n)
-        values = sampling.grid_indicators(fig6_picard.eigenvectors, weights, sensors, 1.0, grid)
+        values = sampling.grid_indicators(vecs, weights, sensors, 1.0, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -367,15 +382,15 @@ def test_filter_validation():
 # Picard data
 
 
-def diag_data(vals, weight=1.0):
+def diag_data(vals):
+    """The (eigenvalues, eigenvectors) pair of diag(vals); its tests take
+    the curve weight 1."""
     vals = np.asarray(vals, dtype=float)
-    return PicardData(
-        eigenvalues=vals, eigenvectors=np.eye(vals.size, dtype=complex), weight=weight
-    )
+    return vals, np.eye(vals.size, dtype=complex)
 
 
 def test_make_picard_data_clips(fig6_picard):
-    lam = fig6_picard.eigenvalues
+    lam, _ = fig6_picard
     assert np.all(lam > 0)
     assert np.all(np.diff(lam) <= 0)
     assert lam[-1] > 1e-12 * lam[0] * (1 - 1e-12)
@@ -389,17 +404,16 @@ def test_make_picard_data_rejects_negative_definite(matrix):
         make_picard_data(matrix)
 
 
-def explicit_nsharp(data):
+def explicit_nsharp(picard):
     """N_sharp = V diag(lambda) V^H on the retained span."""
-    v = data.eigenvectors
-    return (v * data.eigenvalues) @ v.conj().T
+    lam, v = picard
+    return (v * lam) @ v.conj().T
 
 
-def explicit_mlsm_solve(data, phi, f):
+def explicit_mlsm_solve(picard, phi, f):
     """g_z = V diag(lambda f(lambda^2)) V^H phi, one scalar filter call per mode."""
-    lam = data.eigenvalues
+    lam, v = picard
     fvals = np.array([float(filter_value(f, t)) for t in lam**2])
-    v = data.eigenvectors
     return (v * (lam * fvals)) @ (v.conj().T @ phi)
 
 
@@ -407,27 +421,24 @@ def disk_phis(sensors, zs):
     return fundamental_solution_many(1.0, sensors.points, np.atleast_2d(zs))
 
 
-def moderate_tikhonov(data):
+def moderate_tikhonov(picard):
     """A filter that keeps g_z well scaled, so ambient-space oracles built
     from g_z stay accurate (the default cutoff keeps modes down to
     1e-12 lambda_1, where such oracles lose ~5 digits)."""
-    return FilterSpec(kind="tikhonov", eps=1e-6 * data.eigenvalues[0] ** 2)
+    return FilterSpec(kind="tikhonov", eps=1e-6 * picard[0][0] ** 2)
 
 
 def test_picard_single_mode_gives_lambda():
     data = diag_data([4.0, 2.0])
     phi = np.array([[1.0], [0.0]], dtype=complex)
-    assert field_at(FM, data, phi)[0] == pytest.approx(4.0)
+    assert field_at(FM, data, phi, weight=1.0)[0] == pytest.approx(4.0)
 
 
 def test_picard_orthogonal_hits_cap():
-    data = PicardData(
-        eigenvalues=np.array([1.0]),
-        eigenvectors=np.array([[1.0], [0.0]], dtype=complex),
-    )
+    data = np.array([1.0]), np.array([[1.0], [0.0]], dtype=complex)
     phi = np.array([[0.0], [1.0]], dtype=complex)
-    assert field_at(FM, data, phi)[0] == SENTINEL_CAP
-    assert field_at(MLSM, data, phi)[0] == SENTINEL_CAP
+    assert field_at(FM, data, phi, weight=1.0)[0] == SENTINEL_CAP
+    assert field_at(MLSM, data, phi, weight=1.0)[0] == SENTINEL_CAP
 
 
 def test_fm_field_matches_explicit_picard_sum(fig6_picard, disk_sensors64):
@@ -436,8 +447,8 @@ def test_fm_field_matches_explicit_picard_sum(fig6_picard, disk_sensors64):
     values = field_at(FM, fig6_picard, phis)
     for j in range(len(zs)):
         picard = sum(
-            fig6_picard.weight * abs(np.vdot(psi, phis[:, j])) ** 2 / lam
-            for lam, psi in zip(fig6_picard.eigenvalues, fig6_picard.eigenvectors.T)
+            CURVE_WEIGHT * abs(np.vdot(psi, phis[:, j])) ** 2 / lam
+            for lam, psi in zip(fig6_picard[0], fig6_picard[1].T)
         )
         assert values[j] == pytest.approx(1.0 / picard, rel=1e-12)
 
@@ -445,12 +456,9 @@ def test_fm_field_matches_explicit_picard_sum(fig6_picard, disk_sensors64):
 def test_picard_phase_invariance(fig6_picard, disk_sensors64):
     phis = disk_phis(disk_sensors64, [[0.3, -0.2], [1.2, 0.5]])
     rng = np.random.default_rng(21)
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, fig6_picard.size))
-    twisted = PicardData(
-        eigenvalues=fig6_picard.eigenvalues,
-        eigenvectors=fig6_picard.eigenvectors * phases[None, :],
-        weight=fig6_picard.weight,
-    )
+    lam, vecs = fig6_picard
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, lam.size))
+    twisted = lam, vecs * phases[None, :]
     for row in (FM, MLSM):
         base = field_at(row, fig6_picard, phis)
         assert field_at(row, twisted, phis) == pytest.approx(base, rel=1e-12)
@@ -458,11 +466,8 @@ def test_picard_phase_invariance(fig6_picard, disk_sensors64):
 
 def test_scaling_covariance(fig6_picard, disk_sensors64):
     phis = disk_phis(disk_sensors64, [0.3, -0.2])
-    scaled = PicardData(
-        eigenvalues=3.0 * fig6_picard.eigenvalues,
-        eigenvectors=fig6_picard.eigenvectors,
-        weight=fig6_picard.weight,
-    )
+    lam, vecs = fig6_picard
+    scaled = 3.0 * lam, vecs
     assert field_at(FM, scaled, phis)[0] == pytest.approx(
         3.0 * field_at(FM, fig6_picard, phis)[0], rel=1e-12
     )
@@ -479,7 +484,7 @@ def test_mlsm_solve_regularization_consistency():
     g = explicit_mlsm_solve(data, phi, f)
     nsharp_mat = explicit_nsharp(data)
     assert np.linalg.norm(nsharp_mat @ g - phi) <= 1e-6 * np.linalg.norm(phi)
-    p = field_at(MLSM, data, phi[:, None], f)[0]
+    p = field_at(MLSM, data, phi[:, None], f, weight=1.0)[0]
     assert p == pytest.approx(1.0 / np.vdot(g, nsharp_mat @ g).real, rel=1e-12)
 
 
@@ -489,7 +494,7 @@ def test_mlsm_solve_single_mode_cutoff():
     f = FilterSpec(kind="cutoff", eps=2.0)  # retains mode 1 only
     assert np.allclose(explicit_mlsm_solve(data, phi[:, 0], f), phi[:, 0] / 2.0)
     # (N_sharp g, g) = 2 * |1/2|^2
-    assert field_at(MLSM, data, phi, f)[0] == pytest.approx(2.0)
+    assert field_at(MLSM, data, phi, f, weight=1.0)[0] == pytest.approx(2.0)
 
 
 def test_half_power_identity_against_sqrt_oracle(fig6_picard, disk_sensors64):
@@ -501,7 +506,7 @@ def test_half_power_identity_against_sqrt_oracle(fig6_picard, disk_sensors64):
     eig = hermitian_eig(explicit_nsharp(fig6_picard))
     for j in range(len(zs)):
         g = explicit_mlsm_solve(fig6_picard, phis[:, j], f)
-        oracle = fig6_picard.weight * np.linalg.norm(sqrt_op_apply(*eig, g)) ** 2
+        oracle = CURVE_WEIGHT * np.linalg.norm(sqrt_op_apply(*eig, g)) ** 2
         assert 1.0 / values[j] == pytest.approx(oracle, rel=1e-10)
 
 
@@ -519,7 +524,7 @@ def test_mlsm_indicators_identity(fig6_picard, disk_sensors64):
     nsharp_mat = explicit_nsharp(fig6_picard)
     for j in range(len(zs)):
         g = explicit_mlsm_solve(fig6_picard, phis[:, j], f)
-        quad = fig6_picard.weight * np.vdot(g, nsharp_mat @ g).real
+        quad = CURVE_WEIGHT * np.vdot(g, nsharp_mat @ g).real
         assert values[j] == pytest.approx(1.0 / quad, rel=1e-12)
 
 
@@ -531,7 +536,7 @@ def test_equivalence_closed_form_diagonal():
     data = diag_data([4.0, 3.0, 2.0, 1.0])
     phi = np.full(4, 0.5, dtype=complex)
     report = fm_mlsm_equivalence_check(
-        data, phi, 4, [10.0 ** (-p) for p in range(1, 13)]
+        data, 1.0, phi, 4, [10.0 ** (-p) for p in range(1, 13)]
     )
     expect = 0.25 * (1 / 4 + 1 / 3 + 1 / 2 + 1.0)
     assert report.full_sum == pytest.approx(expect, rel=1e-12)
@@ -543,16 +548,16 @@ def test_equivalence_validation():
     data = diag_data([1.0])
     phi = np.array([1.0], dtype=complex)
     with pytest.raises(DomainError):
-        fm_mlsm_equivalence_check(data, phi, 1, [1e-2, 1e-1])
+        fm_mlsm_equivalence_check(data, 1.0, phi, 1, [1e-2, 1e-1])
     with pytest.raises(DomainError):
-        fm_mlsm_equivalence_check(data, phi, 2, [1e-1, 1e-2])
+        fm_mlsm_equivalence_check(data, 1.0, phi, 2, [1e-1, 1e-2])
 
 
 def test_equivalence_interior_point_stabilizes(fig6_picard, disk_sensors64):
     z = np.array([[0.3, 0.2]])
     phi = fundamental_solution_many(1.0, disk_sensors64.points, z)[:, 0]
     eps = [10.0 ** (-p) for p in range(1, 9)]
-    report = fm_mlsm_equivalence_check(fig6_picard, phi, fig6_picard.size, eps)
+    report = fm_mlsm_equivalence_check(fig6_picard, CURVE_WEIGHT, phi, fig6_picard[0].size, eps)
     change = abs(report.values[-1] - report.values[-2]) / report.values[-2]
     assert change <= 0.01
     # upper bound at every eps
@@ -564,7 +569,7 @@ def test_equivalence_exterior_point_grows(fig6_picard, disk_sensors64):
     z = np.array([[1.5, 0.3]])
     phi = fundamental_solution_many(1.0, disk_sensors64.points, z)[:, 0]
     eps = [10.0 ** (-p) for p in range(1, 9)]
-    report = fm_mlsm_equivalence_check(fig6_picard, phi, fig6_picard.size, eps)
+    report = fm_mlsm_equivalence_check(fig6_picard, CURVE_WEIGHT, phi, fig6_picard[0].size, eps)
     vals = np.asarray(report.values)
     assert np.all(np.diff(vals) > 0)
     assert vals[-1] / vals[0] >= 10.0
@@ -575,9 +580,9 @@ def test_cutoff_bracketing_exact(fig6_picard, disk_sensors64):
     # sum over the retained modes exactly
     z = np.array([[1.1, -0.4]])
     phi = fundamental_solution_many(1.0, disk_sensors64.points, z)[:, 0]
-    lam = fig6_picard.eigenvalues
-    c = fig6_picard.eigenvectors.conj().T @ phi
-    terms = fig6_picard.weight * np.abs(c) ** 2 / lam
+    lam, vecs = fig6_picard
+    c = vecs.conj().T @ phi
+    terms = CURVE_WEIGHT * np.abs(c) ** 2 / lam
     for eps in (1e-2, 1e-5, 1e-8):
         m = int(np.count_nonzero(lam**2 > eps))
         p = field_at(MLSM, fig6_picard, phi[:, None], FilterSpec(kind="cutoff", eps=eps))
@@ -597,26 +602,26 @@ def jaccard_of(field_values, grid):
 
 
 def test_figure6_fm_classification(fig6_fields, disk_grid101):
-    fld = fig6_fields[FM]
-    assert jaccard_of(fld.values, disk_grid101) >= 0.5
+    values = fig6_fields[FM]
+    assert jaccard_of(values, disk_grid101) >= 0.5
     r = np.hypot(*grid_points(disk_grid101).T)
-    core = fld.values[r <= 0.8].mean()
-    annulus = fld.values[(r >= 1.2) & (r <= 1.8)].mean()
+    core = values[r <= 0.8].mean()
+    annulus = values[(r >= 1.2) & (r <= 1.8)].mean()
     assert core >= 10 * annulus
 
 
 def test_figure6_mlsm_classification(fig6_fields, disk_grid101):
-    fld = fig6_fields[MLSM]
-    assert jaccard_of(fld.values, disk_grid101) >= 0.5
+    values = fig6_fields[MLSM]
+    assert jaccard_of(values, disk_grid101) >= 0.5
     r = np.hypot(*grid_points(disk_grid101).T)
-    core = fld.values[r <= 0.8].mean()
-    annulus = fld.values[(r >= 1.2) & (r <= 1.8)].mean()
+    core = values[r <= 0.8].mean()
+    annulus = values[(r >= 1.2) & (r <= 1.8)].mean()
     assert core >= 10 * annulus
 
 
-def test_figure7_absorbing_classification(fig7_picard, disk_sensors64, disk_grid101):
-    fld = fm_mlsm_fields(fig7_picard, disk_sensors64, 1.0, disk_grid101)[FM]
-    assert jaccard_of(fld.values, disk_grid101) >= 0.5
+def test_figure7_absorbing_classification(fig7_matrix, disk_grid101):
+    values = fm_mlsm_fields(fig7_matrix, "absorbing", disk_grid101)[1][FM]
+    assert jaccard_of(values, disk_grid101) >= 0.5
 
 
 def test_figure7_interior_solution_finite(fig7_picard, disk_sensors64):
@@ -628,36 +633,45 @@ def test_figure7_interior_solution_finite(fig7_picard, disk_sensors64):
 
 
 def test_w_p_spearman_equivalence(fig6_fields):
-    w = fig6_fields[FM].values
-    p = fig6_fields[MLSM].values
+    w = fig6_fields[FM]
+    p = fig6_fields[MLSM]
     assert spearmanr(w, p).statistic >= 0.9
 
 
+# the matrix fixture, regime and preset of each disk figure's Picard pair
+DISK_FIGURES = {"fig6_picard": ("fig6_matrix", "nonabsorbing", "figure6"),
+                "fig7_picard": ("fig7_matrix", "absorbing", "figure7")}
+
+
 @pytest.mark.parametrize("picard", ["fig6_picard", "fig7_picard"])
-def test_default_filter_mlsm_is_fm(request, tmp_path, picard, disk_sensors64, disk_grid101):
+def test_default_filter_mlsm_is_fm(request, tmp_path, picard, disk_grid101):
     # the default filter keeps every mode the clip keeps, so the MLSM weights
     # lambda^3 f(lambda^2)^2 are the FM weights 1/lambda: with `filter: null`
     # a disk run's MLSM field is its FM field, value for value and byte for
     # byte on disk; an explicit cutoff just below lambda_min^2 reduces a
     # second row that agrees with it up to rounding
     data = request.getfixturevalue(picard)
-    w, p = fm_mlsm_fields(data, disk_sensors64, 1.0, disk_grid101)
-    assert np.array_equal(p.values, w.values)
-    weights = picard_weights(data, cutoff_at_rank(data))
+    matrix_fixture, regime, preset = DISK_FIGURES[picard]
+    matrix = request.getfixturevalue(matrix_fixture)
+    _, rows = fm_mlsm_fields(matrix, regime, disk_grid101)
+    w, p = rows[FM], rows[-1]
+    assert np.array_equal(p, w)
+    weights = picard_weights(data[0], CURVE_WEIGHT, cutoff_at_rank(data))
     assert np.max(np.abs(weights[MLSM] / weights[FM] - 1.0)) <= 1e-14
-    _, p_cut = fm_mlsm_fields(data, disk_sensors64, 1.0, disk_grid101, cutoff_at_rank(data))
-    assert np.max(np.abs(p_cut.values / w.values - 1.0)) <= 1e-14
-    cli.run(preset={"fig6_picard": "figure6", "fig7_picard": "figure7"}[picard], out_dir=tmp_path)
+    p_cut = fm_mlsm_fields(matrix, regime, disk_grid101, cutoff_at_rank(data))[1][MLSM]
+    assert np.max(np.abs(p_cut / w - 1.0)) <= 1e-14
+    cli.run(preset=preset, out_dir=tmp_path)
     for ext in ("csv", "pgm"):
         assert (tmp_path / f"mlsm.{ext}").read_bytes() == (tmp_path / f"field.{ext}").read_bytes()
 
 
-def block_system(data, sensors, points):
+def block_system(picard, sensors, points):
     """Conjugated eigenvectors, the (FM, MLSM) weights of a Tikhonov filter
     and the steering columns of the given points, at k = 1."""
-    weights = picard_weights(data, FilterSpec(kind="tikhonov", eps=1e-4))
+    lam, vecs = picard
+    weights = picard_weights(lam, CURVE_WEIGHT, FilterSpec(kind="tikhonov", eps=1e-4))
     phis = fundamental_solution_many(1.0, sensors.points, np.asarray(points, dtype=float))
-    return data.eigenvectors.conj().T, weights, phis
+    return vecs.conj().T, weights, phis
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -672,19 +686,21 @@ def test_indicator_block_matches_per_point_sums(request, picard, rows, disk_sens
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
-def test_fm_row_bits_do_not_depend_on_an_mlsm_row(fig6_picard, disk_sensors64, disk_grid101):
+def test_fm_row_bits_do_not_depend_on_an_mlsm_row(fig6_picard, fig6_matrix, disk_sensors64,
+                                                  disk_grid101):
     vecs_h, weights, phis = block_system(fig6_picard, disk_sensors64, grid_points(disk_grid101))
     alone = _indicator_block(vecs_h, weights[:FM + 1], phis)[FM]
     assert np.array_equal(alone, _indicator_block(vecs_h, weights, phis)[FM])
-    w_alone, _ = fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101)
-    w_beside, _ = fm_mlsm_fields(fig6_picard, disk_sensors64, 1.0, disk_grid101,
-                                 FilterSpec(kind="tikhonov", eps=1e-4))
-    assert np.array_equal(w_alone.values, w_beside.values)
+    w_alone = fm_mlsm_fields(fig6_matrix, "nonabsorbing", disk_grid101)[1][FM]
+    w_beside = fm_mlsm_fields(fig6_matrix, "nonabsorbing", disk_grid101,
+                              FilterSpec(kind="tikhonov", eps=1e-4))[1][FM]
+    assert np.array_equal(w_alone, w_beside)
 
 
 @pytest.mark.parametrize("f", [FilterSpec(kind="cutoff", eps=1e300),
                                FilterSpec(kind="tikhonov", eps=1e300)])
 def test_filter_that_cuts_every_mode_is_rejected(fig6_picard, f):
-    lam1_sq = f"{fig6_picard.eigenvalues[0] ** 2:g}"
+    lam, _ = fig6_picard
+    lam1_sq = f"{lam[0] ** 2:g}"
     with pytest.raises(NearscatError, match=f"eps = 1e\\+300 cuts every .*{lam1_sq}"):
-        picard_weights(fig6_picard, f)
+        picard_weights(lam, CURVE_WEIGHT, f)
